@@ -61,6 +61,7 @@ from .sft_ledger import (
     Building,
     CurveNode,
     EpsilonTooLarge,
+    IndexBoundUnreachable,
     NegativePunctureUnsupported,
     Puncture,
     PuncturedSphereData,

@@ -1,9 +1,10 @@
 """Gutt-Hutchings and Lagrangian capacities, with two independent paths.
 
 The toric path minimizes the support function over non-negative lattice
-pairs summing to k; the ellipsoid path reads the k-th entry of the merged
-sequence of axis multiples.  Both are exact on rational data and must
-agree on simplices, which the test suite enforces.
+pairs summing to k by bisection on a convex function; the ellipsoid path
+reads the k-th entry of the merged sequence of axis multiples.  Both are
+exact on rational data and must agree on simplices, which the test suite
+enforces.
 """
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ from .moment_domain import (
 
 class UnsupportedShape(ValueError):
     """Shape not in the list with a known Lagrangian capacity."""
-
-
-class IrrationalRatio(ValueError):
-    """Axis ratio is irrational (cannot occur for rational inputs)."""
 
 
 class LengthMismatch(ValueError):
@@ -53,20 +50,23 @@ class CapacityReport:
 def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     """k-th capacity of a 4-dimensional convex toric domain.
 
-    Minimum of max_{v in Omega} <v, (l', m')> over the k+1 non-negative
-    pairs with l' + m' = k.  Ties report the lexicographically smallest
+    Minimum of h(l) = max_{v in Omega} <v, (l, k - l)> over l = 0..k.
+    As a maximum of affine functions of l, h is convex, so its smallest
+    integer minimizer is the first l with h(l + 1) >= h(l).  Bisection
+    finds it with at most 2*ceil(log2(k + 1)) + 1 support evaluations,
+    O(V log k) exact work.  Ties report the lexicographically smallest
     pair.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    best_value = None
-    best_pair = None
-    for l in range(k + 1):
-        m = k - l
-        value = support(domain, (l, m))
-        if best_value is None or value < best_value:
-            best_value, best_pair = value, (l, m)
-    return CapacityReport(k=k, value=best_value, minimizer=LatticeDirection(*best_pair))
+    lo, hi = 0, k
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if support(domain, (mid + 1, k - mid - 1)) >= support(domain, (mid, k - mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return CapacityReport(k, support(domain, (lo, k - lo)), LatticeDirection(lo, k - lo))
 
 
 def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
@@ -106,23 +106,13 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
 def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
     """Smallest k with spectrum value exactly k * diagonal(E(a, b)).
 
-    Writing b/a = p/q in lowest terms, k = p + q always works; the scan
-    verifies the identity and confirms no smaller index does.
+    Writing b/a = p/q in lowest terms, k * diagonal is a multiple of a or
+    b only if (p + q) | k, since gcd(p, p + q) = gcd(q, p + q) = 1; at
+    k = p + q it is p*a = q*b, exactly the k-th spectrum entry.  So the
+    answer is p + q, in O(1).
     """
     if e.dim != 2:
         raise ValueError("defined for 4-dimensional ellipsoids")
-    a, b = e.axes
-    ratio = b / a
-    p, q = ratio.numerator, ratio.denominator
-    d = diagonal(e)
-    for k in range(1, p + q + 1):
-        if gh_spectrum_ellipsoid(e, k).value == k * d:
-            return k
-    raise AssertionError("k = p + q always satisfies the identity")  # pragma: no cover
-
-
-def equal_diagonal_k_hint(e: EllipsoidSpec) -> int:
-    """The p + q candidate for the equal-diagonal index (b/a = p/q reduced)."""
     a, b = e.axes
     ratio = b / a
     return ratio.numerator + ratio.denominator

@@ -49,7 +49,10 @@ def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
     else:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return moment_domain.domain_from_json(text)
+    try:
+        return moment_domain.domain_from_json(text)
+    except TypeError as exc:  # a float or other non-rational coordinate
+        raise InputError(str(exc)) from exc
 
 
 def _require_polygon(domain) -> MomentDomain2D:

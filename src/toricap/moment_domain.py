@@ -483,6 +483,8 @@ def domain_to_json(domain: Union[MomentDomain2D, EllipsoidSpec]) -> str:
 
 def domain_from_json(text: str) -> Union[MomentDomain2D, EllipsoidSpec]:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"domain JSON must be an object, not {type(payload).__name__}")
     kind = payload.get("type")
     if kind == "polygon":
         return make_polygon_domain(payload["vertices"])

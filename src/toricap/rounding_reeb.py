@@ -330,8 +330,8 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     (l, 0) and (0, m) carry actions l*x_max and m*g(0).  Sorted by action,
     ties by (l, m).
     """
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     families: list[ReebOrbitFamily] = []
 
     a_ext = smooth.x_max

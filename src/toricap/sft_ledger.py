@@ -29,6 +29,10 @@ class EpsilonTooLarge(ValueError):
     """The partition conclusion requires epsilon < 1/n."""
 
 
+class IndexBoundUnreachable(ValueError):
+    """No number of punctures makes the index non-negative (Morse bound <= n - 3)."""
+
+
 def cz_from_morse(morse: int, adjust_to_zero_maslov: bool = True) -> int:
     """Conley-Zehnder index of the orbit over a closed geodesic of the
     given Morse index, in the trivialization adjusted so the Maslov term
@@ -95,19 +99,18 @@ def min_positive_punctures(n: int, tangency_order: int, morse_bound: int) -> int
     """Smallest number of positive punctures admitting a non-negative index.
 
     The index is increasing in each CZ entry, so the best assignment is
-    all entries equal to the Morse bound; under the usual hypotheses the
-    answer is tangency_order + 2, i.e. k + 1 for contact order k.
+    all l entries equal to the Morse bound M: index l*(M - n + 3) - 4 - 2t
+    for t = tangency_order, so l = max(1, ceil((4 + 2t) / (M - n + 3))),
+    which is t + 2 (k + 1 for contact order k) when M = n - 1.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if tangency_order < 0 or morse_bound < 0:
         raise ValueError("tangency order and Morse bound must be non-negative")
-    l = 1
-    while True:
-        best = punctured_sphere_index(sphere_data(n, [morse_bound] * l, tangency_order))
-        if best >= 0:
-            return l
-        l += 1
+    gain = morse_bound - n + 3
+    if gain <= 0:
+        raise IndexBoundUnreachable(f"Morse bound {morse_bound} <= n - 3: the index stays negative")
+    return max(1, -(-(4 + 2 * tangency_order) // gain))
 
 
 def forced_morse_indices(n: int) -> list[int]:

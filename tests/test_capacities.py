@@ -25,7 +25,8 @@ from toricap import (
     support,
     torus_descendant,
 )
-from toricap.capacities import AxisMultiple, LengthMismatch, equal_diagonal_k_hint
+import toricap.capacities
+from toricap.capacities import AxisMultiple, LengthMismatch
 
 
 def merged_multiples(a, b, count):
@@ -36,8 +37,38 @@ def merged_multiples(a, b, count):
 
 
 def toric_min_max(domain, k):
-    """Oracle: direct min over the k+1 pairs, recomputing the support."""
-    return min(support(domain, (l, k - l)) for l in range(k + 1))
+    """Oracle: direct O(k*V) scan over the k+1 pairs, recomputing the
+    support in integers after clearing denominators; returns the minimum
+    and the smallest l attaining it."""
+    scale = math.lcm(*(c.denominator for p in domain.vertices for c in p))
+    points = [(int(x * scale), int(y * scale)) for x, y in domain.vertices]
+    value, l = min((max(l * x + (k - l) * y for x, y in points), l) for l in range(k + 1))
+    return Fraction(value, scale), l
+
+
+def random_concave_polygon(rng):
+    """A random moment polygon: strictly decreasing rational slopes <= 0,
+    rational edge widths, sometimes a final vertical drop."""
+    slopes = sorted(
+        {Fraction(-rng.randint(0, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))},
+        reverse=True,
+    )
+    steps = []
+    for slope in slopes:
+        dx = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        steps.append((dx, slope * dx))
+    drop = Fraction(rng.randint(1, 8), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
+    height = drop - sum(dy for _, dy in steps)
+    if height == 0:
+        drop = height = Fraction(1)
+    x, y = Fraction(0), height
+    vertices = [(x, y)]
+    for dx, dy in steps:
+        x, y = x + dx, y + dy
+        vertices.append((x, y))
+    if drop:
+        vertices.append((x, Fraction(0)))
+    return make_polygon_domain(vertices)
 
 
 def random_ellipsoid(rng, cap=50):
@@ -69,7 +100,48 @@ class TestToricPath:
     def test_matches_direct_min_max(self, pentagon, square):
         for domain in (pentagon, square):
             for k in range(1, 21):
-                assert gh_capacity_toric4(domain, k).value == toric_min_max(domain, k)
+                assert gh_capacity_toric4(domain, k).value == toric_min_max(domain, k)[0]
+
+    @staticmethod
+    def assert_matches_scan(domain, k):
+        value, l = toric_min_max(domain, k)
+        report = gh_capacity_toric4(domain, k)
+        assert (report.value, report.minimizer.as_pair()) == (value, (l, k - l)), (domain, k)
+
+    def test_bisection_matches_scan_on_random_polygons(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            domain = random_concave_polygon(rng)
+            for k in rng.sample(range(1, 101), 30):
+                self.assert_matches_scan(domain, k)
+
+    def test_bisection_matches_scan_on_tie_heavy_shapes(self, square, tri11):
+        shapes = [
+            square,
+            tri11,  # the whole boundary has slope -1
+            make_polygon_domain([(0, 2), (1, 2), (2, 1), (2, 0)]),  # a slope -1 edge
+            make_polygon_domain([(0, 3), (2, 2), (3, 1), (3, 0)]),  # slope -1 edge, vertical drop
+            make_polygon_domain([(0, 3), (2, 2), (3, 0)]),  # vertex on the diagonal
+            make_polygon_domain([(0, 1), (5, 0)]),  # a single edge
+        ]
+        for domain in shapes:
+            for k in range(1, 41):
+                self.assert_matches_scan(domain, k)
+
+    def test_support_calls_are_logarithmic_in_k(self, monkeypatch, tri11, pentagon):
+        calls = 0
+
+        def counting_support(domain, v):
+            nonlocal calls
+            calls += 1
+            return support(domain, v)
+
+        monkeypatch.setattr(toricap.capacities, "support", counting_support)
+        k = 10**5
+        for domain in (tri11, pentagon):
+            calls = 0
+            gh_capacity_toric4(domain, k)
+            assert calls <= 2 * math.ceil(math.log2(k + 1)) + 1
 
     def test_monotone_in_k(self, pentagon, square, tri12):
         for domain in (pentagon, square, tri12):
@@ -139,7 +211,12 @@ class TestEqualDiagonalIndex:
         rng = random.Random(31)
         for _ in range(40):
             e = random_ellipsoid(rng, cap=12)
-            assert find_k_equal_diagonal(e) == equal_diagonal_k_hint(e)
+            ratio = e.axes[1] / e.axes[0]
+            assert find_k_equal_diagonal(e) == ratio.numerator + ratio.denominator
+
+    def test_near_one_ratio_is_immediate(self):
+        e = EllipsoidSpec((Fraction(1), Fraction(1000001, 1000000)))
+        assert find_k_equal_diagonal(e) == 2000001
 
 
 class TestLagrangianCapacity:

@@ -266,6 +266,26 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"type":"polygon","vertices":[[0.5,"1"],["1","0"]]}',  # float coordinate
+            '[["0","1"],["1","0"]]',  # top-level array, not an object
+        ],
+    )
+    def test_malformed_polygon_file_is_input_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code, _, err = run_cli(capsys, "diag", "--polygon", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cutoff", ["inf", "nan"])
+    def test_non_finite_cutoff_is_input_error(self, capsys, tri11_json, cutoff):
+        code, _, err = run_cli(capsys, "spectrum", "--polygon", tri11_json, "--K", cutoff)
+        assert code == 2
+        assert err.startswith("error: cutoff must be positive and finite")
+
     def test_missing_input_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "diag")
         assert code == 2

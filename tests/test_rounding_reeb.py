@@ -168,6 +168,11 @@ class TestOrbitFamilies:
     def test_below_min_action_is_empty(self, rounded_tri11):
         assert orbit_families(rounded_tri11, 0.5) == []
 
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, -math.inf, 0.0])
+    def test_non_finite_or_non_positive_cutoff_is_rejected(self, rounded_tri11, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            orbit_families(rounded_tri11, cutoff)
+
     def test_sorted_by_action(self, rounded_pentagon):
         fams = orbit_families(rounded_pentagon, 6.0)
         actions = [f.action for f in fams]

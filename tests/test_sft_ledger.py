@@ -10,6 +10,7 @@ from toricap import (
     Building,
     CurveNode,
     EpsilonTooLarge,
+    IndexBoundUnreachable,
     NegativePunctureUnsupported,
     Puncture,
     building_validate,
@@ -44,6 +45,15 @@ def min_punctures_by_tuple_search(n, tangency_order, morse_bound, l_cap=12):
             if index_oracle(n, tup, tangency_order) >= 0:
                 return l
     raise AssertionError("no admissible l found")
+
+
+def min_punctures_by_index_loop(n, tangency_order, morse_bound, l_cap=60):
+    """Oracle: add punctures with CZ = Morse bound until the index is
+    non-negative; None when no l up to l_cap works."""
+    for l in range(1, l_cap + 1):
+        if punctured_sphere_index(sphere_data(n, [morse_bound] * l, tangency_order)) >= 0:
+            return l
+    return None
 
 
 def min_punctures_by_sum_search(n, tangency_order, morse_bound, l_cap=40):
@@ -126,6 +136,25 @@ class TestMinPositivePunctures:
                 assert min_positive_punctures(n, t, n - 1) == min_punctures_by_tuple_search(
                     n, t, n - 1
                 )
+
+    def test_unreachable_bound_raises_instead_of_hanging(self):
+        # Each added puncture changes the index by M - (n - 3) = -1 here.
+        with pytest.raises(IndexBoundUnreachable):
+            min_positive_punctures(5, 0, 1)
+        with pytest.raises(IndexBoundUnreachable):
+            min_positive_punctures(3, 2, 0)
+
+    def test_closed_form_matches_index_loop(self):
+        for n in range(2, 9):
+            for t in range(0, 6):
+                for m in range(0, 11):
+                    expected = min_punctures_by_index_loop(n, t, m)
+                    if m - n + 3 <= 0:
+                        assert expected is None
+                        with pytest.raises(IndexBoundUnreachable):
+                            min_positive_punctures(n, t, m)
+                    else:
+                        assert min_positive_punctures(n, t, m) == expected
 
     def test_agrees_with_sum_brute_force(self):
         for n in range(2, 9):
