@@ -17,7 +17,6 @@ from .moment_domain import (
     PreconditionViolated,
     ZeroDirection,
     ball,
-    cylinders_union_diagonal,
     diagonal,
     diagonal_intersection_isolated,
     equal_diagonal_enclosing_ellipsoids,
@@ -29,7 +28,6 @@ from .capacities import (
     Ball,
     CapacityReport,
     Cylinder,
-    Ellipsoid4,
     GenericToric,
     LowerBound,
     Polydisk,

@@ -17,7 +17,6 @@ from .moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
-    RationalLike,
     as_rational,
     diagonal,
     support,
@@ -134,12 +133,6 @@ class ProjectiveSpace:
 
 
 @dataclass(frozen=True)
-class Ellipsoid4:
-    a: Fraction
-    b: Fraction
-
-
-@dataclass(frozen=True)
 class Cylinder:
     """Unit ball factor B^{2k}(1) times C^m."""
 
@@ -166,7 +159,7 @@ class LowerBound:
     value: Fraction
 
 
-Shape = Union[Ball, ProjectiveSpace, Ellipsoid4, Cylinder, Polydisk, GenericToric]
+Shape = Union[Ball, ProjectiveSpace, EllipsoidSpec, Cylinder, Polydisk, GenericToric]
 
 
 def lagrangian_capacity(shape: Shape) -> Union[Fraction, LowerBound]:
@@ -186,11 +179,10 @@ def lagrangian_capacity(shape: Shape) -> Union[Fraction, LowerBound]:
         if shape.n < 1:
             raise UnsupportedShape("projective space dimension must be >= 1")
         return Fraction(1, shape.n + 1)
-    if isinstance(shape, Ellipsoid4):
-        a, b = as_rational(shape.a), as_rational(shape.b)
-        if a <= 0 or b <= 0:
-            raise UnsupportedShape("ellipsoid axes must be positive")
-        return diagonal(EllipsoidSpec((min(a, b), max(a, b))))
+    if isinstance(shape, EllipsoidSpec):
+        if shape.dim != 2:
+            raise UnsupportedShape("only 4-dimensional ellipsoids have a known value here")
+        return diagonal(shape)
     if isinstance(shape, Cylinder):
         if shape.k < 1 or shape.m < 0:
             raise UnsupportedShape("cylinder needs k >= 1 and m >= 0")

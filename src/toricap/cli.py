@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One subcommand per concept: diag, support, gh, spectrum, round, enclose,
-lagcap, ledger, counts.  Rationals render in lowest terms ('2', '1/3'),
+lagcap, ledger.  Rationals render in lowest terms ('2', '1/3'),
 floats with 12 significant digits.  Exit codes: 0 ok, 1 a validation
 check failed, 2 input error.
 """
@@ -35,11 +35,21 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _parse_payload(parse, text: str):
+    """Run a JSON parser; the TypeError, IndexError or AttributeError a
+    malformed payload raises (a float coordinate, a list where an object
+    belongs, a vertex missing a coordinate) becomes an InputError."""
+    try:
+        return parse(text)
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise InputError(f"malformed input: {exc}") from exc
+
+
 def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
     if getattr(args, "ellipsoid", None):
         axes = tuple(as_rational(part) for part in args.ellipsoid.split(","))
         return EllipsoidSpec(axes)
-    spec = getattr(args, "polygon", None)
+    spec = args.polygon
     if not spec:
         raise InputError("provide exactly one of --ellipsoid or --polygon")
     if spec == "-":
@@ -49,10 +59,7 @@ def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
     else:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        return moment_domain.domain_from_json(text)
-    except TypeError as exc:  # a float or other non-rational coordinate
-        raise InputError(str(exc)) from exc
+    return _parse_payload(moment_domain.domain_from_json, text)
 
 
 def _require_polygon(domain) -> MomentDomain2D:
@@ -75,9 +82,8 @@ def _parse_k_range(text: str) -> list[int]:
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -86,11 +92,10 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
-    fmt = getattr(args, "format", "table")
-    if fmt == "json":
+    if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         _emit(args, json.dumps(payload, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -273,7 +278,7 @@ def _shape_from_args(args) -> capacities.Shape:
         return capacities.ProjectiveSpace(n=args.n)
     if kind == "ellipsoid4":
         a_str, b_str = args.axes.split(",", 1)
-        return capacities.Ellipsoid4(a=as_rational(a_str), b=as_rational(b_str))
+        return EllipsoidSpec(tuple(sorted((as_rational(a_str), as_rational(b_str)))))
     if kind == "cylinder":
         return capacities.Cylinder(k=args.n, m=args.m)
     if kind == "polydisk":
@@ -319,7 +324,7 @@ def cmd_ledger(args) -> int:
         )
     elif args.building:
         with open(args.building, "r", encoding="utf-8") as fh:
-            building = sft_ledger.building_from_json(fh.read())
+            building = _parse_payload(sft_ledger.building_from_json, fh.read())
     else:
         raise InputError("ledger needs a scenario flag or a building file")
     report = sft_ledger.building_validate(building, check_unpaired_parity=args.check_parity)
@@ -333,17 +338,6 @@ def _zero_sum_classes(k: int) -> list[list[int]]:
     return classes
 
 
-def cmd_counts(args) -> int:
-    payload = {
-        "gw_tangency_count": capacities.gw_tangency_count(args.n),
-        "torus_descendant_zero_sum": capacities.torus_descendant(
-            args.n + 1, _zero_sum_classes(args.n + 1)
-        ),
-    }
-    _emit(args, json.dumps(payload, indent=2))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -353,10 +347,10 @@ def _add_domain_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--polygon", help="JSON file path, inline JSON, or '-' for stdin")
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=["json", "csv", "table"], default="table")
+def _add_output_options(parser: argparse.ArgumentParser, tabular: bool = False) -> None:
+    if tabular:
+        parser.add_argument("--format", choices=["json", "csv", "table"], default="table")
     parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded for reproducibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gh", help="capacity table")
     _add_domain_options(p)
-    _add_output_options(p)
+    _add_output_options(p, tabular=True)
     p.add_argument("--k", required=True, help="single index '3' or range '1..5'")
     p.add_argument("--via", choices=["auto", "minmax", "spectrum", "both"], default="auto")
     p.set_defaults(func=cmd_gh)
 
     p = sub.add_parser("spectrum", help="Reeb orbit families on the rounded boundary")
     _add_domain_options(p)
-    _add_output_options(p)
+    _add_output_options(p, tabular=True)
     p.add_argument("--K", dest="cutoff", type=float, required=True, help="action cutoff")
     p.add_argument("--tau", type=float, default=1e-3)
     p.add_argument("--v", type=float, default=1.0 / 32.0)
@@ -415,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="cylinder trivial factors")
     p.add_argument("--axes", default="1,1", help="ellipsoid4 axes 'a,b'")
     p.add_argument("--radii", default="1", help="polydisk radii, comma separated, all >= 1")
-    group = p.add_mutually_exclusive_group(required=False)
-    group.add_argument("--ellipsoid", help=argparse.SUPPRESS)
-    group.add_argument("--polygon", help="moment polygon for --shape toric")
+    p.add_argument("--polygon", help="moment polygon for --shape toric")
     p.set_defaults(func=cmd_lagcap)
 
     p = sub.add_parser("ledger", help="building validation and forced-structure solvers")
@@ -435,11 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=cmd_ledger)
 
-    p = sub.add_parser("counts", help="closed-form curve counts")
-    _add_output_options(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_counts)
-
     return parser
 
 
@@ -451,7 +438,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, moment_domain.DomainValidationError, ValueError, OSError, KeyError) as exc:
+    except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

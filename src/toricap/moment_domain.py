@@ -10,8 +10,6 @@ and safe to call concurrently.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -252,21 +250,6 @@ def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
     raise AssertionError("valid domains always meet the diagonal")  # pragma: no cover
 
 
-def cylinders_union_diagonal(r: RationalLike, n: int) -> Fraction:
-    """Diagonal of the non-disjoint union of cylinders of size r in C^n.
-
-    The moment region is {x >= 0 : x_i <= r for some i}, so (t, ..., t)
-    belongs to it exactly when t <= r.  The domain is non-convex for
-    n >= 2; only its diagonal is in scope here.
-    """
-    r = as_rational(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return r
-
-
 DirectionLike = Union[LatticeDirection, Sequence[RationalLike]]
 
 
@@ -404,11 +387,9 @@ def equal_diagonal_enclosing_ellipsoids(
                 candidates.append(t)
 
     pairs = []
-    seen = set()
     for a in sorted(set(candidates)):
-        if a <= d or a in seen:
+        if a <= d:
             continue
-        seen.add(a)
         b = _paired_axis(a, d)
         if all(x / a + y / b <= 1 for x, y in domain.vertices):
             pairs.append(EnclosingEllipsoid(a, b, _touching(domain, a, b)))
@@ -427,16 +408,16 @@ class DiagonalContact(Enum):
 
     ISOLATED = "Isolated"
     SEGMENT = "Segment"
-    NOT_ON_BOUNDARY = "NotOnBoundary"
 
 
 def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> DiagonalContact:
     """Classify (d, d) inside the intersection of the two boundaries.
 
     Precondition (PreconditionViolated otherwise): the domain is included
-    in the ellipsoid and the diagonals agree.  Returns SEGMENT when an
-    edge through (d, d) lies inside the tangent line x/a + y/b = 1,
-    ISOLATED when every such edge crosses it transversally.
+    in the ellipsoid and the diagonals agree, so (d, d) lies on the edge
+    that ``diagonal`` solved on.  Returns SEGMENT when an edge through
+    (d, d) lies inside the tangent line x/a + y/b = 1, ISOLATED when every
+    such edge crosses it transversally.
     """
     if e.dim != 2:
         raise PreconditionViolated("classification requires a 4-dimensional ellipsoid")
@@ -456,8 +437,6 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
         return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
 
     containing = [(p, q) for p, q in domain.edges() if on_segment(p, q, dd)]
-    if not containing:
-        return DiagonalContact.NOT_ON_BOUNDARY
     for (x1, y1), (x2, y2) in containing:
         direction_in_line = b * (x2 - x1) + a * (y2 - y1) == 0
         point_on_line = b * x1 + a * y1 == a * b
@@ -467,7 +446,7 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
 
 
 # ---------------------------------------------------------------------------
-# JSON / CSV interchange
+# JSON interchange
 
 
 def domain_to_json(domain: Union[MomentDomain2D, EllipsoidSpec]) -> str:
@@ -492,24 +471,3 @@ def domain_from_json(text: str) -> Union[MomentDomain2D, EllipsoidSpec]:
         return EllipsoidSpec(tuple(as_rational(a) for a in payload["axes"]))
     raise ValueError(f"unknown domain type {kind!r}")
 
-
-def boundary_polyline_csv(domain: Union[MomentDomain2D, EllipsoidSpec], samples: int = 512) -> str:
-    """Region outline as 'x,y' rows (floats) for external plotting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "y"])
-    if isinstance(domain, EllipsoidSpec):
-        if domain.dim != 2:
-            raise ValueError("polyline output is for 4-dimensional domains")
-        domain = domain.simplex_domain()
-    pts: list[tuple[float, float]] = [(0.0, 0.0)]
-    a = domain.x_extent
-    n_inner = max(2, samples - 3)
-    for i in range(n_inner + 1):
-        x = a * i / n_inner
-        pts.append((float(x), float(domain.boundary_value(x))))
-    pts.append((float(a), 0.0))
-    pts.append((0.0, 0.0))
-    for x, y in pts:
-        writer.writerow([f"{x:.12g}", f"{y:.12g}"])
-    return buf.getvalue()

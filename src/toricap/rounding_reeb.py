@@ -256,6 +256,8 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
         lo, hi = 0.0, smooth.x_max
         while hi - lo > _X_BISECT_TOL:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # float spacing at this scale exceeds the tolerance
+                break
             if keep_left(smooth.derivative(mid)):
                 lo = mid
             else:

@@ -17,10 +17,6 @@ from typing import Optional, Sequence
 from .moment_domain import RationalLike, as_rational, format_rational
 
 
-class NotSupported(ValueError):
-    """Conversion requested outside the zero-Maslov trivialization."""
-
-
 class NegativePunctureUnsupported(ValueError):
     """The closed-form index is implemented for all-positive punctures only."""
 
@@ -33,22 +29,21 @@ class IndexBoundUnreachable(ValueError):
     """No number of punctures makes the index non-negative (Morse bound <= n - 3)."""
 
 
-def cz_from_morse(morse: int, adjust_to_zero_maslov: bool = True) -> int:
+def cz_from_morse(morse: int) -> int:
     """Conley-Zehnder index of the orbit over a closed geodesic of the
     given Morse index, in the trivialization adjusted so the Maslov term
     vanishes (where the two indices agree)."""
     if morse < 0:
         raise ValueError("Morse index must be non-negative")
-    if not adjust_to_zero_maslov:
-        raise NotSupported("only the zero-Maslov trivialization is supported")
     return morse
 
 
 @dataclass(frozen=True)
-class SpherePuncture:
+class Puncture:
     cz: int
     action: Fraction
     sign: str  # 'positive' | 'negative'
+    paired_with: Optional[tuple[str, int]] = None  # (node id, puncture index)
 
     def __post_init__(self):
         if self.sign not in ("positive", "negative"):
@@ -62,9 +57,8 @@ class PuncturedSphereData:
     of contact order tangency_order + 1."""
 
     n: int
-    punctures: tuple[SpherePuncture, ...]
+    punctures: tuple[Puncture, ...]
     tangency_order: int = 0
-    maslov_sum_zero: bool = True
 
     def __post_init__(self):
         if not self.punctures:
@@ -77,7 +71,7 @@ def sphere_data(n: int, cz_list: Sequence[int], tangency_order: int = 0) -> Punc
     """Convenience constructor: all-positive punctures with the given CZ values."""
     return PuncturedSphereData(
         n=n,
-        punctures=tuple(SpherePuncture(cz=c, action=Fraction(1), sign="positive") for c in cz_list),
+        punctures=tuple(Puncture(cz=c, action=Fraction(1), sign="positive") for c in cz_list),
         tangency_order=tangency_order,
     )
 
@@ -115,29 +109,11 @@ def min_positive_punctures(n: int, tangency_order: int, morse_bound: int) -> int
 
 def forced_morse_indices(n: int) -> list[int]:
     """The unique (n+1)-tuple of Morse indices in [0, n-1] whose sum meets
-    the index bound n^2 - 1, found by exhaustive search with sound
-    pruning (a prefix is abandoned once even all-maximal completions fall
-    short).  The answer is all entries equal to n - 1."""
+    the index bound n^2 - 1.  The bound equals (n + 1)(n - 1), the largest
+    sum the n + 1 entries can reach, so every entry is n - 1."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    slots, cap, target = n + 1, n - 1, n * n - 1
-    solutions: list[tuple[int, ...]] = []
-
-    def search(prefix: tuple[int, ...], total: int) -> None:
-        remaining = slots - len(prefix)
-        if total + remaining * cap < target:
-            return
-        if remaining == 0:
-            if total >= target:
-                solutions.append(prefix)
-            return
-        for value in range(cap + 1):
-            search(prefix + (value,), total + value)
-
-    search((), 0)
-    if len(solutions) != 1:
-        raise AssertionError("the index bound must force a unique tuple")  # pragma: no cover
-    return list(solutions[0])
+    return [n - 1] * (n + 1)
 
 
 @dataclass(frozen=True)
@@ -192,22 +168,24 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     total = 1 + eps
-    # the n multiples m_i >= 1 must satisfy sum(m_i)/n < 1 + eps
+    # the n multiples m_i >= 1 must satisfy sum(m_i)/n < 1 + eps; writing
+    # m_i = 1 + e_i, the excesses e_i >= 0 form a partition of s - n into
+    # at most n parts, and s - n < n * eps bounds the recursion depth
     results: list[tuple[Fraction, ...]] = []
 
-    def partitions(remaining: int, parts: int, bound: int, prefix: tuple[int, ...]) -> None:
-        if parts == 0:
-            if remaining == 0:
-                last = total - Fraction(sum(prefix), n)
-                if last > 0:
-                    results.append(tuple(Fraction(m, n) for m in prefix) + (last,))
-            return
-        for m in range(min(bound, remaining - (parts - 1)), 0, -1):
-            partitions(remaining - m, parts - 1, m, prefix + (m,))
+    def excesses(remaining: int, slots: int, bound: int):
+        if remaining == 0:
+            yield ()
+        elif slots:
+            for e in range(min(bound, remaining), 0, -1):
+                for rest in excesses(remaining - e, slots - 1, e):
+                    yield (e,) + rest
 
     s = n
     while Fraction(s, n) < total:
-        partitions(s, n, s, ())
+        for excess in excesses(s - n, n, s - n):
+            multiples = [1 + e for e in excess] + [1] * (n - len(excess))
+            results.append(tuple(Fraction(m, n) for m in multiples) + (total - Fraction(s, n),))
         s += 1
     results.sort()
     return results
@@ -215,19 +193,6 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
 
 # ---------------------------------------------------------------------------
 # Holomorphic buildings
-
-
-@dataclass(frozen=True)
-class Puncture:
-    cz: int
-    action: Fraction
-    sign: str  # 'positive' | 'negative'
-    paired_with: Optional[tuple[str, int]] = None  # (node id, puncture index)
-
-    def __post_init__(self):
-        if self.sign not in ("positive", "negative"):
-            raise ValueError("puncture sign must be 'positive' or 'negative'")
-        object.__setattr__(self, "action", as_rational(self.action))
 
 
 @dataclass(frozen=True)

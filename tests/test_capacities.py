@@ -8,7 +8,6 @@ import pytest
 from toricap import (
     Ball,
     Cylinder,
-    Ellipsoid4,
     EllipsoidSpec,
     GenericToric,
     LowerBound,
@@ -229,7 +228,9 @@ class TestLagrangianCapacity:
         assert lagrangian_capacity(ProjectiveSpace(n=1)) == Fraction(1, 2)
 
     def test_ellipsoid4_equals_diagonal(self):
-        assert lagrangian_capacity(Ellipsoid4(a=Fraction(3), b=Fraction(6))) == 2
+        assert lagrangian_capacity(EllipsoidSpec((Fraction(3), Fraction(6)))) == 2
+        with pytest.raises(UnsupportedShape):
+            lagrangian_capacity(EllipsoidSpec((Fraction(1), Fraction(2), Fraction(3))))
 
     def test_cylinder(self):
         assert lagrangian_capacity(Cylinder(k=1, m=4)) == 1

@@ -2,6 +2,9 @@
 import csv
 import io
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -174,6 +177,11 @@ class TestLagcap:
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "projective", "--n", "2")
         assert code == 0 and out.strip() == "1/3"
 
+    @pytest.mark.parametrize("axes", ["3,6", "6,3"])
+    def test_ellipsoid4_sorts_axes(self, capsys, axes):
+        code, out, _ = run_cli(capsys, "lagcap", "--shape", "ellipsoid4", "--axes", axes)
+        assert code == 0 and out.strip() == "2"
+
     def test_toric_lower_bound(self, capsys, square_json):
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "toric", "--polygon", square_json)
         assert code == 0
@@ -199,6 +207,11 @@ class TestLedger:
         payload = json.loads(out)
         assert payload["gw_tangency_count"] == 120
         assert payload["torus_descendant_zero_sum"] == 120
+
+    def test_partition_solver_large_n(self, capsys):
+        code, out, _ = run_cli(capsys, "ledger", "--partition", "--n", "1000", "--epsilon", "1/1001")
+        assert code == 0
+        assert json.loads(out) == [["1/1000"] * 1000 + ["1/1001"]]
 
     def test_forced_morse(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--forced-morse", "--n", "3")
@@ -250,14 +263,6 @@ class TestLedger:
         assert any(item["status"] == "fail" for item in report)
 
 
-class TestCounts:
-    def test_counts_subcommand(self, capsys):
-        code, out, _ = run_cli(capsys, "counts", "--n", "6")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload == {"gw_tangency_count": 120, "torus_descendant_zero_sum": 120}
-
-
 class TestErrorsAndDeterminism:
     def test_invalid_polygon_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -271,6 +276,7 @@ class TestErrorsAndDeterminism:
         [
             '{"type":"polygon","vertices":[[0.5,"1"],["1","0"]]}',  # float coordinate
             '[["0","1"],["1","0"]]',  # top-level array, not an object
+            '{"type":"polygon","vertices":[["0"],["1","0"]]}',  # vertex missing a coordinate
         ],
     )
     def test_malformed_polygon_file_is_input_error(self, capsys, tmp_path, payload):
@@ -279,6 +285,37 @@ class TestErrorsAndDeterminism:
         code, _, err = run_cli(capsys, "diag", "--polygon", str(path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mutate", ["array", "nodes-string", "float-energy"])
+    def test_malformed_building_file_is_input_error(self, capsys, tmp_path, mutate):
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        if mutate == "array":
+            payload = [1]
+        elif mutate == "nodes-string":
+            payload = {"nodes": "x"}
+        else:
+            payload["nodes"][1]["energy"] = 0.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counts", "--n", "6"],
+            ["diag", "--ellipsoid", "3,6", "--seed", "7"],
+            ["diag", "--ellipsoid", "3,6", "--format", "json"],
+            ["lagcap", "--shape", "ellipsoid4", "--ellipsoid", "3,6"],
+        ],
+    )
+    def test_removed_commands_and_options_are_input_errors(self, capsys, argv):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 2
 
     @pytest.mark.parametrize("cutoff", ["inf", "nan"])
     def test_non_finite_cutoff_is_input_error(self, capsys, tri11_json, cutoff):
@@ -291,7 +328,7 @@ class TestErrorsAndDeterminism:
         assert code == 2
 
     def test_outputs_are_deterministic(self, capsys, tri12_json):
-        argv = ["spectrum", "--polygon", tri12_json, "--K", "3.0", "--format", "csv", "--seed", "7"]
+        argv = ["spectrum", "--polygon", tri12_json, "--K", "3.0", "--format", "csv"]
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
@@ -308,3 +345,20 @@ class TestErrorsAndDeterminism:
         code, out, _ = run_cli(capsys, "diag", "--ellipsoid", "3,6", "--out", str(target))
         assert code == 0
         assert target.read_text() == "2"
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, capsys, tmp_path, monkeypatch):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+        commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+        assert len(commands) >= 13
+        (tmp_path / "square.json").write_text('{"type":"polygon","vertices":[["0","1"],["1","1"],["1","0"]]}')
+        (tmp_path / "tri11.json").write_text('{"type":"polygon","vertices":[["0","1"],["1","0"]]}')
+        (tmp_path / "tri12.json").write_text('{"type":"polygon","vertices":[["0","2"],["1","0"]]}')
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert argv[0] == "toricap"
+            code, _, err = run_cli(capsys, *argv[1:])
+            assert code == 0, (argv, err)

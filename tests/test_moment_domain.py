@@ -14,7 +14,6 @@ from toricap import (
     PreconditionViolated,
     ZeroDirection,
     ball,
-    cylinders_union_diagonal,
     diagonal,
     diagonal_intersection_isolated,
     equal_diagonal_enclosing_ellipsoids,
@@ -23,7 +22,6 @@ from toricap import (
     support,
 )
 from toricap.moment_domain import (
-    boundary_polyline_csv,
     domain_from_json,
     domain_to_json,
     format_rational,
@@ -126,12 +124,6 @@ class TestDiagonal:
     def test_vertical_edge_domain(self):
         dom = make_polygon_domain([(0, 3), (1, Fraction(5, 2)), (1, 0)])
         assert diagonal(dom) == 1
-
-    def test_union_of_cylinders(self):
-        assert cylinders_union_diagonal(Fraction(1, 2), 2) == Fraction(1, 2)
-        assert cylinders_union_diagonal(Fraction(1, 3), 7) == Fraction(1, 3)
-        with pytest.raises(ValueError):
-            cylinders_union_diagonal(0, 2)
 
 
 class TestSupport:
@@ -273,12 +265,3 @@ class TestInterchange:
     def test_format_rational(self):
         assert format_rational(Fraction(2)) == "2"
         assert format_rational(Fraction(2, 3)) == "2/3"
-
-    def test_boundary_polyline_csv(self, square, e12):
-        for domain in (square, e12):
-            text = boundary_polyline_csv(domain, samples=32)
-            lines = text.strip().splitlines()
-            assert lines[0] == "x,y"
-            rows = [tuple(float(c) for c in line.split(",")) for line in lines[1:]]
-            assert rows[0] == (0.0, 0.0) and rows[-1] == (0.0, 0.0)  # closed outline
-            assert all(x >= 0 and y >= 0 for x, y in rows)

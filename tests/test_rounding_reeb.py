@@ -128,6 +128,15 @@ class TestGaussPoint:
         tol = rounded_tri12.hausdorff_bound * math.hypot(2, 1)
         assert abs(action - 2.0) <= 2 * tol
 
+    def test_terminates_at_large_scale(self):
+        # near 1e6 the float spacing exceeds the absolute bisection tolerance
+        big = 10**6
+        smooth = round_domain(make_polygon_domain([(0, big), (big, 0)]), 10.0, V)
+        x, y = gauss_point(smooth, LatticeDirection(1, 1))
+        assert x == pytest.approx(big / 2, rel=1e-2) and y == pytest.approx(big / 2, rel=1e-2)
+        assert smooth.derivative(x) == pytest.approx(-1.0, abs=1e-6)
+        assert len(orbit_families(smooth, 3e6)) == 9
+
 
 class TestReebRates:
     def test_round_ball_symmetric_point(self, rounded_tri11):

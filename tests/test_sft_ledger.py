@@ -24,9 +24,7 @@ from toricap import (
     sphere_data,
 )
 from toricap.sft_ledger import (
-    NotSupported,
     PuncturedSphereData,
-    SpherePuncture,
     building_from_json,
     building_to_json,
 )
@@ -70,10 +68,6 @@ class TestCzFromMorse:
         assert cz_from_morse(2) == 2
         assert cz_from_morse(0) == 0
 
-    def test_other_trivializations_unsupported(self):
-        with pytest.raises(NotSupported):
-            cz_from_morse(1, adjust_to_zero_maslov=False)
-
 
 class TestSphereIndex:
     def test_collapses_to_zero_at_forced_data(self):
@@ -110,8 +104,8 @@ class TestSphereIndex:
         data = PuncturedSphereData(
             n=2,
             punctures=(
-                SpherePuncture(cz=1, action=Fraction(1), sign="positive"),
-                SpherePuncture(cz=1, action=Fraction(1), sign="negative"),
+                Puncture(cz=1, action=Fraction(1), sign="positive"),
+                Puncture(cz=1, action=Fraction(1), sign="negative"),
             ),
         )
         with pytest.raises(NegativePunctureUnsupported):
@@ -175,8 +169,8 @@ class TestForcedMorse:
             assert forced_morse_indices(n) == [n - 1] * (n + 1)
 
     def test_uniqueness_by_exhaustion_small(self):
-        # independent full enumeration for n = 2, 3
-        for n in (2, 3):
+        # independent full enumeration for n = 2..5
+        for n in range(2, 6):
             target = n * n - 1
             sols = [
                 tup
@@ -184,6 +178,9 @@ class TestForcedMorse:
                 if sum(tup) >= target
             ]
             assert sols == [tuple([n - 1] * (n + 1))]
+
+    def test_large_n(self):
+        assert forced_morse_indices(1000) == [999] * 1001
 
 
 class TestEnergyPartition:
@@ -232,6 +229,22 @@ class TestEnergyPartition:
                 assert sum(sol) == 1 + eps
                 assert sol[-1] > 0
                 assert all((x * n).denominator == 1 for x in sol[:-1])
+
+    def test_solver_matches_brute_force(self):
+        # every non-increasing n-tuple of multiples with sum/n < 1 + eps
+        for n in range(1, 6):
+            for eps in (Fraction(1, 2 * n + 1), Fraction(1, 2), Fraction(1), Fraction(7, 3)):
+                total = 1 + eps
+                expected = sorted(
+                    tuple(Fraction(m, n) for m in ms) + (total - Fraction(sum(ms), n),)
+                    for ms in itertools.combinations_with_replacement(range(int(n * total) + 1, 0, -1), n)
+                    if Fraction(sum(ms), n) < total
+                )
+                assert energy_partition_solve(n, eps) == expected
+
+    def test_solver_large_n_below_threshold(self):
+        n, eps = 1000, Fraction(1, 1001)
+        assert energy_partition_solve(n, eps) == [tuple([Fraction(1, n)] * n) + (eps,)]
 
 
 def _mutate_node(building, node_id, **changes):
