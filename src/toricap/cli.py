@@ -50,8 +50,9 @@ def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
         axes = tuple(as_rational(part) for part in args.ellipsoid.split(","))
         return EllipsoidSpec(axes)
     spec = args.polygon
-    if not spec:
-        raise InputError("provide exactly one of --ellipsoid or --polygon")
+    if not spec:  # lagcap offers --polygon only
+        options = "exactly one of --ellipsoid or --polygon" if "ellipsoid" in args else "--polygon"
+        raise InputError(f"provide {options}")
     if spec == "-":
         text = sys.stdin.read()
     elif spec.lstrip().startswith("{"):

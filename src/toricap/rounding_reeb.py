@@ -30,9 +30,9 @@ SmoothDomain2D is immutable; the spectrum operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .moment_domain import LatticeDirection, MomentDomain2D
 
@@ -49,15 +49,11 @@ class AxisPoint(ValueError):
     """Rotation rates are undefined where a moment coordinate vanishes."""
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     """Affine function c + s*x."""
 
     c: float
     s: float
-
-    def at(self, x: float) -> float:
-        return self.c + self.s * x
 
 
 @dataclass(frozen=True)
@@ -71,21 +67,38 @@ class SmoothDomain2D:
     shift: float
     x_max: float
     hausdorff_bound: float
+    # the line slopes, g'(0) and g'(x_max), fixed at construction
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _slope_start: float = field(init=False, repr=False, compare=False)
+    _slope_end: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
+        object.__setattr__(self, "_slope_start", self.derivative(0.0))
+        object.__setattr__(self, "_slope_end", self.derivative(self.x_max))
+
+    def _weights(self, x: float) -> tuple[float, list[float]]:
+        """The lowest line at x and each line's soft-min weight there."""
+        vals = [c + s * x for c, s in self.lines]
+        lowest = min(vals)
+        return lowest, [math.exp(-(val - lowest) / self.tau) for val in vals]
 
     def value(self, x: float) -> float:
         """g(x), evaluated with a stabilized log-sum-exp."""
-        vals = [ln.at(x) for ln in self.lines]
-        lowest = min(vals)
-        total = sum(math.exp(-(val - lowest) / self.tau) for val in vals)
-        return self.shift + lowest - self.tau * math.log(total)
+        lowest, weights = self._weights(x)
+        return self.shift + lowest - self.tau * math.log(sum(weights))
 
     def derivative(self, x: float) -> float:
         """g'(x), a weighted average of the line slopes."""
-        vals = [ln.at(x) for ln in self.lines]
-        lowest = min(vals)
-        weights = [math.exp(-(val - lowest) / self.tau) for val in vals]
+        weights = self._weights(x)[1]
+        return sum(map(operator.mul, weights, self._slopes)) / sum(weights)
+
+    def _value_and_derivative(self, x: float) -> tuple[float, float]:
+        """g(x) and g'(x) from one pass over the lines."""
+        lowest, weights = self._weights(x)
         total = sum(weights)
-        return sum(w * ln.s for w, ln in zip(weights, self.lines)) / total
+        slope = sum(map(operator.mul, weights, self._slopes)) / total
+        return self.shift + lowest - self.tau * math.log(total), slope
 
     @property
     def b_prime(self) -> float:
@@ -149,7 +162,9 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     a = float(domain.x_extent)
     b = float(domain.y_extent)
-    f_end = float(domain.boundary_value(domain.x_extent))  # > 0 iff vertical drop
+    # the kinks (x, f(x)); at a final vertical drop f(a) is the top vertex
+    kinks = domain.vertices[:-1] if domain.vertices[-2][0] == domain.x_extent else domain.vertices
+    f_end = float(kinks[-1][1])  # > 0 iff vertical drop
 
     slope_floor = tau / max(a, 1.0)
     if slope_floor >= v / 2.0:
@@ -175,12 +190,11 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     # largest dip of any line below the graph; the gap is piecewise linear
     # in x, so checking the kinks is exact
-    sample_xs = sorted({x for x, _ in domain.vertices} | {Fraction(0), domain.x_extent})
     max_dip = tilt_dip
-    for x_frac in sample_xs:
-        fx = float(domain.boundary_value(x_frac))
-        lowest = min(ln.at(float(x_frac)) for ln in lines)
-        max_dip = max(max_dip, fx - lowest)
+    for x_frac, y_frac in kinks:
+        x = float(x_frac)
+        lowest = min(c + s * x for c, s in lines)
+        max_dip = max(max_dip, float(y_frac) - lowest)
     shift = tau * math.log(n_lines) + max_dip
     hausdorff = shift + (x_max - a)
 
@@ -203,10 +217,10 @@ def _verify(smooth: SmoothDomain2D, grid: int = 1024) -> None:
     a = float(domain.x_extent)
     b = float(domain.y_extent)
 
-    d0 = smooth.derivative(0.0)
+    d0 = smooth._slope_start
     if not (-v <= d0 < 0.0):
         raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
-    d1 = smooth.derivative(smooth.x_max)
+    d1 = smooth._slope_end
     if not (d1 < -1.0 / v):
         raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
 
@@ -216,22 +230,24 @@ def _verify(smooth: SmoothDomain2D, grid: int = 1024) -> None:
     if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
         raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
 
-    xs = [smooth.x_max * i / grid for i in range(grid + 1)]
-    kink_xs = [float(x) for x, _ in domain.vertices]
+    # a float copy of the polygon's non-vertical edges; the sweep below is
+    # sorted, so the edge under x only ever moves right
+    points = [(float(x), float(y)) for x, y in domain.vertices]
+    edges = [(x1, y1, x2, y2) for (x1, y1), (x2, y2) in zip(points, points[1:]) if x2 > x1]
+    edge = 0
     prev_slope = None
-    for x in sorted(set(xs + kink_xs)):
-        slope = smooth.derivative(x)
+    for x in sorted({smooth.x_max * i / grid for i in range(grid + 1)} | {x for x, _ in points}):
+        gx, slope = smooth._value_and_derivative(x)
         if slope >= 0.0:
             raise SlopeConditionUnreachable("g is not strictly decreasing")
         if prev_slope is not None and slope > prev_slope + 1e-9 * (1.0 + abs(prev_slope)):
             raise SlopeConditionUnreachable("g' fails to be non-increasing on the grid")
         prev_slope = slope
         if x <= a:
-            x_frac = min(Fraction(x).limit_denominator(10**15), domain.x_extent)
-            if x_frac < 0:
-                x_frac = Fraction(0)
-            fx = float(domain.boundary_value(x_frac))
-            gx = smooth.value(x)
+            while x > edges[edge][2]:
+                edge += 1
+            x1, y1, x2, y2 = edges[edge]
+            fx = y1 + (y2 - y1) * (x - x1) / (x2 - x1)
             if gx < fx - 1e-9 * (1.0 + abs(fx)):
                 raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
             if gx - fx > smooth.shift * (1.0 + 1e-9) + 1e-12:
@@ -249,26 +265,27 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
     if d.l == 0 or d.m == 0:
         return None
     target = -d.l / d.m
-    if not (smooth.derivative(smooth.x_max) < target < smooth.derivative(0.0)):
+    if not (smooth._slope_end < target < smooth._slope_start):
         return None
 
-    def bisect(keep_left) -> float:
-        lo, hi = 0.0, smooth.x_max
+    def bisect(lo: float, hi: float, keep_left, shared: bool = False) -> float:
         while hi - lo > _X_BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:  # float spacing at this scale exceeds the tolerance
                 break
-            if keep_left(smooth.derivative(mid)):
+            slope = smooth.derivative(mid)
+            if shared and slope == target:
+                return 0.5 * (bisect(lo, mid, keep_left) + bisect(mid, hi, lambda s: s >= target))
+            if keep_left(slope):
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
     # when the direction is normal to a flat stretch, g' sits at the target
-    # over a plateau (up to float resolution); report its midpoint
-    left = bisect(lambda s: s > target)
-    right = bisect(lambda s: s >= target)
-    x = 0.5 * (left + right)
+    # over a plateau (up to float resolution); report its midpoint.  The
+    # searches for its two ends share their steps until g'(mid) == target
+    x = bisect(0.0, smooth.x_max, lambda s: s > target, shared=True)
     return (x, smooth.value(x))
 
 
@@ -328,18 +345,20 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
 
     Interior families are enumerated over integer pairs (l, m) with both
     components positive; the search box is finite because the action is
-    at least l*x* + m*y* for any interior point (x*, y*).  Axis families
+    at least l*x* + m*y* for any interior point (x*, y*), and each row of
+    fixed m stops at the first l whose action passes the cutoff.  Axis families
     (l, 0) and (0, m) carry actions l*x_max and m*g(0).  Sorted by action,
     ties by (l, m).
     """
     if not 0.0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     families: list[ReebOrbitFamily] = []
+    keep = cutoff * (1.0 + 1e-12)
 
     a_ext = smooth.x_max
     b_ext = smooth.value(0.0)
     l_axis = 1
-    while l_axis * a_ext <= cutoff * (1.0 + 1e-12):
+    while l_axis * a_ext <= keep:
         families.append(
             ReebOrbitFamily(
                 direction=LatticeDirection(l_axis, 0),
@@ -351,7 +370,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
         )
         l_axis += 1
     m_axis = 1
-    while m_axis * b_ext <= cutoff * (1.0 + 1e-12):
+    while m_axis * b_ext <= keep:
         families.append(
             ReebOrbitFamily(
                 direction=LatticeDirection(0, m_axis),
@@ -367,13 +386,22 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     y_star = smooth.value(x_star)
     l_max = int(cutoff / x_star) + 1
     m_max = int(cutoff / y_star) + 1
-    for l in range(1, l_max + 1):
-        for m in range(1, m_max + 1):
+    # The action is the support of the rounded domain in the direction
+    # (l, m), non-decreasing in l as the domain lies in x >= 0.  So once the
+    # computed action passes the cutoff by a relative 1e-9, far above its
+    # float noise, no larger l in the row comes back under it.
+    stop = keep * (1.0 + 1e-9)
+    for m in range(1, m_max + 1):
+        for l in range(1, l_max + 1):
+            if not -l / m < smooth._slope_start:
+                continue  # shallower than g'(0): no Gauss point yet
             point = gauss_point(smooth, LatticeDirection(l, m))
-            if point is None:
-                continue
+            if point is None:  # -l/m is at or below g'(x_max), as for every larger l
+                break
             action = l * point[0] + m * point[1]
-            if action <= cutoff * (1.0 + 1e-12):
+            if action > stop:
+                break
+            if action <= keep:
                 g = math.gcd(l, m)
                 families.append(
                     ReebOrbitFamily(

@@ -187,6 +187,16 @@ class TestLagcap:
         assert code == 0
         assert json.loads(out) == {"lower_bound": "1"}
 
+    def test_toric_without_polygon_names_only_lagcap_options(self, capsys):
+        code, out, err = run_cli(capsys, "lagcap", "--shape", "toric")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: provide --polygon"
+
+    def test_empty_polygon_on_domain_command_names_both_options(self, capsys):
+        code, _, err = run_cli(capsys, "diag", "--polygon", "")
+        assert code == 2
+        assert err.strip() == "error: provide exactly one of --ellipsoid or --polygon"
+
 
 class TestLedger:
     def test_canonical_building(self, capsys):

@@ -1,4 +1,6 @@
 """Rounding construction, Gauss points, orbit families, and CZ splits."""
+import bisect
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -21,10 +23,168 @@ from toricap import (
     support,
     support_smooth,
 )
-from toricap.rounding_reeb import AxisPoint, _rates_from, boundary_polyline
+import toricap.rounding_reeb
+from toricap.rounding_reeb import AxisPoint, _rates_from, _verify, boundary_polyline
 
 TAU = 1e-3
 V = 1.0 / 32.0
+
+
+# Oracles: the soft-min evaluation written out per call, the Gauss point
+# search with two independent bisections, the orbit-family scan that solves
+# every direction of the search box, and the containment sweep in exact
+# Fractions.  The fast code must agree with them bit for bit.
+
+
+def oracle_value(smooth, x):
+    vals = [ln.c + ln.s * x for ln in smooth.lines]
+    lowest = min(vals)
+    total = sum(math.exp(-(val - lowest) / smooth.tau) for val in vals)
+    return smooth.shift + lowest - smooth.tau * math.log(total)
+
+
+def oracle_derivative(smooth, x):
+    vals = [ln.c + ln.s * x for ln in smooth.lines]
+    lowest = min(vals)
+    weights = [math.exp(-(val - lowest) / smooth.tau) for val in vals]
+    total = sum(weights)
+    return sum(w * ln.s for w, ln in zip(weights, smooth.lines)) / total
+
+
+def oracle_gauss_point(smooth, d):
+    """Two independent bisections for the ends of the level set g' = -l/m."""
+    if d.l == 0 or d.m == 0:
+        return None
+    target = -d.l / d.m
+    if not (oracle_derivative(smooth, smooth.x_max) < target < oracle_derivative(smooth, 0.0)):
+        return None
+
+    def bisect(keep_left):
+        lo, hi = 0.0, smooth.x_max
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if keep_left(oracle_derivative(smooth, mid)):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    x = 0.5 * (bisect(lambda s: s > target) + bisect(lambda s: s >= target))
+    return (x, oracle_value(smooth, x))
+
+
+def oracle_orbit_families(smooth, cutoff):
+    """Every direction of the search box solved, the axis families added."""
+    families = []
+    a_ext, b_ext = smooth.x_max, oracle_value(smooth, 0.0)
+    for n in range(1, int(cutoff / min(a_ext, b_ext)) + 2):
+        for direction, action in (((n, 0), n * a_ext), ((0, n), n * b_ext)):
+            if action <= cutoff * (1.0 + 1e-12):
+                simple = LatticeDirection(*(min(c, 1) for c in direction))
+                families.append(ReebOrbitFamily(LatticeDirection(*direction), None, action, n, simple))
+    x_star = float(smooth.source.x_extent) / 2.0
+    y_star = oracle_value(smooth, x_star)
+    for l in range(1, int(cutoff / x_star) + 2):
+        for m in range(1, int(cutoff / y_star) + 2):
+            point = oracle_gauss_point(smooth, LatticeDirection(l, m))
+            if point is None:
+                continue
+            action = l * point[0] + m * point[1]
+            if action <= cutoff * (1.0 + 1e-12):
+                g = math.gcd(l, m)
+                families.append(
+                    ReebOrbitFamily(LatticeDirection(l, m), point, action, g, LatticeDirection(l // g, m // g))
+                )
+    families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
+    return families
+
+
+def exact_boundary_value(domain, vertex_xs, x):
+    """domain.boundary_value(x), the same Fraction, with the edge found by
+    bisection on the vertex abscissas instead of a scan."""
+    i = max(bisect.bisect_left(vertex_xs, x), 1)
+    (x1, y1), (x2, y2) = domain.vertices[i - 1], domain.vertices[i]
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+
+
+def oracle_verify(smooth, grid=1024):
+    """The grid checks with f read exactly from the polygon in Fractions."""
+    domain, v = smooth.source, smooth.v
+    vertex_xs = [x for x, _ in domain.vertices]
+    a, b = float(domain.x_extent), float(domain.y_extent)
+    d0 = oracle_derivative(smooth, 0.0)
+    if not (-v <= d0 < 0.0):
+        raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
+    d1 = oracle_derivative(smooth, smooth.x_max)
+    if not (d1 < -1.0 / v):
+        raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
+    if abs(oracle_value(smooth, 0.0) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
+        raise SlopeConditionUnreachable("g(0) strays from b beyond the reported bound")
+    g_end = oracle_value(smooth, smooth.x_max)
+    if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
+        raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
+    xs = [smooth.x_max * i / grid for i in range(grid + 1)]
+    prev_slope = None
+    for x in sorted(set(xs + [float(x) for x, _ in domain.vertices])):
+        slope = oracle_derivative(smooth, x)
+        if slope >= 0.0:
+            raise SlopeConditionUnreachable("g is not strictly decreasing")
+        if prev_slope is not None and slope > prev_slope + 1e-9 * (1.0 + abs(prev_slope)):
+            raise SlopeConditionUnreachable("g' fails to be non-increasing on the grid")
+        prev_slope = slope
+        if x <= a:
+            x_frac = max(min(Fraction(x).limit_denominator(10**15), domain.x_extent), Fraction(0))
+            fx = float(exact_boundary_value(domain, vertex_xs, x_frac))
+            gx = oracle_value(smooth, x)
+            if gx < fx - 1e-9 * (1.0 + abs(fx)):
+                raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
+            if gx - fx > smooth.shift * (1.0 + 1e-9) + 1e-12:
+                raise SlopeConditionUnreachable("vertical gap exceeds the reported bound")
+
+
+def verdict(check, smooth):
+    """None if the check accepts, else the message it rejects with."""
+    try:
+        check(smooth)
+    except SlopeConditionUnreachable as exc:
+        return str(exc)
+    return None
+
+
+class OracleView:
+    """A rounded domain evaluated by the oracle's soft-min, for support_smooth."""
+
+    def __init__(self, smooth):
+        self.x_max = smooth.x_max
+        self.smooth = smooth
+
+    def value(self, x):
+        return oracle_value(self.smooth, x)
+
+
+def random_unit_polygon(rng, edges):
+    """A random moment polygon with both extents 1: ``edges`` non-vertical
+    edges with distinct rational slopes (the first one sometimes flat),
+    integer widths before scaling, and sometimes a final vertical drop."""
+    slopes = {Fraction(0)} if rng.random() < 0.2 else set()
+    while len(slopes) < edges:
+        slopes.add(Fraction(-rng.randint(1, 256), rng.randint(1, 16)))
+    steps = [(rng.randint(1, 8), slope) for slope in sorted(slopes, reverse=True)]
+    rise = -sum(dx * slope for dx, slope in steps)
+    drop = rise * Fraction(rng.randint(1, 4), 4) if rng.random() < 0.3 else Fraction(0)
+    if rise == 0:
+        drop = Fraction(1)
+    width, height = sum(dx for dx, _ in steps), rise + drop
+    x, y = Fraction(0), height
+    vertices = [(x, y / height)]
+    for dx, slope in steps:
+        x, y = x + dx, y + slope * dx
+        vertices.append((x / width, y / height))
+    if y:
+        vertices.append((Fraction(1), Fraction(0)))
+    return make_polygon_domain(vertices)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +406,96 @@ class TestSplitAndCapacity:
     def test_capacity_via_spectrum_k1(self, rounded_tri12):
         value = capacity_via_spectrum(rounded_tri12, 1)
         assert value == pytest.approx(1.0, abs=2 * rounded_tri12.hausdorff_bound)
+
+
+class TestAgainstOracles:
+    """The float sweep, the shared bisection and the row walk give the
+    outputs and verdicts of the oracles above."""
+
+    @staticmethod
+    def unverified(monkeypatch, domain, tau, v):
+        monkeypatch.setattr(toricap.rounding_reeb, "_verify", lambda smooth: None)
+        smooth = round_domain(domain, tau, v)
+        monkeypatch.undo()
+        return smooth
+
+    def assert_matches_oracles(self, smooth, cutoff, k):
+        """Same verdict as the oracle; if accepted, the same families and
+        capacity.  Returns the verdict."""
+        verdict_now = verdict(_verify, smooth)
+        assert verdict_now == verdict(oracle_verify, smooth)
+        if verdict_now is None:
+            assert orbit_families(smooth, cutoff) == oracle_orbit_families(smooth, cutoff)
+            view = OracleView(smooth)
+            assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1))
+        return verdict_now
+
+    def test_exact_boundary_value_is_boundary_value(self):
+        rng = random.Random(59)
+        for edges in (1, 7, 60):
+            domain = random_unit_polygon(rng, edges)
+            vertex_xs = [x for x, _ in domain.vertices]
+            for x in vertex_xs + [Fraction(rng.randint(0, 1000), 1000) for _ in range(50)]:
+                assert exact_boundary_value(domain, vertex_xs, x) == domain.boundary_value(x)
+
+    def test_random_polygons(self, monkeypatch):
+        rng = random.Random(53)
+        verdicts = []
+        for i in range(100):
+            edges = round(200 ** ((i / 99) ** 2))
+            domain = random_unit_polygon(rng, edges)
+            smooth = self.unverified(monkeypatch, domain, (1e-2, 1e-3)[i % 2], V)
+            verdicts.append(self.assert_matches_oracles(smooth, rng.uniform(1.2, 3.0), rng.randint(1, 12)))
+        assert verdicts.count(None) >= 50
+
+    def test_unit_square(self, monkeypatch):
+        # vertical drop: x_max > a, and f(a) is the top of the drop
+        square = make_polygon_domain([(0, 1), (1, 1), (1, 0)])
+        for tau, v in ((1e-2, 0.1), (1e-3, V)):
+            smooth = self.unverified(monkeypatch, square, tau, v)
+            assert smooth.x_max > 1.0 and verdict(_verify, smooth) is None
+            self.assert_matches_oracles(smooth, 6.0, 8)
+
+    def test_each_check_still_fires(self):
+        smooth = round_domain(make_polygon_domain([(0, 1), (1, 1), (1, 0)]), 1e-2, 0.1)
+        g0_slack = smooth.value(0.0) - 1.0  # g(0) - b, 2e-6 tighter here than g(x_max) - 0
+        raised = tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines)
+        variants = {
+            "containment failed": dataclasses.replace(smooth, shift=smooth.shift - g0_slack - 1e-7),
+            # g sits a further shift above where its reported shift puts it
+            "vertical gap exceeds the reported bound": dataclasses.replace(smooth, lines=raised),
+            "g'(0) = ": dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2),
+            "g'(x_max) = ": dataclasses.replace(smooth, x_max=smooth.x_max / 2),
+        }
+        for prefix, variant in variants.items():
+            message = verdict(_verify, variant)
+            assert message is not None and message.startswith(prefix)
+            assert message == verdict(oracle_verify, variant)
+
+    def test_gauss_point_split_branch(self, rounded_tri11):
+        # far from the corners the other weights vanish against 1.0, so the
+        # first midpoint already sits exactly at the target slope -1
+        assert rounded_tri11.derivative(rounded_tri11.x_max / 2) == -1.0
+        for l in (1, 2, 5):
+            d = LatticeDirection(l, l)
+            assert gauss_point(rounded_tri11, d) == oracle_gauss_point(rounded_tri11, d)
+
+    def test_gauss_solves_follow_the_output(self, monkeypatch, rounded_tri11):
+        calls = 0
+        real_gauss_point = toricap.rounding_reeb.gauss_point
+
+        def counting_gauss_point(smooth, d):
+            nonlocal calls
+            calls += 1
+            return real_gauss_point(smooth, d)
+
+        monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", counting_gauss_point)
+        cutoff = 40.0
+        interior = [f for f in orbit_families(rounded_tri11, cutoff) if f.point is not None]
+        m_max = int(cutoff / rounded_tri11.value(0.5)) + 1
+        assert len(interior) > 1500
+        # one solve per family kept, plus at most one past the cutoff per row
+        assert calls <= len(interior) + m_max + 2
 
 
 class TestFlatTorus:
