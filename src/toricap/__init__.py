@@ -63,6 +63,7 @@ from .sft_ledger import (
     NegativePunctureUnsupported,
     Puncture,
     PuncturedSphereData,
+    TooManyPartitions,
     building_validate,
     canonical_ball_building,
     cz_from_morse,

@@ -36,11 +36,14 @@ def _fmt_float(x: float) -> str:
 
 
 def _parse_payload(parse, text: str):
-    """Run a JSON parser; the TypeError, IndexError or AttributeError a
-    malformed payload raises (a float coordinate, a list where an object
-    belongs, a vertex missing a coordinate) becomes an InputError."""
+    """Run a JSON parser; the TypeError, IndexError, AttributeError or
+    KeyError a malformed payload raises (a float coordinate, a list where
+    an object belongs, a vertex missing a coordinate, a missing field)
+    becomes an InputError."""
     try:
         return parse(text)
+    except KeyError as exc:
+        raise InputError(f"malformed input: missing field {exc}") from exc
     except (TypeError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed input: {exc}") from exc
 
@@ -224,39 +227,27 @@ def cmd_round(args) -> int:
 def cmd_enclose(args) -> int:
     domain = _require_polygon(_load_domain(args))
     search = moment_domain.equal_diagonal_enclosing_ellipsoids(
-        domain, grid=args.grid, a_max_factor=as_rational(args.a_max_factor)
+        domain, a_max_factor=as_rational(args.a_max_factor)
     )
-    if not search.feasible or not search.pairs:
-        _emit(
-            args,
-            json.dumps(
-                {
-                    "diagonal": format_rational(search.diagonal),
-                    "found": [],
-                    "note": "no equal-diagonal enclosing ellipsoid exists",
-                },
-                indent=2,
-            ),
-        )
-        return EXIT_OK
-    payload = {
-        "diagonal": format_rational(search.diagonal),
-        "interval": {
+    payload = {"diagonal": format_rational(search.diagonal)}
+    if search.feasible:
+        payload["interval"] = {
             "lower": format_rational(search.lower),
             "lower_attained": search.lower_attained,
             "upper": format_rational(search.upper) if search.upper is not None else None,
-        },
-        "found": [
-            {
-                "x_axis": format_rational(p.x_axis),
-                "y_axis": format_rational(p.y_axis),
-                "touching_vertices": [
-                    [format_rational(x), format_rational(y)] for x, y in p.touching_vertices
-                ],
-            }
-            for p in search.pairs
-        ],
-    }
+        }
+    payload["found"] = [
+        {
+            "x_axis": format_rational(p.x_axis),
+            "y_axis": format_rational(p.y_axis),
+            "touching_vertices": [
+                [format_rational(x), format_rational(y)] for x, y in p.touching_vertices
+            ],
+        }
+        for p in search.pairs
+    ]
+    if not search.feasible:
+        payload["note"] = "no equal-diagonal enclosing ellipsoid exists"
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -398,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enclose", help="equal-diagonal enclosing ellipsoids")
     _add_domain_options(p)
     _add_output_options(p)
-    p.add_argument("--grid", type=int, default=16)
     p.add_argument("--a-max-factor", default="10")
     p.set_defaults(func=cmd_enclose)
 

@@ -298,7 +298,10 @@ class EnclosureSearch:
 
     The family is one-parameter: b(a) = a*d/(a - d) keeps the diagonal
     equal to d.  Inclusion of each polygon vertex is a linear constraint
-    in a, so the feasible set is an exact interval.
+    in a, so the feasible set is an exact interval.  ``pairs`` holds the
+    ellipsoids at the attained lower end, at the upper end (or at the
+    a_max truncation of an unbounded interval) and at a = b = 2d when the
+    interval contains it; it is empty exactly when the search is infeasible.
     """
 
     diagonal: Fraction
@@ -322,20 +325,19 @@ def _touching(domain: MomentDomain2D, a: Fraction, b: Fraction) -> tuple[Point, 
 
 def equal_diagonal_enclosing_ellipsoids(
     domain: MomentDomain2D,
-    grid: int = 16,
     a_max_factor: RationalLike = 10,
 ) -> EnclosureSearch:
     """All ellipsoids E(a, b) with X_Omega inside E and equal diagonals.
 
     Writing b = a*d/(a-d), each vertex (x, y) imposes a constraint linear
     in a, so the feasible a-set is computed exactly as an interval and no
-    resolution is lost.  ``grid`` only controls how many interior sample
-    pairs are reported in addition to the exact interval endpoints; the
-    symmetric branch (x-intercept exceeding y-intercept) is part of the
-    same parameter interval.
+    resolution is lost.  The reported pairs are the interval's attained
+    lower endpoint, its upper endpoint (or a_max = d * a_max_factor when
+    it is unbounded or reaches past a_max) and the a = b member 2d when it
+    lies in the interval; each is feasible by construction.  The symmetric
+    branch (x-intercept exceeding y-intercept) is part of the same
+    parameter interval.
     """
-    if grid < 1:
-        raise ValueError("grid must be positive")
     d = diagonal(domain)
     a_max = d * as_rational(a_max_factor)
     if a_max <= d:
@@ -356,48 +358,23 @@ def equal_diagonal_enclosing_ellipsoids(
             lower = bound if lower is None else max(lower, bound)
 
     lo = lower if (lower is not None and lower > d) else None  # None => infimum d, open
-    hi = upper
     lo_eff = lo if lo is not None else d
-    if hi is not None and hi < lo_eff:
-        return EnclosureSearch(d, None, None, False, ())
-    if hi is not None and hi <= d:
-        return EnclosureSearch(d, None, None, False, ())
-
-    hi_eff = min(hi, a_max) if hi is not None else a_max
-    if hi_eff < lo_eff or (lo is None and hi_eff <= d):
+    hi_eff = min(upper, a_max) if upper is not None else a_max
+    if hi_eff <= d or hi_eff < lo_eff:
         return EnclosureSearch(d, None, None, False, ())
 
-    candidates: list[Fraction] = []
-    if lo is not None:
-        candidates.append(lo)
-    if hi is not None and hi <= a_max:
-        candidates.append(hi)
-    else:
-        candidates.append(a_max)  # truncation point of an unbounded interval
-    symmetric = 2 * d  # the a = b member of the family
-    if lo_eff <= symmetric <= hi_eff:
-        candidates.append(symmetric)
-    # geometric grid over the (possibly open) interval interior
-    start = lo if lo is not None else d + (hi_eff - d) / (grid * 4)
-    if start < hi_eff:
-        log_lo, log_hi = math.log(float(start)), math.log(float(hi_eff))
-        for i in range(1, grid):
-            t = Fraction(round(math.exp(log_lo + (log_hi - log_lo) * i / grid) * 10**9), 10**9)
-            if start <= t < hi_eff:
-                candidates.append(t)
-
+    members = {hi_eff} if lo is None else {lo, hi_eff}
+    if lo_eff <= 2 * d <= hi_eff:
+        members.add(2 * d)  # the a = b member of the family
     pairs = []
-    for a in sorted(set(candidates)):
-        if a <= d:
-            continue
+    for a in sorted(members):
         b = _paired_axis(a, d)
-        if all(x / a + y / b <= 1 for x, y in domain.vertices):
-            pairs.append(EnclosingEllipsoid(a, b, _touching(domain, a, b)))
+        pairs.append(EnclosingEllipsoid(a, b, _touching(domain, a, b)))
 
     return EnclosureSearch(
         diagonal=d,
-        lower=lo if lo is not None else d,
-        upper=hi,
+        lower=lo_eff,
+        upper=upper,
         lower_attained=lo is not None,
         pairs=tuple(pairs),
     )

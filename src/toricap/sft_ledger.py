@@ -10,6 +10,7 @@ arithmetic is exact; no floats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -27,6 +28,13 @@ class EpsilonTooLarge(ValueError):
 
 class IndexBoundUnreachable(ValueError):
     """No number of punctures makes the index non-negative (Morse bound <= n - 3)."""
+
+
+PARTITION_LIMIT = 10_000
+
+
+class TooManyPartitions(ValueError):
+    """energy_partition_solve would list more candidates than PARTITION_LIMIT."""
 
 
 def cz_from_morse(morse: int) -> int:
@@ -153,6 +161,22 @@ def energy_partition_check(
     return PartitionReport(not violations, tuple(violations))
 
 
+def _candidate_count(n: int, top: int) -> int:
+    """Partitions of 0, 1, ..., top into at most n parts, summed: exact up
+    to PARTITION_LIMIT, and a lower bound above it."""
+    if top + 1 > PARTITION_LIMIT:
+        return top + 1  # at least one partition of each excess
+    # counts[j]: partitions of j into parts of size <= part, which by
+    # conjugation is the number into at most part parts; it only grows
+    counts = [1] + [0] * top
+    for part in range(1, min(n, top) + 1):
+        for j in range(part, top + 1):
+            counts[j] += counts[j - part]
+        if sum(counts) > PARTITION_LIMIT:
+            break
+    return sum(counts)
+
+
 def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction, ...]]:
     """All candidate partitions under the constraints alone: n areas in
     {1/n, 2/n, ...}, a final positive area, total 1 + epsilon.
@@ -160,7 +184,9 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     Partitions are returned as non-increasing multiple lists plus the
     final area.  Exactly one candidate exists when epsilon < 1/n; larger
     epsilon may admit more, which is the point of the hypothesis, so no
-    epsilon cap is imposed here.
+    epsilon cap is imposed here.  The candidates are counted before they
+    are listed, and more than PARTITION_LIMIT (10,000) of them raise
+    TooManyPartitions.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -171,6 +197,10 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     # the n multiples m_i >= 1 must satisfy sum(m_i)/n < 1 + eps; writing
     # m_i = 1 + e_i, the excesses e_i >= 0 form a partition of s - n into
     # at most n parts, and s - n < n * eps bounds the recursion depth
+    top = math.ceil(n * eps) - 1  # the largest excess s - n
+    count = _candidate_count(n, top)
+    if count > PARTITION_LIMIT:
+        raise TooManyPartitions(f"at least {count} candidate partitions, above the limit of {PARTITION_LIMIT}")
     results: list[tuple[Fraction, ...]] = []
 
     def excesses(remaining: int, slots: int, bound: int):
@@ -181,12 +211,10 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
                 for rest in excesses(remaining - e, slots - 1, e):
                     yield (e,) + rest
 
-    s = n
-    while Fraction(s, n) < total:
+    for s in range(n, n + top + 1):
         for excess in excesses(s - n, n, s - n):
             multiples = [1 + e for e in excess] + [1] * (n - len(excess))
             results.append(tuple(Fraction(m, n) for m in multiples) + (total - Fraction(s, n),))
-        s += 1
     results.sort()
     return results
 

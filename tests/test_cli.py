@@ -223,6 +223,11 @@ class TestLedger:
         assert code == 0
         assert json.loads(out) == [["1/1000"] * 1000 + ["1/1001"]]
 
+    def test_partition_blow_up_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "ledger", "--partition", "--n", "100", "--epsilon", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: at least ") and "candidate partitions" in err
+
     def test_forced_morse(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--forced-morse", "--n", "3")
         assert code == 0 and json.loads(out) == [2, 2, 2, 2]
@@ -296,6 +301,35 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [('{"type":"polygon"}', "vertices"), ('{"type":"ellipsoid"}', "axes")],
+    )
+    def test_polygon_file_missing_field_is_named(self, capsys, tmp_path, payload, field):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code, _, err = run_cli(capsys, "diag", "--polygon", str(path))
+        assert code == 2
+        assert err == f"error: malformed input: missing field '{field}'\n"
+
+    @pytest.mark.parametrize("field", ["nodes", "id", "energy", "cz"])
+    def test_building_file_missing_field_is_named(self, capsys, tmp_path, field):
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        if field == "nodes":
+            del payload["nodes"]
+        elif field == "cz":
+            del payload["nodes"][0]["punctures"][0]["cz"]
+        else:
+            del payload["nodes"][0][field]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert code == 2
+        assert err == f"error: malformed input: missing field '{field}'\n"
+
     @pytest.mark.parametrize("mutate", ["array", "nodes-string", "float-energy"])
     def test_malformed_building_file_is_input_error(self, capsys, tmp_path, mutate):
         from toricap import canonical_ball_building
@@ -321,6 +355,7 @@ class TestErrorsAndDeterminism:
             ["diag", "--ellipsoid", "3,6", "--seed", "7"],
             ["diag", "--ellipsoid", "3,6", "--format", "json"],
             ["lagcap", "--shape", "ellipsoid4", "--ellipsoid", "3,6"],
+            ["enclose", "--ellipsoid", "1,2", "--grid", "4"],
         ],
     )
     def test_removed_commands_and_options_are_input_errors(self, capsys, argv):

@@ -42,6 +42,31 @@ def diagonal_by_scan(domain, steps=200000):
     return lo, hi
 
 
+def random_polygon_with_diagonal_vertex(rng):
+    """A random concave polygon with its diagonal point (t, t) as a vertex,
+    so that its equal-diagonal enclosures form a nondegenerate interval;
+    without edges right of the corner it drops vertically there."""
+    slopes = set()
+    while len(slopes) < 2:
+        slopes = {Fraction(-rng.randint(0, 40), 8) for _ in range(rng.randint(2, 6))}
+    slopes = sorted(slopes, reverse=True)
+    split = rng.randint(1, len(slopes))
+    t = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+    left = [rng.randint(1, 5) for _ in slopes[:split]]  # widths, scaled to sum to t
+    right = [rng.randint(1, 5) for _ in slopes[split:]]  # drops, scaled to sum to t
+    x, y, vertices = t, t, [(t, t)]
+    for slope, width in zip(reversed(slopes[:split]), reversed(left)):
+        x, y = x - t * width / sum(left), y - slope * t * width / sum(left)
+        vertices.insert(0, (x, y))
+    x, y = t, t
+    for slope, drop in zip(slopes[split:], right):
+        x, y = x - t * drop / sum(right) / slope, y - t * drop / sum(right)
+        vertices.append((x, y))
+    if not right:
+        vertices.append((t, 0))
+    return make_polygon_domain(vertices)
+
+
 def support_by_vertex_enumeration(domain, v):
     vx, vy = Fraction(v[0]), Fraction(v[1])
     return max(vx * x + vy * y for x, y in domain.vertices)
@@ -214,6 +239,29 @@ class TestEnclosure:
             assert included_in_ellipsoid(
                 square, EllipsoidSpec((min(p.x_axis, p.y_axis), max(p.x_axis, p.y_axis)))
             ) or p.x_axis > p.y_axis
+
+    def test_pairs_are_the_interval_ends_and_the_symmetric_member(self, square, tri12):
+        # the square's interval (1, oo) is truncated at a_max = 10d = 10;
+        # tri12's interval is the single point a = 1, below 2d = 4/3
+        assert [p.x_axis for p in equal_diagonal_enclosing_ellipsoids(square).pairs] == [2, 10]
+        assert [p.x_axis for p in equal_diagonal_enclosing_ellipsoids(tri12).pairs] == [1]
+        rng = random.Random(47)
+        for _ in range(40):
+            domain = random_polygon_with_diagonal_vertex(rng)
+            search = equal_diagonal_enclosing_ellipsoids(domain, a_max_factor=3)
+            assert search.feasible
+            d, a_max = search.diagonal, 3 * search.diagonal
+            top = a_max if search.upper is None else min(search.upper, a_max)
+            expected = {top} | ({search.lower} if search.lower_attained else set())
+            if search.lower <= 2 * d <= top:
+                expected.add(2 * d)
+            assert [p.x_axis for p in search.pairs] == sorted(expected)
+            for p in search.pairs:
+                assert p.x_axis * p.y_axis / (p.x_axis + p.y_axis) == d
+                assert all(x / p.x_axis + y / p.y_axis <= 1 for x, y in domain.vertices)
+                assert set(p.touching_vertices) == {
+                    (x, y) for x, y in domain.vertices if x / p.x_axis + y / p.y_axis == 1
+                }
 
     def test_wide_rectangle_is_infeasible(self):
         # the vertex (3, 1) sits at the diagonal height y = d = 1 with

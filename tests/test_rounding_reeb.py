@@ -32,8 +32,12 @@ V = 1.0 / 32.0
 
 # Oracles: the soft-min evaluation written out per call, the Gauss point
 # search with two independent bisections, the orbit-family scan that solves
-# every direction of the search box, and the containment sweep in exact
-# Fractions.  The fast code must agree with them bit for bit.
+# every direction of the search box, and the 1,025-point sweep of every
+# boundary invariant with f read in exact Fractions.  The fast code must
+# agree with them bit for bit; the vertex certificate in _verify must never
+# accept what the sweep rejects, except for float noise in the gap check.
+
+GAP_MESSAGE = "vertical gap exceeds the reported bound"
 
 
 def oracle_value(smooth, x):
@@ -61,7 +65,7 @@ def oracle_gauss_point(smooth, d):
 
     def bisect(keep_left):
         lo, hi = 0.0, smooth.x_max
-        while hi - lo > 1e-12:
+        while hi - lo > 1e-12 * smooth.x_max:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
@@ -109,15 +113,26 @@ def exact_boundary_value(domain, vertex_xs, x):
     return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
-def oracle_verify(smooth, grid=1024):
+def oracle_f(domain, vertex_xs, x):
+    """f at a float x in [0, a], read exactly from the polygon."""
+    x_frac = max(min(Fraction(x).limit_denominator(10**15), domain.x_extent), Fraction(0))
+    return float(exact_boundary_value(domain, vertex_xs, x_frac))
+
+
+def oracle_points(smooth, grid):
+    xs = [smooth.x_max * i / grid for i in range(grid + 1)]
+    return sorted(set(xs + [float(x) for x, _ in smooth.source.vertices]))
+
+
+def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
     """The grid checks with f read exactly from the polygon in Fractions."""
     domain, v = smooth.source, smooth.v
     vertex_xs = [x for x, _ in domain.vertices]
     a, b = float(domain.x_extent), float(domain.y_extent)
-    d0 = oracle_derivative(smooth, 0.0)
+    d0 = derivative(smooth, 0.0)
     if not (-v <= d0 < 0.0):
         raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
-    d1 = oracle_derivative(smooth, smooth.x_max)
+    d1 = derivative(smooth, smooth.x_max)
     if not (d1 < -1.0 / v):
         raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
     if abs(oracle_value(smooth, 0.0) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
@@ -125,23 +140,32 @@ def oracle_verify(smooth, grid=1024):
     g_end = oracle_value(smooth, smooth.x_max)
     if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
         raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
-    xs = [smooth.x_max * i / grid for i in range(grid + 1)]
     prev_slope = None
-    for x in sorted(set(xs + [float(x) for x, _ in domain.vertices])):
-        slope = oracle_derivative(smooth, x)
+    for x in oracle_points(smooth, grid):
+        slope = derivative(smooth, x)
         if slope >= 0.0:
             raise SlopeConditionUnreachable("g is not strictly decreasing")
         if prev_slope is not None and slope > prev_slope + 1e-9 * (1.0 + abs(prev_slope)):
             raise SlopeConditionUnreachable("g' fails to be non-increasing on the grid")
         prev_slope = slope
         if x <= a:
-            x_frac = max(min(Fraction(x).limit_denominator(10**15), domain.x_extent), Fraction(0))
-            fx = float(exact_boundary_value(domain, vertex_xs, x_frac))
+            fx = oracle_f(domain, vertex_xs, x)
             gx = oracle_value(smooth, x)
             if gx < fx - 1e-9 * (1.0 + abs(fx)):
                 raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
             if gx - fx > smooth.shift * (1.0 + 1e-9) + 1e-12:
-                raise SlopeConditionUnreachable("vertical gap exceeds the reported bound")
+                raise SlopeConditionUnreachable(GAP_MESSAGE)
+
+
+def oracle_gap_excess(smooth, grid=1024):
+    """The largest amount by which g - f passes shift on the oracle's points."""
+    domain = smooth.source
+    vertex_xs = [x for x, _ in domain.vertices]
+    return max(
+        oracle_value(smooth, x) - oracle_f(domain, vertex_xs, x) - smooth.shift
+        for x in oracle_points(smooth, grid)
+        if x <= float(domain.x_extent)
+    )
 
 
 def verdict(check, smooth):
@@ -151,6 +175,19 @@ def verdict(check, smooth):
     except SlopeConditionUnreachable as exc:
         return str(exc)
     return None
+
+
+def assert_certificate_sound(smooth):
+    """_verify accepts nothing the sweep oracle rejects, except a gap excess
+    within a few ulp of the largest line term |c| + |s| * x_max: g - f <= shift
+    holds exactly, so such an excess is rounding in the float line constants.
+    Returns the verdicts of _verify and of the oracle."""
+    certified, swept = verdict(_verify, smooth), verdict(oracle_verify, smooth)
+    if certified is None and swept is not None:
+        assert swept == GAP_MESSAGE
+        line_scale = max(abs(c) + abs(s) * smooth.x_max for c, s in smooth.lines)
+        assert 0.0 < oracle_gap_excess(smooth) <= 4 * math.ulp(line_scale)
+    return certified, swept
 
 
 class OracleView:
@@ -185,6 +222,20 @@ def random_unit_polygon(rng, edges):
     if y:
         vertices.append((Fraction(1), Fraction(0)))
     return make_polygon_domain(vertices)
+
+
+SCALES = (Fraction(1, 10**6), Fraction(1, 10**3), Fraction(10**3), Fraction(10**6))
+
+
+def scaled_polygons():
+    """The unit triangle, the unit square, a polygon with a nearly flat
+    first edge and seeded random unit polygons."""
+    rng = random.Random(61)
+    fixed = [
+        make_polygon_domain(vertices)
+        for vertices in ([(0, 1), (1, 0)], [(0, 1), (1, 1), (1, 0)], [(0, 1), (1, Fraction(99, 100)), (2, 0)])
+    ]
+    return fixed + [random_unit_polygon(rng, edges) for edges in (2, 7, 40)]
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +289,33 @@ class TestRounding:
         assert smooth.x_max > 1.0  # the vertical drop needs a short extension
         assert smooth.value(1.0) >= 1.0 - 1e-9  # the corner (1, 1) stays inside
 
+    def test_lengths_and_actions_scale_with_the_domain(self):
+        # rounding c * Omega at c * tau gives c times every length and
+        # action, up to 1e-13 of the domain's size; each rounding is
+        # certified soundly against the sweep oracle
+        for domain in scaled_polygons():
+            for tau in (1e-2, 1e-3):
+                base = round_domain(domain, tau, V)
+                families = orbit_families(base, 3.0)
+                capacities = [capacity_via_spectrum(base, k) for k in (1, 2, 5)]
+                for scale in SCALES:
+                    c = float(scale)
+                    smooth = round_domain(domain.scaled(scale), c * tau, V)
+                    assert assert_certificate_sound(smooth)[0] is None
+                    scaled_families = orbit_families(smooth, c * 3.0)
+                    assert [f.direction for f in scaled_families] == [f.direction for f in families]
+                    pairs = [(smooth.hausdorff_bound, base.hausdorff_bound), (smooth.x_max, base.x_max)]
+                    pairs += [(f.action, g.action) for f, g in zip(scaled_families, families)]
+                    pairs += [(capacity_via_spectrum(smooth, k), value) for k, value in zip((1, 2, 5), capacities)]
+                    for scaled, unit in pairs:
+                        assert abs(scaled - c * unit) <= 1e-13 * c * max(1.0, unit)
+
+    def test_small_domain_slope_floor_scales_with_width(self):
+        # the slope floor tau / a is 10 here, far above v / 2
+        tiny = make_polygon_domain([(0, Fraction(1, 1000)), (Fraction(1, 1000), 0)])
+        with pytest.raises(SlopeConditionUnreachable, match="tau too large relative to v for a slope floor"):
+            round_domain(tiny, 1e-2, V)
+
     def test_unreachable_parameters_raise(self):
         tri = make_polygon_domain([(0, 1), (1, 0)])
         with pytest.raises(SlopeConditionUnreachable):
@@ -289,7 +367,7 @@ class TestGaussPoint:
         assert abs(action - 2.0) <= 2 * tol
 
     def test_terminates_at_large_scale(self):
-        # near 1e6 the float spacing exceeds the absolute bisection tolerance
+        # the bisection tolerance is relative to the width, so this stops as at unit scale
         big = 10**6
         smooth = round_domain(make_polygon_domain([(0, big), (big, 0)]), 10.0, V)
         x, y = gauss_point(smooth, LatticeDirection(1, 1))
@@ -409,8 +487,8 @@ class TestSplitAndCapacity:
 
 
 class TestAgainstOracles:
-    """The float sweep, the shared bisection and the row walk give the
-    outputs and verdicts of the oracles above."""
+    """The vertex certificate, the shared bisection and the row walk give
+    the outputs and verdicts of the oracles above."""
 
     @staticmethod
     def unverified(monkeypatch, domain, tau, v):
@@ -420,15 +498,14 @@ class TestAgainstOracles:
         return smooth
 
     def assert_matches_oracles(self, smooth, cutoff, k):
-        """Same verdict as the oracle; if accepted, the same families and
-        capacity.  Returns the verdict."""
-        verdict_now = verdict(_verify, smooth)
-        assert verdict_now == verdict(oracle_verify, smooth)
-        if verdict_now is None:
+        """A sound verdict; if accepted, the same families and capacity as
+        the oracles.  Returns the verdicts of _verify and of the oracle."""
+        verdicts = assert_certificate_sound(smooth)
+        if verdicts[0] is None:
             assert orbit_families(smooth, cutoff) == oracle_orbit_families(smooth, cutoff)
             view = OracleView(smooth)
             assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1))
-        return verdict_now
+        return verdicts
 
     def test_exact_boundary_value_is_boundary_value(self):
         rng = random.Random(59)
@@ -445,7 +522,9 @@ class TestAgainstOracles:
             edges = round(200 ** ((i / 99) ** 2))
             domain = random_unit_polygon(rng, edges)
             smooth = self.unverified(monkeypatch, domain, (1e-2, 1e-3)[i % 2], V)
-            verdicts.append(self.assert_matches_oracles(smooth, rng.uniform(1.2, 3.0), rng.randint(1, 12)))
+            certified, swept = self.assert_matches_oracles(smooth, rng.uniform(1.2, 3.0), rng.randint(1, 12))
+            assert certified == swept  # the certificate's verdicts and messages are the sweep's here
+            verdicts.append(certified)
         assert verdicts.count(None) >= 50
 
     def test_unit_square(self, monkeypatch):
@@ -453,24 +532,50 @@ class TestAgainstOracles:
         square = make_polygon_domain([(0, 1), (1, 1), (1, 0)])
         for tau, v in ((1e-2, 0.1), (1e-3, V)):
             smooth = self.unverified(monkeypatch, square, tau, v)
-            assert smooth.x_max > 1.0 and verdict(_verify, smooth) is None
-            self.assert_matches_oracles(smooth, 6.0, 8)
+            assert smooth.x_max > 1.0
+            assert self.assert_matches_oracles(smooth, 6.0, 8) == (None, None)
 
-    def test_each_check_still_fires(self):
-        smooth = round_domain(make_polygon_domain([(0, 1), (1, 1), (1, 0)]), 1e-2, 0.1)
+    def test_million_triangle_at_fine_tau_rounds(self):
+        # g - f sits within float noise of shift along the edge, and the
+        # sweep's gap check once rejected this domain for that noise alone
+        big = 10**6
+        smooth = round_domain(make_polygon_domain([(0, big), (big, 0)]), 1e-3, V)
+        assert assert_certificate_sound(smooth) == (None, GAP_MESSAGE)
+
+    @staticmethod
+    def square_at_coarse_tau():
+        return round_domain(make_polygon_domain([(0, 1), (1, 1), (1, 0)]), 1e-2, 0.1)
+
+    def test_each_certified_check_fires(self):
+        smooth = self.square_at_coarse_tau()
         g0_slack = smooth.value(0.0) - 1.0  # g(0) - b, 2e-6 tighter here than g(x_max) - 0
-        raised = tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines)
-        variants = {
-            "containment failed": dataclasses.replace(smooth, shift=smooth.shift - g0_slack - 1e-7),
-            # g sits a further shift above where its reported shift puts it
-            "vertical gap exceeds the reported bound": dataclasses.replace(smooth, lines=raised),
-            "g'(0) = ": dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2),
-            "g'(x_max) = ": dataclasses.replace(smooth, x_max=smooth.x_max / 2),
-        }
-        for prefix, variant in variants.items():
+        corner_slack = smooth.value(1.0) - 1.0  # about half of g0_slack
+        variants = [
+            ("containment failed", dataclasses.replace(smooth, shift=smooth.shift - g0_slack - 1e-7)),
+            # only the top of the vertical drop falls outside
+            ("containment failed", dataclasses.replace(smooth, shift=smooth.shift - corner_slack - 1e-7)),
+            ("g'(0) = ", dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2)),
+            ("g'(x_max) = ", dataclasses.replace(smooth, x_max=smooth.x_max / 2)),
+        ]
+        for prefix, variant in variants:
             message = verdict(_verify, variant)
             assert message is not None and message.startswith(prefix)
             assert message == verdict(oracle_verify, variant)
+
+    def test_each_oracle_only_check_fires(self):
+        # _verify leaves these to the construction, which cannot break them;
+        # the sweep oracle still detects them on hand-broken domains
+        smooth = self.square_at_coarse_tau()
+        # g sits a further shift above where its reported shift puts it
+        raised = dataclasses.replace(smooth, lines=tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines))
+        assert verdict(oracle_verify, raised) == GAP_MESSAGE
+
+        # g' rises by 0.005 at x = 1/2, where it is about -0.01
+        def bumped(smooth, x):
+            return oracle_derivative(smooth, x) + (0.005 if x >= 0.5 else 0.0)
+
+        message = verdict(lambda sm: oracle_verify(sm, derivative=bumped), smooth)
+        assert message == "g' fails to be non-increasing on the grid"
 
     def test_gauss_point_split_branch(self, rounded_tri11):
         # far from the corners the other weights vanish against 1.0, so the

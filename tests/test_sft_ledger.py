@@ -13,6 +13,7 @@ from toricap import (
     IndexBoundUnreachable,
     NegativePunctureUnsupported,
     Puncture,
+    TooManyPartitions,
     building_validate,
     canonical_ball_building,
     cz_from_morse,
@@ -24,7 +25,9 @@ from toricap import (
     sphere_data,
 )
 from toricap.sft_ledger import (
+    PARTITION_LIMIT,
     PuncturedSphereData,
+    _candidate_count,
     building_from_json,
     building_to_json,
 )
@@ -245,6 +248,17 @@ class TestEnergyPartition:
     def test_solver_large_n_below_threshold(self):
         n, eps = 1000, Fraction(1, 1001)
         assert energy_partition_solve(n, eps) == [tuple([Fraction(1, n)] * n) + (eps,)]
+
+    def test_candidate_count_matches_the_listing(self):
+        for n in range(1, 13):
+            for eps in (Fraction(1, n + 1), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+                top = -(-n * eps // 1) - 1  # the largest excess below n * eps
+                assert _candidate_count(n, top) == len(energy_partition_solve(n, eps))
+
+    @pytest.mark.parametrize("n, eps", [(100, 1), (30, 1), (10**6, 10), (10**4, Fraction(9999, 10**4))])
+    def test_too_many_candidates_raise_at_once(self, n, eps):
+        with pytest.raises(TooManyPartitions, match=f"above the limit of {PARTITION_LIMIT}"):
+            energy_partition_solve(n, eps)
 
 
 def _mutate_node(building, node_id, **changes):
