@@ -226,9 +226,7 @@ def cmd_round(args) -> int:
 
 def cmd_enclose(args) -> int:
     domain = _require_polygon(_load_domain(args))
-    search = moment_domain.equal_diagonal_enclosing_ellipsoids(
-        domain, a_max_factor=as_rational(args.a_max_factor)
-    )
+    search = moment_domain.equal_diagonal_enclosing_ellipsoids(domain)
     payload = {"diagonal": format_rational(search.diagonal)}
     if search.feasible:
         payload["interval"] = {
@@ -310,15 +308,13 @@ def cmd_ledger(args) -> int:
         _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
 
-    if args.canonical_ball_building:
+    if args.canonical_ball_building is not None:
         building = sft_ledger.canonical_ball_building(
             args.canonical_ball_building, as_rational(args.epsilon)
         )
-    elif args.building:
+    else:
         with open(args.building, "r", encoding="utf-8") as fh:
             building = _parse_payload(sft_ledger.building_from_json, fh.read())
-    else:
-        raise InputError("ledger needs a scenario flag or a building file")
     report = sft_ledger.building_validate(building, check_unpaired_parity=args.check_parity)
     _emit(args, sft_ledger.report_to_json(report))
     return EXIT_OK if report.ok else EXIT_VALIDATION
@@ -389,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enclose", help="equal-diagonal enclosing ellipsoids")
     _add_domain_options(p)
     _add_output_options(p)
-    p.add_argument("--a-max-factor", default="10")
     p.set_defaults(func=cmd_enclose)
 
     p = sub.add_parser("lagcap", help="Lagrangian capacity of a known shape")
@@ -405,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ledger", help="building validation and forced-structure solvers")
     _add_output_options(p)
-    p.add_argument("--building", help="building JSON file to validate")
-    p.add_argument("--canonical-ball-building", type=int, metavar="N", help="validate the canonical two-level building")
+    scenario = p.add_mutually_exclusive_group(required=True)
+    scenario.add_argument("--building", help="building JSON file to validate")
+    scenario.add_argument("--canonical-ball-building", type=int, metavar="N", help="validate the canonical two-level building")
+    scenario.add_argument("--min-punctures", action="store_true", help="minimal positive punctures for --n --k")
+    scenario.add_argument("--counts", action="store_true", help="closed-form curve counts for --n")
+    scenario.add_argument("--forced-morse", action="store_true", help="forced Morse indices for --n")
+    scenario.add_argument("--partition", action="store_true", help="energy partition check/solve for --n --epsilon [--areas]")
     p.add_argument("--epsilon", default="1/10", help="rational epsilon for fixtures/partitions")
     p.add_argument("--check-parity", action="store_true", help="require odd CZ on unpaired ends")
-    p.add_argument("--min-punctures", action="store_true", help="minimal positive punctures for --n --k")
-    p.add_argument("--counts", action="store_true", help="closed-form curve counts for --n")
-    p.add_argument("--forced-morse", action="store_true", help="forced Morse indices for --n")
-    p.add_argument("--partition", action="store_true", help="energy partition check/solve for --n --epsilon [--areas]")
     p.add_argument("--areas", help="comma-separated rational areas for the partition check")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=1)

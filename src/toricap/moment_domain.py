@@ -87,10 +87,6 @@ class LatticeDirection:
     def coprime(self) -> bool:
         return math.gcd(self.l, self.m) == 1
 
-    @property
-    def gcd(self) -> int:
-        return math.gcd(self.l, self.m)
-
     def as_pair(self) -> tuple[int, int]:
         return (self.l, self.m)
 
@@ -299,9 +295,9 @@ class EnclosureSearch:
     The family is one-parameter: b(a) = a*d/(a - d) keeps the diagonal
     equal to d.  Inclusion of each polygon vertex is a linear constraint
     in a, so the feasible set is an exact interval.  ``pairs`` holds the
-    ellipsoids at the attained lower end, at the upper end (or at the
-    a_max truncation of an unbounded interval) and at a = b = 2d when the
-    interval contains it; it is empty exactly when the search is infeasible.
+    ellipsoids at the attained lower end, at the finite upper end and at
+    a = b = 2d when the interval contains it; it is empty exactly when the
+    search is infeasible.
     """
 
     diagonal: Fraction
@@ -323,26 +319,19 @@ def _touching(domain: MomentDomain2D, a: Fraction, b: Fraction) -> tuple[Point, 
     return tuple((x, y) for x, y in domain.vertices if x / a + y / b == 1)
 
 
-def equal_diagonal_enclosing_ellipsoids(
-    domain: MomentDomain2D,
-    a_max_factor: RationalLike = 10,
-) -> EnclosureSearch:
+def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSearch:
     """All ellipsoids E(a, b) with X_Omega inside E and equal diagonals.
 
     Writing b = a*d/(a-d), each vertex (x, y) imposes a constraint linear
     in a, so the feasible a-set is computed exactly as an interval and no
     resolution is lost.  The reported pairs are the interval's attained
-    lower endpoint, its upper endpoint (or a_max = d * a_max_factor when
-    it is unbounded or reaches past a_max) and the a = b member 2d when it
-    lies in the interval; each is feasible by construction.  The symmetric
-    branch (x-intercept exceeding y-intercept) is part of the same
-    parameter interval.
+    lower endpoint, its finite upper endpoint and the a = b member 2d when
+    it lies in the interval; each is feasible by construction, and a
+    feasible interval always has one of them: without either end it is
+    (d, oo), which holds 2d.  The symmetric branch (x-intercept exceeding
+    y-intercept) is part of the same parameter interval.
     """
     d = diagonal(domain)
-    a_max = d * as_rational(a_max_factor)
-    if a_max <= d:
-        raise ValueError("a_max_factor must exceed 1")
-
     # vertex (x, y) inside E(a, b(a))  <=>  a*(y - d) <= d*(y - x)
     lower = None  # in addition to the open bound a > d
     upper = None
@@ -359,12 +348,11 @@ def equal_diagonal_enclosing_ellipsoids(
 
     lo = lower if (lower is not None and lower > d) else None  # None => infimum d, open
     lo_eff = lo if lo is not None else d
-    hi_eff = min(upper, a_max) if upper is not None else a_max
-    if hi_eff <= d or hi_eff < lo_eff:
+    if upper is not None and (upper <= d or upper < lo_eff):
         return EnclosureSearch(d, None, None, False, ())
 
-    members = {hi_eff} if lo is None else {lo, hi_eff}
-    if lo_eff <= 2 * d <= hi_eff:
+    members = {m for m in (lo, upper) if m is not None}
+    if lo_eff <= 2 * d and (upper is None or 2 * d <= upper):
         members.add(2 * d)  # the a = b member of the family
     pairs = []
     for a in sorted(members):

@@ -339,32 +339,19 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     families: list[ReebOrbitFamily] = []
     keep = cutoff * (1.0 + 1e-12)
 
-    a_ext = smooth.x_max
-    b_ext = smooth.value(0.0)
-    l_axis = 1
-    while l_axis * a_ext <= keep:
-        families.append(
-            ReebOrbitFamily(
-                direction=LatticeDirection(l_axis, 0),
-                point=None,
-                action=l_axis * a_ext,
-                multiplicity=l_axis,
-                underlying_simple=LatticeDirection(1, 0),
+    for (dl, dm), length in (((1, 0), smooth.x_max), ((0, 1), smooth.value(0.0))):
+        j = 1
+        while j * length <= keep:
+            families.append(
+                ReebOrbitFamily(
+                    direction=LatticeDirection(j * dl, j * dm),
+                    point=None,
+                    action=j * length,
+                    multiplicity=j,
+                    underlying_simple=LatticeDirection(dl, dm),
+                )
             )
-        )
-        l_axis += 1
-    m_axis = 1
-    while m_axis * b_ext <= keep:
-        families.append(
-            ReebOrbitFamily(
-                direction=LatticeDirection(0, m_axis),
-                point=None,
-                action=m_axis * b_ext,
-                multiplicity=m_axis,
-                underlying_simple=LatticeDirection(0, 1),
-            )
-        )
-        m_axis += 1
+            j += 1
 
     x_star = float(smooth.source.x_extent) / 2.0
     y_star = smooth.value(x_star)

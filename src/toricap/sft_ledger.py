@@ -56,6 +56,11 @@ class Puncture:
     def __post_init__(self):
         if self.sign not in ("positive", "negative"):
             raise ValueError("puncture sign must be 'positive' or 'negative'")
+        pair = self.paired_with
+        if pair is not None and not (
+            isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], int)
+        ):
+            raise ValueError(f"puncture paired_with must be None or a (node id, puncture index) pair, got {pair!r}")
         object.__setattr__(self, "action", as_rational(self.action))
 
 
@@ -234,6 +239,8 @@ class CurveNode:
     divisor_hits: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"node id must be a string, got {self.id!r}")
         if self.kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {self.kind!r}")
         object.__setattr__(self, "energy", as_rational(self.energy))
@@ -243,11 +250,8 @@ class CurveNode:
         identical orbit data."""
         if self.index != 0 or self.energy != 0 or len(self.punctures) != 2:
             return False
-        pos = [p for p in self.punctures if p.sign == "positive"]
-        neg = [p for p in self.punctures if p.sign == "negative"]
-        if len(pos) != 1 or len(neg) != 1:
-            return False
-        return pos[0].cz == neg[0].cz and pos[0].action == neg[0].action
+        p, q = self.punctures
+        return p.sign != q.sign and p.cz == q.cz and p.action == q.action
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,31 @@ class ValidationReport:
         return [r for r in self.results if r.status == "fail"]
 
 
+def _pairing_failure(by_id: dict[str, CurveNode], edges: set[frozenset[str]]) -> str:
+    """The first pairing violation in node and puncture order, or "" when
+    there is none; edges collects the pairing edges met before it."""
+    for nd in by_id.values():
+        for i, p in enumerate(nd.punctures):
+            if p.paired_with is None:
+                continue
+            other_id, j = p.paired_with
+            other = by_id.get(other_id)
+            if other is None or not -len(other.punctures) <= j < len(other.punctures):
+                return f"{nd.id}[{i}] points at a missing puncture"
+            q = other.punctures[j]
+            if q.paired_with != (nd.id, i):
+                return f"{nd.id}[{i}] is not reciprocally paired"
+            if q.sign == p.sign:
+                return f"{nd.id}[{i}] pairs equal signs"
+            upper, lower = (nd, other) if p.sign == "negative" else (other, nd)
+            if upper.level != lower.level + 1:
+                return f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})"
+            if q.cz != p.cz or q.action != p.action:
+                return f"{nd.id}[{i}] pairs mismatched orbit data"
+            edges.add(frozenset((nd.id, other_id)))
+    return ""
+
+
 def building_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:
     """Run the structural checks; every violation lands in the report
     rather than raising.
@@ -307,98 +336,57 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     (stability) no symplectization level is made of trivial cylinders
     only; (levels) occupied levels are contiguous.  With
     check_unpaired_parity, unpaired ends must carry odd CZ (elliptic
-    asymptotics).
+    asymptotics).  One id -> node map makes the whole run linear.
     """
     results: list[CheckResult] = []
-    ids = [nd.id for nd in b.nodes]
 
     def add(check: str, ok: bool, detail: str = "") -> None:
         results.append(CheckResult(check, "pass" if ok else "fail", detail))
 
-    if len(set(ids)) != len(ids) or not b.nodes:
+    by_id = {nd.id: nd for nd in b.nodes}
+    if len(by_id) != len(b.nodes) or not b.nodes:
         add("structure", False, "node ids must be unique and nonempty")
         return ValidationReport(tuple(results))
     add("structure", True)
 
-    # pairing consistency
-    pairing_ok, pairing_detail = True, ""
     edges: set[frozenset[str]] = set()
-    for nd in b.nodes:
-        for i, p in enumerate(nd.punctures):
-            if p.paired_with is None:
-                continue
-            other_id, j = p.paired_with
-            try:
-                other = b.node(other_id)
-                q = other.punctures[j]
-            except (KeyError, IndexError):
-                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] points at a missing puncture"
-                break
-            if q.paired_with != (nd.id, i):
-                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] is not reciprocally paired"
-                break
-            if q.sign == p.sign:
-                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] pairs equal signs"
-                break
-            upper = nd if p.sign == "negative" else other
-            lower = other if p.sign == "negative" else nd
-            if upper.level != lower.level + 1:
-                pairing_ok, pairing_detail = (
-                    False,
-                    f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})",
-                )
-                break
-            if q.cz != p.cz or q.action != p.action:
-                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] pairs mismatched orbit data"
-                break
-            edges.add(frozenset((nd.id, other_id)))
-        if not pairing_ok:
-            break
-    add("pairing", pairing_ok, pairing_detail)
+    pairing_detail = _pairing_failure(by_id, edges)
+    add("pairing", not pairing_detail, pairing_detail)
 
     # genus zero: the node/edge graph is a tree
-    adjacency: dict[str, set[str]] = {i: set() for i in ids}
-    for e in edges:
-        u, w = tuple(e)
+    adjacency: dict[str, set[str]] = {i: set() for i in by_id}
+    for u, w in map(tuple, edges):
         adjacency[u].add(w)
         adjacency[w].add(u)
-    seen = {ids[0]}
-    stack = [ids[0]]
+    seen = {b.nodes[0].id}
+    stack = list(seen)
     while stack:
         for nb in adjacency[stack.pop()]:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    connected = len(seen) == len(ids)
-    is_tree = connected and len(edges) == len(ids) - 1
-    add(
-        "tree",
-        is_tree,
-        "" if is_tree else f"{len(ids)} nodes, {len(edges)} pairing edges, connected={connected}",
-    )
+    connected = len(seen) == len(by_id)
+    is_tree = connected and len(edges) == len(by_id) - 1
+    tree_detail = f"{len(by_id)} nodes, {len(edges)} pairing edges, connected={connected}"
+    add("tree", is_tree, "" if is_tree else tree_detail)
 
     total = sum(nd.index for nd in b.nodes)
     add("index-total", total == b.total_index, f"sum of indices is {total}, declared {b.total_index}")
 
-    energy_ok, energy_detail = True, ""
+    energy_detail = ""
     for nd in b.nodes:
         if nd.energy < 0:
-            energy_ok, energy_detail = False, f"{nd.id} has negative energy"
+            energy_detail = f"{nd.id} has negative energy"
             break
-        if nd.is_trivial_cylinder():
-            continue
-        if nd.energy == 0:
-            energy_ok, energy_detail = False, f"{nd.id} is nonconstant but has zero energy"
+        if nd.energy == 0 and not nd.is_trivial_cylinder():
+            energy_detail = f"{nd.id} is nonconstant but has zero energy"
             break
-    add("energy-positivity", energy_ok, energy_detail)
+    add("energy-positivity", not energy_detail, energy_detail)
 
     if b.energy_budget is not None:
         total_energy = sum((nd.energy for nd in b.nodes), Fraction(0))
-        add(
-            "energy-budget",
-            total_energy <= b.energy_budget,
-            f"total {format_rational(total_energy)} vs budget {format_rational(b.energy_budget)}",
-        )
+        budget_detail = f"total {format_rational(total_energy)} vs budget {format_rational(b.energy_budget)}"
+        add("energy-budget", total_energy <= b.energy_budget, budget_detail)
 
     hits = sum(nd.divisor_hits for nd in b.nodes if nd.kind == "top")
     add("divisor-budget", hits <= 1 and all(nd.divisor_hits >= 0 for nd in b.nodes), f"{hits} hits across top nodes")
@@ -407,26 +395,18 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     contiguous = levels == list(range(levels[0], levels[-1] + 1))
     add("levels", contiguous, f"occupied levels {levels}")
 
-    stability_ok, stability_detail = True, ""
-    for level in levels:
-        at_level = [nd for nd in b.nodes if nd.level == level]
-        if all(nd.kind == "symplectization" for nd in at_level) and all(
-            nd.is_trivial_cylinder() for nd in at_level
-        ):
-            stability_ok, stability_detail = (
-                False,
-                f"level {level} consists solely of trivial cylinders",
-            )
-            break
-    add("stability", stability_ok, stability_detail)
+    # a level is stable when some node on it is not a symplectization trivial cylinder
+    stable = {nd.level for nd in b.nodes if nd.kind != "symplectization" or not nd.is_trivial_cylinder()}
+    unstable = [level for level in levels if level not in stable]
+    add("stability", not unstable, f"level {unstable[0]} consists solely of trivial cylinders" if unstable else "")
 
     if check_unpaired_parity:
-        parity_ok, parity_detail = True, ""
+        parity_detail = ""  # the last even unpaired end
         for nd in b.nodes:
             for i, p in enumerate(nd.punctures):
                 if p.paired_with is None and p.cz % 2 == 0:
-                    parity_ok, parity_detail = False, f"unpaired end {nd.id}[{i}] has even CZ {p.cz}"
-        add("unpaired-parity", parity_ok, parity_detail)
+                    parity_detail = f"unpaired end {nd.id}[{i}] has even CZ {p.cz}"
+        add("unpaired-parity", not parity_detail, parity_detail)
 
     return ValidationReport(tuple(results))
 

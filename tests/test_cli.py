@@ -156,6 +156,15 @@ class TestEnclose:
         payload = json.loads(out)
         assert any(p["x_axis"] == "1" and p["y_axis"] == "1" for p in payload["found"])
 
+    def test_unbounded_interval_lists_its_attained_lower_end(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "enclose", "--polygon", '{"type":"polygon","vertices":[["0","1"],["1","1"],["20","0"]]}'
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["interval"] == {"lower": "20", "lower_attained": True, "upper": None}
+        assert [(p["x_axis"], p["y_axis"]) for p in payload["found"]] == [("20", "20/19")]
+
     def test_infeasible_rectangle(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -330,18 +339,30 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert err == f"error: malformed input: missing field '{field}'\n"
 
-    @pytest.mark.parametrize("mutate", ["array", "nodes-string", "float-energy"])
+    @pytest.mark.parametrize(
+        "mutate",
+        ["array", "nodes-string", "float-energy", "list-id", "string-index", "float-index", "one-element-pair"],
+    )
     def test_malformed_building_file_is_input_error(self, capsys, tmp_path, mutate):
         from toricap import canonical_ball_building
         from toricap.sft_ledger import building_to_json
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        bottom_end = payload["nodes"][0]["punctures"][0]
         if mutate == "array":
             payload = [1]
         elif mutate == "nodes-string":
             payload = {"nodes": "x"}
-        else:
+        elif mutate == "float-energy":
             payload["nodes"][1]["energy"] = 0.5
+        elif mutate == "list-id":
+            payload["nodes"][1]["id"] = ["x"]
+        else:
+            bottom_end["paired_with"] = {
+                "string-index": ["plane_0", "0"],
+                "float-index": ["plane_0", 0.0],
+                "one-element-pair": ["plane_0"],
+            }[mutate]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "ledger", "--building", str(path))
@@ -356,11 +377,17 @@ class TestErrorsAndDeterminism:
             ["diag", "--ellipsoid", "3,6", "--format", "json"],
             ["lagcap", "--shape", "ellipsoid4", "--ellipsoid", "3,6"],
             ["enclose", "--ellipsoid", "1,2", "--grid", "4"],
+            ["enclose", "--ellipsoid", "1,2", "--a-max-factor", "30"],
+            ["ledger", "--counts", "--partition", "--n", "3"],
+            ["ledger", "--canonical-ball-building", "2", "--building", "nofile.json"],
+            ["ledger", "--n", "3"],
         ],
     )
     def test_removed_commands_and_options_are_input_errors(self, capsys, argv):
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 2
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("cutoff", ["inf", "nan"])
     def test_non_finite_cutoff_is_input_error(self, capsys, tri11_json, cutoff):

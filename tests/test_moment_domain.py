@@ -241,19 +241,24 @@ class TestEnclosure:
             ) or p.x_axis > p.y_axis
 
     def test_pairs_are_the_interval_ends_and_the_symmetric_member(self, square, tri12):
-        # the square's interval (1, oo) is truncated at a_max = 10d = 10;
+        # the square's interval (1, oo) has neither end, so only a = b = 2;
         # tri12's interval is the single point a = 1, below 2d = 4/3
-        assert [p.x_axis for p in equal_diagonal_enclosing_ellipsoids(square).pairs] == [2, 10]
+        assert [p.x_axis for p in equal_diagonal_enclosing_ellipsoids(square).pairs] == [2]
         assert [p.x_axis for p in equal_diagonal_enclosing_ellipsoids(tri12).pairs] == [1]
+        # d = 1 and the interval is [20, oo), far above the diagonal
+        far = equal_diagonal_enclosing_ellipsoids(make_polygon_domain([(0, 1), (1, 1), (20, 0)]))
+        assert far.diagonal == 1 and far.lower == 20 and far.lower_attained and far.upper is None
+        assert [(p.x_axis, p.y_axis) for p in far.pairs] == [(Fraction(20), Fraction(20, 19))]
         rng = random.Random(47)
         for _ in range(40):
             domain = random_polygon_with_diagonal_vertex(rng)
-            search = equal_diagonal_enclosing_ellipsoids(domain, a_max_factor=3)
-            assert search.feasible
-            d, a_max = search.diagonal, 3 * search.diagonal
-            top = a_max if search.upper is None else min(search.upper, a_max)
-            expected = {top} | ({search.lower} if search.lower_attained else set())
-            if search.lower <= 2 * d <= top:
+            search = equal_diagonal_enclosing_ellipsoids(domain)
+            assert search.feasible and search.pairs
+            d, upper = search.diagonal, search.upper
+            expected = {search.lower} if search.lower_attained else set()
+            if upper is not None:
+                expected.add(upper)
+            if search.lower <= 2 * d and (upper is None or 2 * d <= upper):
                 expected.add(2 * d)
             assert [p.x_axis for p in search.pairs] == sorted(expected)
             for p in search.pairs:

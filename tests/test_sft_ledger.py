@@ -26,11 +26,15 @@ from toricap import (
 )
 from toricap.sft_ledger import (
     PARTITION_LIMIT,
+    CheckResult,
     PuncturedSphereData,
+    ValidationReport,
     _candidate_count,
     building_from_json,
     building_to_json,
+    report_to_json,
 )
+from toricap.moment_domain import format_rational
 
 
 def index_oracle(n, cz_tuple, tangency_order):
@@ -261,6 +265,227 @@ class TestEnergyPartition:
             energy_partition_solve(n, eps)
 
 
+def oracle_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:
+    """Oracle: the validator as it stood before the id map, looking every
+    paired node up with Building.node and rescanning the nodes per level."""
+    results = []
+    ids = [nd.id for nd in b.nodes]
+
+    def add(check, ok, detail=""):
+        results.append(CheckResult(check, "pass" if ok else "fail", detail))
+
+    if len(set(ids)) != len(ids) or not b.nodes:
+        add("structure", False, "node ids must be unique and nonempty")
+        return ValidationReport(tuple(results))
+    add("structure", True)
+
+    pairing_ok, pairing_detail = True, ""
+    edges = set()
+    for nd in b.nodes:
+        for i, p in enumerate(nd.punctures):
+            if p.paired_with is None:
+                continue
+            other_id, j = p.paired_with
+            try:
+                other = b.node(other_id)
+                q = other.punctures[j]
+            except (KeyError, IndexError):
+                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] points at a missing puncture"
+                break
+            if q.paired_with != (nd.id, i):
+                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] is not reciprocally paired"
+                break
+            if q.sign == p.sign:
+                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] pairs equal signs"
+                break
+            upper = nd if p.sign == "negative" else other
+            lower = other if p.sign == "negative" else nd
+            if upper.level != lower.level + 1:
+                pairing_ok, pairing_detail = (
+                    False,
+                    f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})",
+                )
+                break
+            if q.cz != p.cz or q.action != p.action:
+                pairing_ok, pairing_detail = False, f"{nd.id}[{i}] pairs mismatched orbit data"
+                break
+            edges.add(frozenset((nd.id, other_id)))
+        if not pairing_ok:
+            break
+    add("pairing", pairing_ok, pairing_detail)
+
+    adjacency = {i: set() for i in ids}
+    for e in edges:
+        u, w = tuple(e)
+        adjacency[u].add(w)
+        adjacency[w].add(u)
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    connected = len(seen) == len(ids)
+    is_tree = connected and len(edges) == len(ids) - 1
+    add(
+        "tree",
+        is_tree,
+        "" if is_tree else f"{len(ids)} nodes, {len(edges)} pairing edges, connected={connected}",
+    )
+
+    total = sum(nd.index for nd in b.nodes)
+    add("index-total", total == b.total_index, f"sum of indices is {total}, declared {b.total_index}")
+
+    energy_ok, energy_detail = True, ""
+    for nd in b.nodes:
+        if nd.energy < 0:
+            energy_ok, energy_detail = False, f"{nd.id} has negative energy"
+            break
+        if nd.is_trivial_cylinder():
+            continue
+        if nd.energy == 0:
+            energy_ok, energy_detail = False, f"{nd.id} is nonconstant but has zero energy"
+            break
+    add("energy-positivity", energy_ok, energy_detail)
+
+    if b.energy_budget is not None:
+        total_energy = sum((nd.energy for nd in b.nodes), Fraction(0))
+        add(
+            "energy-budget",
+            total_energy <= b.energy_budget,
+            f"total {format_rational(total_energy)} vs budget {format_rational(b.energy_budget)}",
+        )
+
+    hits = sum(nd.divisor_hits for nd in b.nodes if nd.kind == "top")
+    add("divisor-budget", hits <= 1 and all(nd.divisor_hits >= 0 for nd in b.nodes), f"{hits} hits across top nodes")
+
+    levels = sorted({nd.level for nd in b.nodes})
+    contiguous = levels == list(range(levels[0], levels[-1] + 1))
+    add("levels", contiguous, f"occupied levels {levels}")
+
+    stability_ok, stability_detail = True, ""
+    for level in levels:
+        at_level = [nd for nd in b.nodes if nd.level == level]
+        if all(nd.kind == "symplectization" for nd in at_level) and all(
+            nd.is_trivial_cylinder() for nd in at_level
+        ):
+            stability_ok, stability_detail = False, f"level {level} consists solely of trivial cylinders"
+            break
+    add("stability", stability_ok, stability_detail)
+
+    if check_unpaired_parity:
+        parity_ok, parity_detail = True, ""
+        for nd in b.nodes:
+            for i, p in enumerate(nd.punctures):
+                if p.paired_with is None and p.cz % 2 == 0:
+                    parity_ok, parity_detail = False, f"unpaired end {nd.id}[{i}] has even CZ {p.cz}"
+        add("unpaired-parity", parity_ok, parity_detail)
+
+    return ValidationReport(tuple(results))
+
+
+def stacked_ball_building(n, epsilon):
+    """The canonical building with every pairing re-routed through a
+    middle level of trivial cylinders, which the stability check rejects."""
+    b = canonical_ball_building(n, epsilon)
+    bottom = b.node("bottom")
+    new_bottom_punctures = tuple(
+        replace(p, paired_with=(f"cyl_{i}", 0)) for i, p in enumerate(bottom.punctures)
+    )
+    cylinders = []
+    planes = []
+    for i, p in enumerate(bottom.punctures):
+        plane_id = p.paired_with[0]
+        plane = b.node(plane_id)
+        cylinders.append(
+            CurveNode(
+                id=f"cyl_{i}",
+                level=1,
+                kind="symplectization",
+                index=0,
+                energy=Fraction(0),
+                punctures=(
+                    Puncture(p.cz, p.action, "negative", paired_with=("bottom", i)),
+                    Puncture(p.cz, p.action, "positive", paired_with=(plane_id, 0)),
+                ),
+            )
+        )
+        planes.append(
+            replace(
+                plane,
+                level=2,
+                punctures=(replace(plane.punctures[0], paired_with=(f"cyl_{i}", 1)),),
+            )
+        )
+    return Building(
+        nodes=(replace(bottom, punctures=new_bottom_punctures), *cylinders, *planes),
+        total_index=0,
+        energy_budget=b.energy_budget,
+    )
+
+
+def _mutate_puncture(rng, nodes, p):
+    """One random change to a puncture: its pairing, sign or orbit data."""
+    ids = [nd.id for nd in nodes]
+    kind = rng.randrange(8)
+    if kind == 0:
+        return replace(p, paired_with=("ghost", 0))
+    if kind == 1 and p.paired_with is not None:
+        target = next((nd for nd in nodes if nd.id == p.paired_with[0]), None)
+        size = len(target.punctures) if target is not None else 1
+        j = rng.choice([-1, -size, -size - 1, size, size + 2])
+        return replace(p, paired_with=(p.paired_with[0], j))
+    if kind == 2:
+        return replace(p, sign="negative" if p.sign == "positive" else "positive")
+    if kind == 3:
+        return replace(p, cz=p.cz + rng.choice([-1, 1]))
+    if kind == 4:
+        return replace(p, action=p.action + Fraction(1, 13))
+    if kind == 5:
+        return replace(p, paired_with=None)
+    return replace(p, paired_with=(rng.choice(ids), rng.randint(-2, 3)))
+
+
+def mutate_building(rng, b):
+    """One seeded random mutation of ids, levels, kinds, energies, indices,
+    divisor hits, pairings, the node list, the index total or the budget."""
+    nodes = list(b.nodes)
+    total_index, budget = b.total_index, b.energy_budget
+    kind = rng.randrange(12)
+    if not nodes or kind == 0:
+        budget = rng.choice([None, Fraction(0), (budget or 1) - Fraction(1, 11), (budget or 0) + 1])
+    elif kind == 1:
+        total_index += rng.choice([-1, 1])
+    elif kind == 2:
+        del nodes[rng.randrange(len(nodes))]
+    elif kind == 3:
+        extra = rng.choice(nodes)
+        nodes.append(replace(extra, id=rng.choice([extra.id, f"copy_{len(nodes)}"])))
+    else:
+        k = rng.randrange(len(nodes))
+        nd = nodes[k]
+        if kind == 4:
+            nd = replace(nd, id=rng.choice([nodes[rng.randrange(len(nodes))].id, "renamed"]))
+        elif kind == 5:
+            nd = replace(nd, level=nd.level + rng.choice([-2, -1, 1, 2]))
+        elif kind == 6:
+            nd = replace(nd, kind=rng.choice(["cotangent", "symplectization", "top"]))
+        elif kind == 7:
+            nd = replace(nd, energy=rng.choice([Fraction(0), Fraction(-1, 7), nd.energy + Fraction(1, 3)]))
+        elif kind == 8:
+            nd = replace(nd, index=nd.index + rng.choice([-1, 1]))
+        elif kind == 9:
+            nd = replace(nd, divisor_hits=rng.choice([-1, 0, 1, 2]))
+        elif nd.punctures:
+            punctures = list(nd.punctures)
+            i = rng.randrange(len(punctures))
+            punctures[i] = _mutate_puncture(rng, nodes, punctures[i])
+            nd = replace(nd, punctures=tuple(punctures))
+        nodes[k] = nd
+    return Building(nodes=tuple(nodes), total_index=total_index, energy_budget=budget)
+
+
 def _mutate_node(building, node_id, **changes):
     nodes = tuple(
         replace(nd, **changes) if nd.id == node_id else nd for nd in building.nodes
@@ -306,44 +531,7 @@ class TestBuildingValidation:
         assert any(r.check == "pairing" for r in report.failed())
 
     def test_trivial_cylinder_level_rejected(self):
-        n = 3
-        b = canonical_ball_building(n, Fraction(1, 10))
-        bottom = b.node("bottom")
-        # re-route every pairing through a middle level of trivial cylinders
-        new_bottom_punctures = tuple(
-            replace(p, paired_with=(f"cyl_{i}", 0)) for i, p in enumerate(bottom.punctures)
-        )
-        cylinders = []
-        planes = []
-        for i, p in enumerate(bottom.punctures):
-            plane_id = p.paired_with[0]
-            plane = b.node(plane_id)
-            cylinders.append(
-                CurveNode(
-                    id=f"cyl_{i}",
-                    level=1,
-                    kind="symplectization",
-                    index=0,
-                    energy=Fraction(0),
-                    punctures=(
-                        Puncture(p.cz, p.action, "negative", paired_with=("bottom", i)),
-                        Puncture(p.cz, p.action, "positive", paired_with=(plane_id, 0)),
-                    ),
-                )
-            )
-            planes.append(
-                replace(
-                    plane,
-                    level=2,
-                    punctures=(replace(plane.punctures[0], paired_with=(f"cyl_{i}", 1)),),
-                )
-            )
-        stacked = Building(
-            nodes=(replace(bottom, punctures=new_bottom_punctures), *cylinders, *planes),
-            total_index=0,
-            energy_budget=b.energy_budget,
-        )
-        report = building_validate(stacked)
+        report = building_validate(stacked_ball_building(3, Fraction(1, 10)))
         assert not report.ok
         assert any(r.check == "stability" for r in report.failed())
 
@@ -391,3 +579,56 @@ class TestBuildingValidation:
         again = building_from_json(building_to_json(b))
         assert again == b
         assert building_validate(again).ok
+
+    def test_reports_match_the_oracle_on_seeded_mutations(self):
+        rng = random.Random(2018)
+        bases = [canonical_ball_building(n, Fraction(1, n + 2)) for n in range(2, 9)]
+        bases += [stacked_ball_building(n, Fraction(1, n + 3)) for n in (2, 3, 5)]
+        for n in (3, 4):  # a lone bottom sphere: every end unpaired, of even CZ for n = 3
+            bottom = canonical_ball_building(n, Fraction(1, 10)).node("bottom")
+            ends = tuple(replace(p, paired_with=None) for p in bottom.punctures)
+            bases.append(Building(nodes=(replace(bottom, punctures=ends),)))
+        corpus = [Building(nodes=())] + [canonical_ball_building(n, Fraction(1, 2 * n)) for n in (29, 100)]
+        for _ in range(1500):
+            b = rng.choice(bases)
+            for _ in range(rng.randint(1, 3)):
+                b = mutate_building(rng, b)
+            corpus.append(b)
+        failed = set()
+        for b in corpus:
+            for parity in (False, True):
+                report = building_validate(b, check_unpaired_parity=parity)
+                assert report_to_json(report) == report_to_json(oracle_validate(b, parity))
+                failed |= {r.check for r in report.failed()}
+        # the mutations reach every check, not only the pairing one
+        assert failed == {
+            "structure", "pairing", "tree", "index-total", "energy-positivity",
+            "energy-budget", "divisor-budget", "levels", "stability", "unpaired-parity",
+        }
+
+    def test_validation_never_scans_for_a_node(self, monkeypatch):
+        calls = []
+        scan = Building.node
+        monkeypatch.setattr(Building, "node", lambda b, node_id: calls.append(node_id) or scan(b, node_id))
+        b = canonical_ball_building(40, Fraction(1, 41))
+        assert building_validate(b, check_unpaired_parity=True).ok
+        building_validate(mutate_building(random.Random(5), b))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"id": ["x"]}, "id"),
+            ({"id": 7}, "id"),
+            ({"paired_with": ("plane_0", "0")}, "paired_with"),
+            ({"paired_with": ("plane_0", 0.0)}, "paired_with"),
+            ({"paired_with": ("plane_0",)}, "paired_with"),
+            ({"paired_with": ["plane_0", 0]}, "paired_with"),
+        ],
+    )
+    def test_malformed_ids_and_pairings_rejected_when_built(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            if field == "id":
+                CurveNode(id=changes["id"], level=0, kind="top", index=0, energy=1, punctures=())
+            else:
+                Puncture(cz=1, action=1, sign="positive", **changes)
