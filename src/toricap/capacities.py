@@ -1,10 +1,10 @@
 """Gutt-Hutchings and Lagrangian capacities, with two independent paths.
 
 The toric path minimizes the support function over non-negative lattice
-pairs summing to k by bisection on a convex function; the ellipsoid path
-reads the k-th entry of the merged sequence of axis multiples.  Both are
-exact on rational data and must agree on simplices, which the test suite
-enforces.
+pairs summing to k in closed form, from the edge where the boundary meets
+the diagonal; the ellipsoid path reads the k-th entry of the merged
+sequence of axis multiples.  Both are exact on rational data and must
+agree on simplices, which the test suite enforces.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
+    _diagonal_edge,
     as_rational,
     diagonal,
     support,
@@ -49,23 +50,25 @@ class CapacityReport:
 def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     """k-th capacity of a 4-dimensional convex toric domain.
 
-    Minimum of h(l) = max_{v in Omega} <v, (l, k - l)> over l = 0..k.
-    As a maximum of affine functions of l, h is convex, so its smallest
-    integer minimizer is the first l with h(l + 1) >= h(l).  Bisection
-    finds it with at most 2*ceil(log2(k + 1)) + 1 support evaluations,
-    O(V log k) exact work.  Ties report the lexicographically smallest
-    pair.
+    Minimum of h(l) = max_{v in Omega} <v, (l, k - l)> over l = 0..k, in
+    closed form.  On real l in [0, k], h(l) = max_v k*y + l*(x - y) is
+    convex with slope x - y at the supporting vertex, which moves along
+    the boundary as l grows while y - x falls strictly.  On the edge
+    (x1, y1) -> (x2, y2) where the boundary meets y = x (y1 > x1 and
+    y2 <= x2), (l, k - l) is normal at l* = k*(y1 - y2)/(x2 - x1 + y1 - y2),
+    which lies in [0, k] and is k on a final vertical drop.  Below l* the
+    support is at or before (x1, y1), where the slope is negative; above
+    it, at or after (x2, y2), where it is >= 0.  So l* is the smallest
+    real minimizer, and the smallest integer one is floor(l*) or
+    floor(l*) + 1 <= k: two support evaluations, O(V) exact work, ties
+    going to the lexicographically smallest pair.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    lo, hi = 0, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if support(domain, (mid + 1, k - mid - 1)) >= support(domain, (mid, k - mid)):
-            hi = mid
-        else:
-            lo = mid + 1
-    return CapacityReport(k, support(domain, (lo, k - lo)), LatticeDirection(lo, k - lo))
+    (x1, y1), (x2, y2) = _diagonal_edge(domain)
+    floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
+    value, l = min((support(domain, (l, k - l)), l) for l in range(floor, min(floor + 2, k + 1)))
+    return CapacityReport(k, value, LatticeDirection(l, k - l))
 
 
 def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -118,14 +120,14 @@ class MomentDomain2D:
         return list(zip(self.vertices, self.vertices[1:]))
 
     def boundary_value(self, x: Fraction) -> Fraction:
-        """Exact value of the upper boundary function f at x in [0, a]."""
+        """Exact value of the upper boundary function f at x in [0, a],
+        on the edge ending at the first vertex with x-coordinate >= x."""
         x = as_rational(x)
         if x < 0 or x > self.x_extent:
             raise ValueError("x outside [0, a]")
-        for (x1, y1), (x2, y2) in self.edges():
-            if x1 <= x <= x2 and x2 > x1:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        raise AssertionError("non-vertical edges cover [0, a]")  # pragma: no cover
+        i = bisect_left(self.vertices, x, lo=1, key=itemgetter(0))
+        (x1, y1), (x2, y2) = self.vertices[i - 1], self.vertices[i]
+        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def contains_point(self, p: Sequence[RationalLike]) -> bool:
         x, y = as_rational(p[0]), as_rational(p[1])
@@ -224,26 +226,31 @@ def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDom
     return MomentDomain2D(tuple(pts))
 
 
+def _diagonal_edge(domain: MomentDomain2D) -> tuple[Point, Point]:
+    """The edge (x1, y1) -> (x2, y2) on which the boundary meets y = x.
+
+    Along the boundary y - x falls strictly, from b > 0 to -a < 0, so the
+    edge ending at the first vertex on or below y = x has y1 > x1 and
+    y2 <= x2; a vertex on the diagonal ends the edge it closes.
+    """
+    v = domain.vertices
+    j = bisect_left(v, True, key=lambda p: p[1] <= p[0])
+    return v[j - 1], v[j]
+
+
 def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
     """sup{t > 0 : (t, ..., t) lies in the moment region}.
 
     For an ellipsoid the closed form (sum 1/a_i)^(-1) is used; for a
-    polygon the unique crossing of the boundary graph with y = x is
-    solved edge by edge.
+    polygon it is the crossing of y = x with the edge from
+    ``_diagonal_edge``, (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2).  The
+    denominator is (y1 - x1) - (y2 - x2) > 0, and on a final vertical
+    drop the formula gives x1.
     """
     if isinstance(domain, EllipsoidSpec):
         return 1 / sum(1 / a for a in domain.axes)
-    for (x1, y1), (x2, y2) in domain.edges():
-        if x1 == x2:
-            # final vertical edge: diagonal exits at (a, a) if the edge spans it
-            if y2 <= x1 <= y1:
-                return x1
-            continue
-        s = (y2 - y1) / (x2 - x1)
-        t = (y1 - s * x1) / (1 - s)
-        if x1 <= t <= x2:
-            return t
-    raise AssertionError("valid domains always meet the diagonal")  # pragma: no cover
+    (x1, y1), (x2, y2) = _diagonal_edge(domain)
+    return (x2 * y1 - x1 * y2) / (x2 - x1 + y1 - y2)
 
 
 DirectionLike = Union[LatticeDirection, Sequence[RationalLike]]
@@ -380,9 +387,11 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
 
     Precondition (PreconditionViolated otherwise): the domain is included
     in the ellipsoid and the diagonals agree, so (d, d) lies on the edge
-    that ``diagonal`` solved on.  Returns SEGMENT when an edge through
-    (d, d) lies inside the tangent line x/a + y/b = 1, ISOLATED when every
-    such edge crosses it transversally.
+    that ``diagonal`` solved on and on the line x/a + y/b = 1.  Returns
+    SEGMENT when an edge through (d, d) lies inside that line, ISOLATED
+    when every such edge crosses it transversally.  The line supports the
+    region and holds (d, d), so the region meets it in (d, d) alone or in
+    one edge through (d, d): SEGMENT iff some edge has both ends on it.
     """
     if e.dim != 2:
         raise PreconditionViolated("classification requires a 4-dimensional ellipsoid")
@@ -392,20 +401,8 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
     if d != diagonal(e):
         raise PreconditionViolated("diagonals differ")
     a, b = e.axes
-    dd = (d, d)
-
-    def on_segment(p: Point, q: Point, r: Point) -> bool:
-        (x1, y1), (x2, y2), (x, y) = p, q, r
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if cross != 0:
-            return False
-        return min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2)
-
-    containing = [(p, q) for p, q in domain.edges() if on_segment(p, q, dd)]
-    for (x1, y1), (x2, y2) in containing:
-        direction_in_line = b * (x2 - x1) + a * (y2 - y1) == 0
-        point_on_line = b * x1 + a * y1 == a * b
-        if direction_in_line and point_on_line:
+    for (x1, y1), (x2, y2) in domain.edges():
+        if b * x1 + a * y1 == a * b == b * x2 + a * y2:
             return DiagonalContact.SEGMENT
     return DiagonalContact.ISOLATED
 

@@ -54,11 +54,13 @@ class Puncture:
     paired_with: Optional[tuple[str, int]] = None  # (node id, puncture index)
 
     def __post_init__(self):
+        if type(self.cz) is not int:
+            raise ValueError(f"puncture cz must be an integer, got {self.cz!r}")
         if self.sign not in ("positive", "negative"):
             raise ValueError("puncture sign must be 'positive' or 'negative'")
         pair = self.paired_with
         if pair is not None and not (
-            isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], int)
+            isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
         ):
             raise ValueError(f"puncture paired_with must be None or a (node id, puncture index) pair, got {pair!r}")
         object.__setattr__(self, "action", as_rational(self.action))
@@ -241,6 +243,9 @@ class CurveNode:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"node id must be a string, got {self.id!r}")
+        for name in ("level", "index", "divisor_hits"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"node {name} must be an integer, got {getattr(self, name)!r}")
         if self.kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {self.kind!r}")
         object.__setattr__(self, "energy", as_rational(self.energy))
@@ -268,6 +273,8 @@ class Building:
     energy_budget: Optional[Fraction] = None
 
     def __post_init__(self):
+        if type(self.total_index) is not int:
+            raise ValueError(f"building total_index must be an integer, got {self.total_index!r}")
         if self.energy_budget is not None:
             object.__setattr__(self, "energy_budget", as_rational(self.energy_budget))
 
@@ -427,36 +434,22 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
         raise EpsilonTooLarge(f"epsilon must lie in (0, 1/{n})")
     cz = n - 1
     share = Fraction(1, n)
+    top = [(f"plane_{i}", share, share, 0) for i in range(n)] + [("plane_last", Fraction(1), eps, 1)]
     bottom_punctures = []
     planes = []
-    for i in range(n):
-        bottom_punctures.append(
-            Puncture(cz=cz, action=share, sign="positive", paired_with=(f"plane_{i}", 0))
-        )
+    for i, (plane_id, action, energy, hits) in enumerate(top):
+        bottom_punctures.append(Puncture(cz=cz, action=action, sign="positive", paired_with=(plane_id, 0)))
         planes.append(
             CurveNode(
-                id=f"plane_{i}",
+                id=plane_id,
                 level=1,
                 kind="top",
                 index=0,
-                energy=share,
-                punctures=(Puncture(cz=cz, action=share, sign="negative", paired_with=("bottom", i)),),
+                energy=energy,
+                punctures=(Puncture(cz=cz, action=action, sign="negative", paired_with=("bottom", i)),),
+                divisor_hits=hits,
             )
         )
-    bottom_punctures.append(
-        Puncture(cz=cz, action=Fraction(1), sign="positive", paired_with=("plane_last", 0))
-    )
-    planes.append(
-        CurveNode(
-            id="plane_last",
-            level=1,
-            kind="top",
-            index=0,
-            energy=eps,
-            punctures=(Puncture(cz=cz, action=Fraction(1), sign="negative", paired_with=("bottom", n)),),
-            divisor_hits=1,
-        )
-    )
     bottom = CurveNode(
         id="bottom",
         level=0,
@@ -508,8 +501,8 @@ def building_from_json(text: str) -> Building:
     for nd in payload["nodes"]:
         punctures = tuple(
             Puncture(
-                cz=int(p["cz"]),
-                action=as_rational(p["action"]),
+                cz=p["cz"],
+                action=p["action"],
                 sign=p["sign"],
                 paired_with=tuple(p["paired_with"]) if p.get("paired_with") else None,
             )
@@ -518,19 +511,18 @@ def building_from_json(text: str) -> Building:
         nodes.append(
             CurveNode(
                 id=nd["id"],
-                level=int(nd["level"]),
+                level=nd["level"],
                 kind=nd["kind"],
-                index=int(nd["index"]),
-                energy=as_rational(nd["energy"]),
+                index=nd["index"],
+                energy=nd["energy"],
                 punctures=punctures,
-                divisor_hits=int(nd.get("divisor_hits", 0)),
+                divisor_hits=nd.get("divisor_hits", 0),
             )
         )
-    budget = payload.get("energy_budget")
     return Building(
         nodes=tuple(nodes),
-        total_index=int(payload.get("total_index", 0)),
-        energy_budget=as_rational(budget) if budget is not None else None,
+        total_index=payload.get("total_index", 0),
+        energy_budget=payload.get("energy_budget"),
     )
 
 

@@ -5,6 +5,33 @@ import pytest
 from toricap import EllipsoidSpec, make_polygon_domain
 
 
+def random_polygon_near_diagonal(rng):
+    """A random concave polygon lifted so that a chosen vertex sits on,
+    just above or just below y = x.  When the lifted graph ends above the
+    axis it drops vertically there, so drop tops land above, on and below
+    the diagonal; lifting by the last height ends it on the axis."""
+    slopes = sorted({Fraction(-rng.randint(0, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))}, reverse=True)
+    graph = [(Fraction(0), Fraction(0))]
+    for slope in slopes:
+        dx = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        graph.append((graph[-1][0] + dx, graph[-1][1] + slope * dx))
+    px, py = rng.choice(graph)
+    lift = px - py + rng.choice([0, 0, Fraction(1, 7), Fraction(-1, 7)])
+    if rng.random() < 0.2:
+        lift = -graph[-1][1]
+    lift = max(lift, -graph[-1][1], Fraction(1, 5))
+    vertices = [(x, y + lift) for x, y in graph]
+    if vertices[-1][1] > 0:
+        vertices.append((vertices[-1][0], Fraction(0)))
+    return make_polygon_domain(vertices)
+
+
+@pytest.fixture
+def polygon_near_diagonal():
+    """The generator above: call it with a random.Random."""
+    return random_polygon_near_diagonal
+
+
 @pytest.fixture
 def tri11():
     """Moment simplex of the unit ball."""

@@ -122,12 +122,22 @@ class TestToricPath:
             make_polygon_domain([(0, 3), (2, 2), (3, 1), (3, 0)]),  # slope -1 edge, vertical drop
             make_polygon_domain([(0, 3), (2, 2), (3, 0)]),  # vertex on the diagonal
             make_polygon_domain([(0, 1), (5, 0)]),  # a single edge
+            make_polygon_domain([(0, 3), (2, 3), (2, 0)]),  # drop top above the diagonal
+            make_polygon_domain([(0, 1), (3, 1), (3, 0)]),  # drop top below the diagonal
+            make_polygon_domain([(0, 4), (1, 3), (3, 0)]),  # slope -1 edge ending off the diagonal
         ]
         for domain in shapes:
-            for k in range(1, 41):
+            for k in [*range(1, 41), 999, 1000, 1001, 2048, 3000]:
                 self.assert_matches_scan(domain, k)
 
-    def test_support_calls_are_logarithmic_in_k(self, monkeypatch, tri11, pentagon):
+    def test_bisection_matches_scan_near_the_diagonal(self, polygon_near_diagonal):
+        rng = random.Random(41)
+        for _ in range(100):
+            domain = polygon_near_diagonal(rng)
+            for k in [*range(1, 9), *rng.sample(range(9, 3001), 3)]:
+                self.assert_matches_scan(domain, k)
+
+    def test_support_calls_are_logarithmic_in_k(self, monkeypatch, tri11, pentagon, square):
         calls = 0
 
         def counting_support(domain, v):
@@ -136,11 +146,11 @@ class TestToricPath:
             return support(domain, v)
 
         monkeypatch.setattr(toricap.capacities, "support", counting_support)
-        k = 10**5
-        for domain in (tri11, pentagon):
-            calls = 0
-            gh_capacity_toric4(domain, k)
-            assert calls <= 2 * math.ceil(math.log2(k + 1)) + 1
+        for domain in (tri11, pentagon, square):
+            for k in (1, 2, 3, 7, 1000, 10**5, 10**9):  # logarithmic at worst, two at most
+                calls = 0
+                gh_capacity_toric4(domain, k)
+                assert 1 <= calls <= 2, (domain, k, calls)
 
     def test_monotone_in_k(self, pentagon, square, tri12):
         for domain in (pentagon, square, tri12):

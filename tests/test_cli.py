@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import shlex
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +95,18 @@ class TestGh:
         item = json.loads(out)[0]
         assert item["k"] == 3 and item["value"] == "2"
         assert "minimizer" in item
+
+    def test_both_paths_disagreeing_exits_one_at_that_k(self, capsys, monkeypatch):
+        import toricap.cli
+        from toricap.capacities import gh_spectrum_ellipsoid
+
+        def off_at_three(e, k):
+            report = gh_spectrum_ellipsoid(e, k)
+            return replace(report, value=report.value + 1) if k == 3 else report
+
+        monkeypatch.setattr(toricap.cli.capacities, "gh_spectrum_ellipsoid", off_at_three)
+        code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "1..6", "--via", "both")
+        assert (code, out, err) == (1, "", "path disagreement at k=3\n")
 
     def test_spectrum_via_needs_ellipsoid(self, capsys, tri11_json):
         code, _, err = run_cli(capsys, "gh", "--polygon", tri11_json, "--k", "2", "--via", "spectrum")
@@ -367,6 +380,35 @@ class TestErrorsAndDeterminism:
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "ledger", "--building", str(path))
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+    @pytest.mark.parametrize("field", ["cz", "level", "index", "divisor_hits", "total_index"])
+    def test_non_integer_building_field_is_input_error(self, capsys, tmp_path, field, value):
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        owner = {"cz": payload["nodes"][0]["punctures"][0], "total_index": payload}.get(field, payload["nodes"][1])
+        owner[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+    def test_fractional_index_and_cz_are_not_truncated(self, capsys, tmp_path):
+        # int() once read these as 0 and 1, so the building passed every check
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        payload["nodes"][1]["index"] = 0.9
+        payload["nodes"][0]["punctures"][0]["cz"] = 1.7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(

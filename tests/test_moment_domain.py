@@ -67,6 +67,40 @@ def random_polygon_with_diagonal_vertex(rng):
     return make_polygon_domain(vertices)
 
 
+def diagonal_by_edge_scan(domain):
+    """Oracle: solve each edge's crossing with y = x in turn."""
+    for (x1, y1), (x2, y2) in domain.edges():
+        if x1 == x2:
+            if y2 <= x1 <= y1:
+                return x1
+            continue
+        s = (y2 - y1) / (x2 - x1)
+        t = (y1 - s * x1) / (1 - s)
+        if x1 <= t <= x2:
+            return t
+    raise AssertionError("no edge meets the diagonal")
+
+
+def boundary_value_by_scan(domain, x):
+    """Oracle: interpolate on the first non-vertical edge spanning x."""
+    for (x1, y1), (x2, y2) in domain.edges():
+        if x1 <= x <= x2 and x2 > x1:
+            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    raise AssertionError("no edge spans x")
+
+
+def contact_by_cross_products(domain, e):
+    """Oracle: SEGMENT iff an edge containing (d, d), found by a cross
+    product and a bounding box, lies in the line x/a + y/b = 1."""
+    (a, b), d = e.axes, diagonal(domain)
+    for (x1, y1), (x2, y2) in domain.edges():
+        cross = (x2 - x1) * (d - y1) - (y2 - y1) * (d - x1)
+        on_edge = cross == 0 and min(x1, x2) <= d <= max(x1, x2) and min(y1, y2) <= d <= max(y1, y2)
+        if on_edge and b * (x2 - x1) + a * (y2 - y1) == 0 and b * x1 + a * y1 == a * b:
+            return DiagonalContact.SEGMENT
+    return DiagonalContact.ISOLATED
+
+
 def support_by_vertex_enumeration(domain, v):
     vx, vy = Fraction(v[0]), Fraction(v[1])
     return max(vx * x + vy * y for x, y in domain.vertices)
@@ -149,6 +183,37 @@ class TestDiagonal:
     def test_vertical_edge_domain(self):
         dom = make_polygon_domain([(0, 3), (1, Fraction(5, 2)), (1, 0)])
         assert diagonal(dom) == 1
+
+    def test_matches_edge_scan_on_polygons_near_the_diagonal(self, polygon_near_diagonal):
+        rng = random.Random(53)
+        on_vertex = drop_above = drop_on = drop_below = 0
+        for _ in range(800):
+            domain = polygon_near_diagonal(rng)
+            d = diagonal(domain)
+            assert d == diagonal_by_edge_scan(domain), domain.vertices
+            on_vertex += (d, d) in domain.vertices
+            (x1, y1), (x2, y2) = domain.vertices[-2:]
+            if x1 == x2:
+                drop_above += y1 > x1
+                drop_on += y1 == x1
+                drop_below += y1 < x1
+        assert min(on_vertex, drop_above, drop_on, drop_below) >= 30
+
+    def test_boundary_value_matches_edge_scan(self, polygon_near_diagonal):
+        rng = random.Random(59)
+        for _ in range(200):
+            domain = polygon_near_diagonal(rng)
+            a, b = domain.x_extent, domain.y_extent
+            xs = [x for x, _ in domain.vertices] + [a * Fraction(rng.randint(0, 97), 97) for _ in range(8)]
+            for x in xs:
+                assert domain.boundary_value(x) == boundary_value_by_scan(domain, x)
+                for y in (Fraction(0), b * Fraction(rng.randint(0, 130), 100), boundary_value_by_scan(domain, x)):
+                    expected = 0 <= y <= boundary_value_by_scan(domain, x)
+                    assert domain.contains_point((x, y)) == expected
+            for x in (-Fraction(1, 3), a + Fraction(1, 3)):
+                assert not domain.contains_point((x, 0))
+                with pytest.raises(ValueError):
+                    domain.boundary_value(x)
 
 
 class TestSupport:
@@ -292,6 +357,26 @@ class TestDiagonalContact:
     def test_square_corner_is_isolated(self, square):
         e = EllipsoidSpec((Fraction(2), Fraction(2)))
         assert diagonal_intersection_isolated(square, e) is DiagonalContact.ISOLATED
+
+    def test_matches_cross_product_classifier(self, polygon_near_diagonal):
+        rng = random.Random(61)
+        seen = {DiagonalContact.SEGMENT: 0, DiagonalContact.ISOLATED: 0}
+        for _ in range(400):
+            domain = polygon_near_diagonal(rng)
+            search = equal_diagonal_enclosing_ellipsoids(domain)
+            members = [p.x_axis for p in search.pairs]
+            if search.feasible and search.upper != search.lower:  # an interior member too
+                members.append(search.lower + 1 if search.upper is None else (search.lower + search.upper) / 2)
+            d = search.diagonal
+            for a in members:
+                b = a * d / (a - d)
+                if a > b:
+                    continue  # the ellipsoid's x-intercept is its smaller axis
+                e = EllipsoidSpec((a, b))
+                contact = diagonal_intersection_isolated(domain, e)
+                assert contact is contact_by_cross_products(domain, e), (domain.vertices, e)
+                seen[contact] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_precondition_enforced(self, square, e12):
         with pytest.raises(PreconditionViolated):

@@ -624,6 +624,7 @@ class TestBuildingValidation:
             ({"paired_with": ("plane_0", 0.0)}, "paired_with"),
             ({"paired_with": ("plane_0",)}, "paired_with"),
             ({"paired_with": ["plane_0", 0]}, "paired_with"),
+            ({"paired_with": ("plane_0", True)}, "paired_with"),
         ],
     )
     def test_malformed_ids_and_pairings_rejected_when_built(self, changes, field):
@@ -632,3 +633,15 @@ class TestBuildingValidation:
                 CurveNode(id=changes["id"], level=0, kind="top", index=0, energy=1, punctures=())
             else:
                 Puncture(cz=1, action=1, sign="positive", **changes)
+
+    @pytest.mark.parametrize("value", [1.0, 0.9, True, "1", Fraction(1)])
+    @pytest.mark.parametrize("field", ["cz", "level", "index", "divisor_hits", "total_index"])
+    def test_non_integer_fields_rejected_when_built(self, field, value):
+        node = dict(id="x", level=0, kind="top", index=0, energy=1, punctures=())
+        with pytest.raises(ValueError, match=field):
+            if field == "cz":
+                Puncture(cz=value, action=1, sign="positive")
+            elif field == "total_index":
+                Building(nodes=(), total_index=value)
+            else:
+                CurveNode(**{**node, field: value})
