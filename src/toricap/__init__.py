@@ -25,10 +25,8 @@ from .moment_domain import (
     support,
 )
 from .capacities import (
-    Ball,
     CapacityReport,
     Cylinder,
-    GenericToric,
     LowerBound,
     Polydisk,
     ProjectiveSpace,

@@ -125,12 +125,6 @@ def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
 
 
 @dataclass(frozen=True)
-class Ball:
-    capacity: Fraction
-    n: int
-
-
-@dataclass(frozen=True)
 class ProjectiveSpace:
     n: int
 
@@ -151,40 +145,30 @@ class Polydisk:
 
 
 @dataclass(frozen=True)
-class GenericToric:
-    domain: MomentDomain2D
-
-
-@dataclass(frozen=True)
 class LowerBound:
     """A certified lower bound; equality is not claimed."""
 
     value: Fraction
 
 
-Shape = Union[Ball, ProjectiveSpace, EllipsoidSpec, Cylinder, Polydisk, GenericToric]
+Shape = Union[ProjectiveSpace, EllipsoidSpec, Cylinder, Polydisk, MomentDomain2D]
 
 
 def lagrangian_capacity(shape: Shape) -> Union[Fraction, LowerBound]:
     """Lagrangian capacity for the shapes where it is known exactly.
 
-    Generic convex toric domains only get the diagonal as a lower bound,
-    so they return a tagged LowerBound rather than a bare number.
+    An ellipsoid answers with its diagonal when it is 4-dimensional or a
+    ball ``ball(c, n)``, whose diagonal is c/n.  A moment polygon, a
+    generic convex toric domain, only gets the diagonal as a lower bound,
+    so it returns a tagged LowerBound rather than a bare number.
     """
-    if isinstance(shape, Ball):
-        if shape.n < 1:
-            raise UnsupportedShape("ball dimension parameter must be >= 1")
-        r = as_rational(shape.capacity)
-        if r <= 0:
-            raise UnsupportedShape("ball capacity must be positive")
-        return r / shape.n
     if isinstance(shape, ProjectiveSpace):
         if shape.n < 1:
             raise UnsupportedShape("projective space dimension must be >= 1")
         return Fraction(1, shape.n + 1)
     if isinstance(shape, EllipsoidSpec):
-        if shape.dim != 2:
-            raise UnsupportedShape("only 4-dimensional ellipsoids have a known value here")
+        if shape.dim != 2 and shape.axes[0] != shape.axes[-1]:
+            raise UnsupportedShape("only 4-dimensional ellipsoids and balls have a known value here")
         return diagonal(shape)
     if isinstance(shape, Cylinder):
         if shape.k < 1 or shape.m < 0:
@@ -195,8 +179,8 @@ def lagrangian_capacity(shape: Shape) -> Union[Fraction, LowerBound]:
         if not radii or any(r < 1 for r in radii):
             raise UnsupportedShape("polydisk factors must all have capacity >= 1")
         return Fraction(1)
-    if isinstance(shape, GenericToric):
-        return LowerBound(diagonal(shape.domain))
+    if isinstance(shape, MomentDomain2D):
+        return LowerBound(diagonal(shape))
     raise UnsupportedShape(f"no known Lagrangian capacity for {type(shape).__name__}")
 
 

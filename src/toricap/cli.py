@@ -261,7 +261,7 @@ def cmd_lagcap(args) -> int:
 def _shape_from_args(args) -> capacities.Shape:
     kind = args.shape
     if kind == "ball":
-        return capacities.Ball(capacity=as_rational(args.capacity), n=args.n)
+        return moment_domain.ball(args.capacity, args.n)
     if kind == "projective":
         return capacities.ProjectiveSpace(n=args.n)
     if kind == "ellipsoid4":
@@ -272,7 +272,7 @@ def _shape_from_args(args) -> capacities.Shape:
     if kind == "polydisk":
         return capacities.Polydisk(radii=tuple(as_rational(r) for r in args.radii.split(",")))
     if kind == "toric":
-        return capacities.GenericToric(domain=_require_polygon(_load_domain(args)))
+        return _require_polygon(_load_domain(args))
     raise InputError(f"unknown shape {kind!r}")
 
 

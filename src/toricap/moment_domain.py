@@ -49,11 +49,9 @@ class PreconditionViolated(ValueError):
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' or decimal strings to Fraction."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
+        return value  # immutable, so no copy is needed
+    if isinstance(value, (int, str)):
+        return Fraction(value)  # strips surrounding whitespace itself
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact-arithmetic inputs; pass a string or Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -61,10 +59,7 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical lowest-terms rendering: '2', '-1/3', '7/5'."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 Point = tuple[Fraction, Fraction]
@@ -390,20 +385,17 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
     that ``diagonal`` solved on and on the line x/a + y/b = 1.  Returns
     SEGMENT when an edge through (d, d) lies inside that line, ISOLATED
     when every such edge crosses it transversally.  The line supports the
-    region and holds (d, d), so the region meets it in (d, d) alone or in
-    one edge through (d, d): SEGMENT iff some edge has both ends on it.
+    region and slopes strictly decrease, so the vertices on it are one
+    vertex or the two ends of a single edge: SEGMENT iff two or more.
     """
     if e.dim != 2:
         raise PreconditionViolated("classification requires a 4-dimensional ellipsoid")
     if not included_in_ellipsoid(domain, e):
         raise PreconditionViolated("domain is not included in the ellipsoid")
-    d = diagonal(domain)
-    if d != diagonal(e):
+    if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    a, b = e.axes
-    for (x1, y1), (x2, y2) in domain.edges():
-        if b * x1 + a * y1 == a * b == b * x2 + a * y2:
-            return DiagonalContact.SEGMENT
+    if len(_touching(domain, *e.axes)) >= 2:
+        return DiagonalContact.SEGMENT
     return DiagonalContact.ISOLATED
 
 

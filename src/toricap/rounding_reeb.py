@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -119,26 +120,16 @@ class OrbitSplit:
     hyperbolic_action: float
 
 
-def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> tuple[list[_Line], float]:
+def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
     """Supporting lines of the boundary graph, with shallow slopes tilted
-    down to ``-slope_floor`` about the edge's left endpoint.  Returns the
-    lines and the largest amount any tilted line dips below the graph."""
+    down to ``-slope_floor`` about the edge's left endpoint."""
     lines: list[_Line] = []
-    worst_tilt_dip = 0.0
-    a = float(domain.x_extent)
     for (x1, y1), (x2, y2) in domain.edges():
         if x2 == x1:
             continue  # final vertical drop, handled by the steep cap
-        s = float((y2 - y1) / (x2 - x1))
-        c = float(y1) - s * float(x1)
-        if s > -slope_floor:
-            s_t = -slope_floor
-            c_t = float(y1) - s_t * float(x1)
-            worst_tilt_dip = max(worst_tilt_dip, (s - s_t) * (a - float(x1)))
-            lines.append(_Line(c_t, s_t))
-        else:
-            lines.append(_Line(c, s))
-    return lines, worst_tilt_dip
+        s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
+        lines.append(_Line(float(y1) - s * float(x1), s))
+    return lines
 
 
 def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D:
@@ -163,7 +154,7 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     slope_floor = tau / a
     if slope_floor >= v / 2.0:
         raise SlopeConditionUnreachable("tau too large relative to v for a slope floor")
-    edge_lines, tilt_dip = _edge_lines(domain, slope_floor)
+    edge_lines = _edge_lines(domain, slope_floor)
 
     steepest = max(abs(ln.s) for ln in edge_lines)
     s_cap1 = -max(2.0 / v, 2.0 * steepest)
@@ -182,9 +173,22 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     lines = tuple(edge_lines + [cap0, cap1])
 
+    # resolution floor: in floats each line value c + s*x on [0, x_max] is
+    # off by at most gamma_2 * L, with L the largest |c| + |s|*x_max and
+    # gamma_2 = eps/(1 - eps) (Higham 2002, Lemma 3.1 and eq. 3.4), so each
+    # soft-min weight exp(-(val - lowest)/tau) is off by a factor up to
+    # exp(2 * gamma_2 * L / tau).  Above the floor that factor is at most 2,
+    # which the factor 8 in the margin absorbs at the slope conditions
+    eps = sys.float_info.epsilon
+    floor = 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * max(abs(c) + abs(s) * x_max for c, s in lines)
+    if tau < floor:
+        raise SlopeConditionUnreachable(f"tau = {tau:.6g} is below the float resolution floor {floor:.6g} of this polygon")
+
     # largest dip of any line below the graph; the gap is piecewise linear
-    # in x, so checking the kinks is exact
-    max_dip = tilt_dip
+    # in x, so checking the kinks is exact.  A tilted line dips at most
+    # slope_floor * a = tau, far less than cap0, which starts
+    # margin >= tau * log(72) > 4 * tau below b at the kink (0, b)
+    max_dip = 0.0
     for x_frac, y_frac in kinks:
         x = float(x_frac)
         lowest = min(c + s * x for c, s in lines)

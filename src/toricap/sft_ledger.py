@@ -9,6 +9,7 @@ arithmetic is exact; no floats.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -168,22 +169,6 @@ def energy_partition_check(
     return PartitionReport(not violations, tuple(violations))
 
 
-def _candidate_count(n: int, top: int) -> int:
-    """Partitions of 0, 1, ..., top into at most n parts, summed: exact up
-    to PARTITION_LIMIT, and a lower bound above it."""
-    if top + 1 > PARTITION_LIMIT:
-        return top + 1  # at least one partition of each excess
-    # counts[j]: partitions of j into parts of size <= part, which by
-    # conjugation is the number into at most part parts; it only grows
-    counts = [1] + [0] * top
-    for part in range(1, min(n, top) + 1):
-        for j in range(part, top + 1):
-            counts[j] += counts[j - part]
-        if sum(counts) > PARTITION_LIMIT:
-            break
-    return sum(counts)
-
-
 def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction, ...]]:
     """All candidate partitions under the constraints alone: n areas in
     {1/n, 2/n, ...}, a final positive area, total 1 + epsilon.
@@ -191,39 +176,38 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     Partitions are returned as non-increasing multiple lists plus the
     final area.  Exactly one candidate exists when epsilon < 1/n; larger
     epsilon may admit more, which is the point of the hypothesis, so no
-    epsilon cap is imposed here.  The candidates are counted before they
-    are listed, and more than PARTITION_LIMIT (10,000) of them raise
-    TooManyPartitions.
+    epsilon cap is imposed here.  The candidates are listed lazily, and
+    the 10,001st raises TooManyPartitions (PARTITION_LIMIT is 10,000).
     """
     if n < 1:
         raise ValueError("n must be positive")
     eps = as_rational(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    total = 1 + eps
     # the n multiples m_i >= 1 must satisfy sum(m_i)/n < 1 + eps; writing
     # m_i = 1 + e_i, the excesses e_i >= 0 form a partition of s - n into
     # at most n parts, and s - n < n * eps bounds the recursion depth
     top = math.ceil(n * eps) - 1  # the largest excess s - n
-    count = _candidate_count(n, top)
-    if count > PARTITION_LIMIT:
-        raise TooManyPartitions(f"at least {count} candidate partitions, above the limit of {PARTITION_LIMIT}")
-    results: list[tuple[Fraction, ...]] = []
 
     def excesses(remaining: int, slots: int, bound: int):
+        # a part below ceil(remaining / slots) leaves too much for the
+        # slots after it, so every branch yields a partition
         if remaining == 0:
             yield ()
-        elif slots:
-            for e in range(min(bound, remaining), 0, -1):
+        else:
+            for e in range(min(bound, remaining), -(-remaining // slots) - 1, -1):
                 for rest in excesses(remaining - e, slots - 1, e):
                     yield (e,) + rest
 
-    for s in range(n, n + top + 1):
-        for excess in excesses(s - n, n, s - n):
-            multiples = [1 + e for e in excess] + [1] * (n - len(excess))
-            results.append(tuple(Fraction(m, n) for m in multiples) + (total - Fraction(s, n),))
-    results.sort()
-    return results
+    every = (excess for total in range(top + 1) for excess in excesses(total, n, total))
+    listed = list(itertools.islice(every, PARTITION_LIMIT + 1))
+    if len(listed) > PARTITION_LIMIT:
+        raise TooManyPartitions(f"at least {PARTITION_LIMIT + 1} candidate partitions, above the limit of {PARTITION_LIMIT}")
+    return sorted(
+        tuple(Fraction(1 + e, n) for e in excess) + (Fraction(1, n),) * (n - len(excess))
+        + (eps - Fraction(sum(excess), n),)  # the final area, 1 + eps less the n areas
+        for excess in listed
+    )
 
 
 # ---------------------------------------------------------------------------

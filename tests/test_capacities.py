@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from toricap import (
-    Ball,
     Cylinder,
     EllipsoidSpec,
-    GenericToric,
     LowerBound,
     Polydisk,
     ProjectiveSpace,
     UnsupportedShape,
+    ball,
     diagonal,
     find_k_equal_diagonal,
     gh_capacity_toric4,
@@ -230,8 +229,14 @@ class TestEqualDiagonalIndex:
 
 class TestLagrangianCapacity:
     def test_ball(self):
-        assert lagrangian_capacity(Ball(capacity=Fraction(1), n=3)) == Fraction(1, 3)
-        assert lagrangian_capacity(Ball(capacity=Fraction(5, 2), n=5)) == Fraction(1, 2)
+        assert lagrangian_capacity(ball(1, 3)) == Fraction(1, 3)
+        assert lagrangian_capacity(ball(Fraction(5, 2), 5)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_ball_is_capacity_over_n(self, n):
+        # c_L(B^{2n}(c)) = c/n (Cieliebak-Mohnke), the diagonal of the ball
+        for c in (Fraction(1), Fraction(7, 3), Fraction(1, 1000)):
+            assert lagrangian_capacity(ball(c, n)) == c / n
 
     def test_projective_space(self):
         assert lagrangian_capacity(ProjectiveSpace(n=2)) == Fraction(1, 3)
@@ -241,6 +246,8 @@ class TestLagrangianCapacity:
         assert lagrangian_capacity(EllipsoidSpec((Fraction(3), Fraction(6)))) == 2
         with pytest.raises(UnsupportedShape):
             lagrangian_capacity(EllipsoidSpec((Fraction(1), Fraction(2), Fraction(3))))
+        with pytest.raises(UnsupportedShape):
+            lagrangian_capacity(EllipsoidSpec((Fraction(1), Fraction(1), Fraction(2))))
 
     def test_cylinder(self):
         assert lagrangian_capacity(Cylinder(k=1, m=4)) == 1
@@ -252,9 +259,13 @@ class TestLagrangianCapacity:
             lagrangian_capacity(Polydisk(radii=(Fraction(1, 2),)))
 
     def test_generic_toric_lower_bound(self, square):
-        value = lagrangian_capacity(GenericToric(domain=square))
-        assert isinstance(value, LowerBound)
-        assert value.value == 1
+        assert lagrangian_capacity(square) == LowerBound(Fraction(1))
+
+    def test_polygon_lower_bound_is_its_diagonal(self, polygon_near_diagonal):
+        rng = random.Random(17)
+        for _ in range(30):
+            domain = polygon_near_diagonal(rng)
+            assert lagrangian_capacity(domain) == LowerBound(diagonal(domain))
 
 
 class TestCounts:

@@ -195,6 +195,19 @@ class TestLagcap:
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "ball", "--capacity", "1", "--n", "3")
         assert code == 0 and out.strip() == "1/3"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "0"], "error: ellipsoid needs at least one axis"),
+            (["--capacity", "0"], "error: ellipsoid axes must be positive"),
+            (["--capacity=-1/2", "--n", "2"], "error: ellipsoid axes must be positive"),
+        ],
+    )
+    def test_bad_ball_is_input_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "lagcap", "--shape", "ball", *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [message]
+
     def test_projective(self, capsys):
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "projective", "--n", "2")
         assert code == 0 and out.strip() == "1/3"

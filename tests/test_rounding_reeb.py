@@ -3,6 +3,7 @@ import bisect
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,16 @@ class TestRounding:
             round_domain(tri, 0.5, 0.5)
         with pytest.raises(SlopeConditionUnreachable):
             round_domain(tri, 1e-3, 1.5)
+
+    @pytest.mark.parametrize("size, tau", [(1, 1e-300), (10**12, 1e-6)])
+    def test_tau_below_the_resolution_floor_names_the_floor(self, size, tau):
+        # both once failed with a g'(0) message that blamed v
+        tri = make_polygon_domain([(0, size), (size, 0)])
+        with pytest.raises(SlopeConditionUnreachable) as info:
+            round_domain(tri, tau, V)
+        found = re.fullmatch(r"tau = (\S+) is below the float resolution floor (\S+) of this polygon", str(info.value))
+        assert found and float(found[1]) == tau
+        assert tau < float(found[2]) < 1e-12 * size  # a few ulps of the steep cap's span
 
     def test_concavity_of_derivative_samples(self, rounded_pentagon):
         xs = [rounded_pentagon.x_max * i / 512 for i in range(513)]

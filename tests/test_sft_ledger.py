@@ -29,7 +29,6 @@ from toricap.sft_ledger import (
     CheckResult,
     PuncturedSphereData,
     ValidationReport,
-    _candidate_count,
     building_from_json,
     building_to_json,
     report_to_json,
@@ -253,11 +252,33 @@ class TestEnergyPartition:
         n, eps = 1000, Fraction(1, 1001)
         assert energy_partition_solve(n, eps) == [tuple([Fraction(1, n)] * n) + (eps,)]
 
-    def test_candidate_count_matches_the_listing(self):
-        for n in range(1, 13):
-            for eps in (Fraction(1, n + 1), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
-                top = -(-n * eps // 1) - 1  # the largest excess below n * eps
-                assert _candidate_count(n, top) == len(energy_partition_solve(n, eps))
+    def test_one_area_lists_every_multiple(self):
+        # one candidate per multiple; the walk visits no branch that yields nothing
+        sols = energy_partition_solve(1, 9999)
+        assert sols == [(Fraction(m), Fraction(10_000 - m)) for m in range(1, 10_000)]
+        assert sols[0] == (Fraction(1), Fraction(9999))
+        assert sols[-1] == (Fraction(9999), Fraction(1))
+
+    def test_exactly_the_limit_is_listed(self):
+        n, eps = 2, Fraction(199, 2)
+        expected = sorted(
+            (Fraction(m1, 2), Fraction(m2, 2), 1 + eps - Fraction(m1 + m2, 2))
+            for m1, m2 in itertools.combinations_with_replacement(range(199, 0, -1), 2)
+            if m1 + m2 < 2 * (1 + eps)
+        )
+        assert len(expected) == PARTITION_LIMIT
+        sols = energy_partition_solve(n, eps)
+        assert sols == expected
+        assert sols[0] == (Fraction(1, 2), Fraction(1, 2), Fraction(199, 2))
+        assert sols[-1] == (Fraction(199, 2), Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("eps", [100, 140])
+    def test_one_past_the_limit_raises_with_the_fixed_count(self, eps):
+        pairs = itertools.combinations_with_replacement(range(1, 2 * eps + 2), 2)
+        assert sum(m1 + m2 < 2 * (1 + eps) for m1, m2 in pairs) == {100: 10_100, 140: 19_740}[eps]
+        message = f"at least {PARTITION_LIMIT + 1} candidate partitions, above the limit of {PARTITION_LIMIT}"
+        with pytest.raises(TooManyPartitions, match=f"^{message}$"):
+            energy_partition_solve(2, eps)
 
     @pytest.mark.parametrize("n, eps", [(100, 1), (30, 1), (10**6, 10), (10**4, Fraction(9999, 10**4))])
     def test_too_many_candidates_raise_at_once(self, n, eps):
