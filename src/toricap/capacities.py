@@ -17,7 +17,7 @@ from .moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
-    _diagonal_edge,
+    _near_diagonal,
     as_rational,
     diagonal,
     support,
@@ -60,12 +60,12 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     support is at or before (x1, y1), where the slope is negative; above
     it, at or after (x2, y2), where it is >= 0.  So l* is the smallest
     real minimizer, and the smallest integer one is floor(l*) or
-    floor(l*) + 1 <= k: two support evaluations, O(V) exact work, ties
+    floor(l*) + 1 <= k: two support evaluations, O(log V) exact work, ties
     going to the lexicographically smallest pair.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    (x1, y1), (x2, y2) = _diagonal_edge(domain)
+    (x1, y1), (x2, y2) = _near_diagonal(domain)[:2]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
     value, l = min((support(domain, (l, k - l)), l) for l in range(floor, min(floor + 2, k + 1)))
     return CapacityReport(k, value, LatticeDirection(l, k - l))

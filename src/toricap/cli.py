@@ -181,16 +181,8 @@ def cmd_spectrum(args) -> int:
     rows = []
     for fam in families:
         split = rounding_reeb.split_family(fam)
-        rows.append(
-            [
-                str(fam.direction.l),
-                str(fam.direction.m),
-                str(fam.multiplicity),
-                _fmt_float(fam.action),
-                str(split.elliptic_cz),
-                str(split.hyperbolic_cz),
-            ]
-        )
+        rows.append([str(fam.direction.l), str(fam.direction.m), str(fam.multiplicity),
+                     _fmt_float(fam.action), str(split.elliptic_cz), str(split.hyperbolic_cz)])
     _emit_rows(args, ["l", "m", "gcd", "action", "cz_e", "cz_h"], rows)
     _write_polyline(args, smooth)
     return EXIT_OK
@@ -271,9 +263,7 @@ def _shape_from_args(args) -> capacities.Shape:
         return capacities.Cylinder(k=args.n, m=args.m)
     if kind == "polydisk":
         return capacities.Polydisk(radii=tuple(as_rational(r) for r in args.radii.split(",")))
-    if kind == "toric":
-        return _require_polygon(_load_domain(args))
-    raise InputError(f"unknown shape {kind!r}")
+    return _require_polygon(_load_domain(args))  # "toric", the last of the parser's choices
 
 
 def cmd_ledger(args) -> int:
@@ -285,7 +275,7 @@ def cmd_ledger(args) -> int:
         payload = {
             "gw_tangency_count": capacities.gw_tangency_count(args.n),
             "torus_descendant_zero_sum": capacities.torus_descendant(
-                args.n + 1, _zero_sum_classes(args.n + 1)
+                args.n + 1, [[1, 0]] * args.n + [[-args.n, 0]]  # n classes (1, 0) and (-n, 0) cancel
             ),
         }
         _emit(args, json.dumps(payload, indent=2))
@@ -316,12 +306,6 @@ def cmd_ledger(args) -> int:
     report = sft_ledger.building_validate(building, check_unpaired_parity=args.check_parity)
     _emit(args, sft_ledger.report_to_json(report))
     return EXIT_OK if report.ok else EXIT_VALIDATION
-
-
-def _zero_sum_classes(k: int) -> list[list[int]]:
-    classes = [[1, 0] for _ in range(k - 1)]
-    classes.append([-(k - 1), 0])
-    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,10 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value  # immutable, so no copy is needed
     if isinstance(value, (int, str)):
-        return Fraction(value)  # strips surrounding whitespace itself
+        try:
+            return Fraction(value)  # strips surrounding whitespace itself
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact-arithmetic inputs; pass a string or Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -221,30 +224,33 @@ def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDom
     return MomentDomain2D(tuple(pts))
 
 
-def _diagonal_edge(domain: MomentDomain2D) -> tuple[Point, Point]:
-    """The edge (x1, y1) -> (x2, y2) on which the boundary meets y = x.
+def _near_diagonal(domain: MomentDomain2D) -> tuple[Point, ...]:
+    """Vertices j - 1, j and j + 1, j the first vertex on or below y = x.
 
-    Along the boundary y - x falls strictly, from b > 0 to -a < 0, so the
-    edge ending at the first vertex on or below y = x has y1 > x1 and
-    y2 <= x2; a vertex on the diagonal ends the edge it closes.
+    Along the boundary y - x falls strictly, from b > 0 to -a < 0, so
+    j >= 1 and the boundary meets y = x on the edge (x1, y1) -> (x2, y2)
+    from j - 1 to j, with y1 > x1 and y2 <= x2; a vertex on the diagonal
+    ends the edge it closes.
     """
     v = domain.vertices
     j = bisect_left(v, True, key=lambda p: p[1] <= p[0])
-    return v[j - 1], v[j]
+    return v[j - 1:j + 2]
 
 
 def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
     """sup{t > 0 : (t, ..., t) lies in the moment region}.
 
-    For an ellipsoid the closed form (sum 1/a_i)^(-1) is used; for a
-    polygon it is the crossing of y = x with the edge from
-    ``_diagonal_edge``, (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2).  The
+    For an ellipsoid the closed form (sum 1/a_i)^(-1) is used, summed in
+    integers over the lcm of the axis numerators; for a polygon it is the
+    crossing of y = x with the first edge of ``_near_diagonal``,
+    (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2).  The
     denominator is (y1 - x1) - (y2 - x2) > 0, and on a final vertical
     drop the formula gives x1.
     """
     if isinstance(domain, EllipsoidSpec):
-        return 1 / sum(1 / a for a in domain.axes)
-    (x1, y1), (x2, y2) = _diagonal_edge(domain)
+        lcm = math.lcm(*(a.numerator for a in domain.axes))
+        return Fraction(lcm, sum(a.denominator * (lcm // a.numerator) for a in domain.axes))
+    (x1, y1), (x2, y2) = _near_diagonal(domain)[:2]
     return (x2 * y1 - x1 * y2) / (x2 - x1 + y1 - y2)
 
 
@@ -263,22 +269,34 @@ def _direction_components(v: DirectionLike) -> tuple[Fraction, Fraction]:
 
 
 def support(domain: MomentDomain2D, v: DirectionLike) -> Fraction:
-    """Exact maximum of <v, w> over the moment region, attained at a vertex."""
+    """Exact maximum of <v, w> over the moment region, in O(log V).
+
+    The maximum is at a vertex.  Edge i changes <v, w> by vx*dx + vy*dy,
+    dx*(vx + vy*s_i) for slope s_i; slopes fall strictly and vy >= 0, so
+    "increment <= 0" holds from some edge on (a final vertical drop adds
+    vy*dy <= 0), and bisection finds that edge, whose start is the maximum.
+    """
     vx, vy = _direction_components(v)
-    return max(vx * x + vy * y for x, y in domain.vertices)
+    w = domain.vertices
+
+    def non_increasing(i: int) -> bool:
+        (x1, y1), (x2, y2) = w[i], w[i + 1]
+        return vx * (x2 - x1) <= vy * (y1 - y2)
+
+    x, y = w[bisect_left(range(len(w) - 1), True, key=non_increasing)]
+    return vx * x + vy * y
 
 
 def included_in_ellipsoid(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
-    """True iff every vertex (x, y) satisfies x/a + y/b <= 1.
+    """True iff the region lies in x/a + y/b <= 1 (axes[0] is the x-intercept).
 
-    Vertex checks suffice: the constraint is a half-plane and the region
-    is the convex hull of its vertices (plus the axis corners, which
-    satisfy it automatically).  axes[0] is the x-intercept.
+    The largest value of x/a + y/b over the region is exactly
+    ``support(domain, (1/a, 1/b))``.
     """
     if e.dim != 2:
         raise ValueError("inclusion test requires a 4-dimensional ellipsoid")
     a, b = e.axes
-    return all(x / a + y / b <= 1 for x, y in domain.vertices)
+    return support(domain, (1 / a, 1 / b)) <= 1
 
 
 @dataclass(frozen=True)
@@ -313,12 +331,8 @@ class EnclosureSearch:
         return self.lower is not None
 
 
-def _paired_axis(a: Fraction, d: Fraction) -> Fraction:
-    return a * d / (a - d)
-
-
-def _touching(domain: MomentDomain2D, a: Fraction, b: Fraction) -> tuple[Point, ...]:
-    return tuple((x, y) for x, y in domain.vertices if x / a + y / b == 1)
+def _touching(near: Sequence[Point], a: Fraction, b: Fraction) -> tuple[Point, ...]:
+    return tuple((x, y) for x, y in near if x / a + y / b == 1)
 
 
 def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSearch:
@@ -326,30 +340,27 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
 
     Writing b = a*d/(a-d), each vertex (x, y) imposes a constraint linear
     in a, so the feasible a-set is computed exactly as an interval and no
-    resolution is lost.  The reported pairs are the interval's attained
-    lower endpoint, its finite upper endpoint and the a = b member 2d when
-    it lies in the interval; each is feasible by construction, and a
-    feasible interval always has one of them: without either end it is
-    (d, oo), which holds 2d.  The symmetric branch (x-intercept exceeding
-    y-intercept) is part of the same parameter interval.
+    resolution is lost.  The line x/a + y/b = 1 passes through (d, d) on
+    the boundary, so it supports the convex region iff it supports the
+    region's tangent cone at (d, d), spanned by the edges there: the edge
+    j - 1 -> j of ``_near_diagonal``, and j -> j + 1 when (d, d) is vertex
+    j.  Only those three vertices constrain a, and the face the line
+    touches holds (d, d), so its vertices are among them: O(log V) work.
+    The reported pairs are the interval's attained lower endpoint, its
+    finite upper endpoint and the a = b member 2d when it lies in the
+    interval; each is feasible by construction, and a feasible interval
+    always has one of them: without either end it is (d, oo), which holds
+    2d.  The symmetric branch (x-intercept exceeding y-intercept) is part
+    of the same parameter interval.
     """
     d = diagonal(domain)
-    # vertex (x, y) inside E(a, b(a))  <=>  a*(y - d) <= d*(y - x)
-    lower = None  # in addition to the open bound a > d
-    upper = None
-    for x, y in domain.vertices:
-        if y == d:
-            if x > d:
-                return EnclosureSearch(d, None, None, False, ())
-            continue
-        bound = d * (y - x) / (y - d)
-        if y > d:
-            upper = bound if upper is None else min(upper, bound)
-        else:
-            lower = bound if lower is None else max(lower, bound)
-
-    lo = lower if (lower is not None and lower > d) else None  # None => infimum d, open
-    lo_eff = lo if lo is not None else d
+    near = _near_diagonal(domain)
+    # vertex (x, y) inside E(a, b(a))  <=>  a*(y - d) <= d*(y - x), for a > d
+    if any(y == d < x for x, y in near):
+        return EnclosureSearch(d, None, None, False, ())
+    upper = min((d * (y - x) / (y - d) for x, y in near if y > d), default=None)
+    lo_eff = max([d, *(d * (y - x) / (y - d) for x, y in near if y < d)])  # the infimum
+    lo = lo_eff if lo_eff > d else None  # None => infimum d, open
     if upper is not None and (upper <= d or upper < lo_eff):
         return EnclosureSearch(d, None, None, False, ())
 
@@ -358,8 +369,8 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
         members.add(2 * d)  # the a = b member of the family
     pairs = []
     for a in sorted(members):
-        b = _paired_axis(a, d)
-        pairs.append(EnclosingEllipsoid(a, b, _touching(domain, a, b)))
+        b = a * d / (a - d)
+        pairs.append(EnclosingEllipsoid(a, b, _touching(near, a, b)))
 
     return EnclosureSearch(
         diagonal=d,
@@ -394,7 +405,7 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
         raise PreconditionViolated("domain is not included in the ellipsoid")
     if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    if len(_touching(domain, *e.axes)) >= 2:
+    if len(_touching(_near_diagonal(domain), *e.axes)) >= 2:
         return DiagonalContact.SEGMENT
     return DiagonalContact.ISOLATED
 

@@ -26,10 +26,41 @@ def random_polygon_near_diagonal(rng):
     return make_polygon_domain(vertices)
 
 
+def random_concave_polygon(rng):
+    """A random moment polygon: strictly decreasing rational slopes <= 0,
+    rational edge widths, sometimes a final vertical drop."""
+    slopes = sorted(
+        {Fraction(-rng.randint(0, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))},
+        reverse=True,
+    )
+    steps = []
+    for slope in slopes:
+        dx = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        steps.append((dx, slope * dx))
+    drop = Fraction(rng.randint(1, 8), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
+    height = drop - sum(dy for _, dy in steps)
+    if height == 0:
+        drop = height = Fraction(1)
+    x, y = Fraction(0), height
+    vertices = [(x, y)]
+    for dx, dy in steps:
+        x, y = x + dx, y + dy
+        vertices.append((x, y))
+    if drop:
+        vertices.append((x, Fraction(0)))
+    return make_polygon_domain(vertices)
+
+
 @pytest.fixture
 def polygon_near_diagonal():
-    """The generator above: call it with a random.Random."""
+    """``random_polygon_near_diagonal``: call it with a random.Random."""
     return random_polygon_near_diagonal
+
+
+@pytest.fixture
+def concave_polygon():
+    """``random_concave_polygon``: call it with a random.Random."""
+    return random_concave_polygon
 
 
 @pytest.fixture

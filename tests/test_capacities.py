@@ -44,31 +44,6 @@ def toric_min_max(domain, k):
     return Fraction(value, scale), l
 
 
-def random_concave_polygon(rng):
-    """A random moment polygon: strictly decreasing rational slopes <= 0,
-    rational edge widths, sometimes a final vertical drop."""
-    slopes = sorted(
-        {Fraction(-rng.randint(0, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))},
-        reverse=True,
-    )
-    steps = []
-    for slope in slopes:
-        dx = Fraction(rng.randint(1, 12), rng.randint(1, 4))
-        steps.append((dx, slope * dx))
-    drop = Fraction(rng.randint(1, 8), rng.randint(1, 3)) if rng.random() < 0.3 else Fraction(0)
-    height = drop - sum(dy for _, dy in steps)
-    if height == 0:
-        drop = height = Fraction(1)
-    x, y = Fraction(0), height
-    vertices = [(x, y)]
-    for dx, dy in steps:
-        x, y = x + dx, y + dy
-        vertices.append((x, y))
-    if drop:
-        vertices.append((x, Fraction(0)))
-    return make_polygon_domain(vertices)
-
-
 def random_ellipsoid(rng, cap=50):
     a = Fraction(rng.randint(1, cap), rng.randint(1, cap))
     b = Fraction(rng.randint(1, cap), rng.randint(1, cap))
@@ -106,10 +81,10 @@ class TestToricPath:
         report = gh_capacity_toric4(domain, k)
         assert (report.value, report.minimizer.as_pair()) == (value, (l, k - l)), (domain, k)
 
-    def test_bisection_matches_scan_on_random_polygons(self):
+    def test_bisection_matches_scan_on_random_polygons(self, concave_polygon):
         rng = random.Random(37)
         for _ in range(200):
-            domain = random_concave_polygon(rng)
+            domain = concave_polygon(rng)
             for k in rng.sample(range(1, 101), 30):
                 self.assert_matches_scan(domain, k)
 

@@ -18,10 +18,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SQUARE = '{"type":"polygon","vertices":[["0","1"],["1","1"],["1","0"]]}'
+
+
 @pytest.fixture
 def square_json(tmp_path):
     path = tmp_path / "square.json"
-    path.write_text('{"type":"polygon","vertices":[["0","1"],["1","1"],["1","0"]]}')
+    path.write_text(SQUARE)
     return str(path)
 
 
@@ -442,6 +445,22 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["support", "--polygon", SQUARE, "--direction", "1/0,1"],
+            ["diag", "--ellipsoid", "1/0,2"],
+            ["diag", "--polygon", '{"type":"polygon","vertices":[["0","1/0"],["1","0"]]}'],
+            ["ledger", "--partition", "--n", "2", "--epsilon", "1/0"],
+            ["lagcap", "--shape", "ball", "--capacity", "1/0", "--n", "3"],
+        ],
+    )
+    def test_zero_denominator_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: zero denominator in '1/0'"]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cutoff", ["inf", "nan"])

@@ -1,5 +1,7 @@
 """Exact geometry: construction, diagonal, support, inclusion, enclosure."""
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from toricap import (
     DiagonalContact,
     EllipsoidSpec,
     LatticeDirection,
+    MomentDomain2D,
     NonConcave,
     NotMonotone,
     PreconditionViolated,
@@ -106,6 +109,61 @@ def support_by_vertex_enumeration(domain, v):
     return max(vx * x + vy * y for x, y in domain.vertices)
 
 
+def included_by_vertex_scan(domain, e):
+    """Oracle: every vertex satisfies x/a + y/b <= 1."""
+    a, b = e.axes
+    return all(x / a + y / b <= 1 for x, y in domain.vertices)
+
+
+def enclosure_by_vertex_scan(domain):
+    """Oracle: (lower, upper, lower_attained) of the feasible a-interval
+    from the constraint a*(y - d) <= d*(y - x) of every vertex, or None
+    when no a > d meets them all."""
+    d = diagonal(domain)
+    lower, upper, attained = d, None, False  # open at d unless a vertex bound is higher
+    for x, y in domain.vertices:
+        if y == d:
+            if x > d:
+                return None
+            continue
+        bound = d * (y - x) / (y - d)
+        if y > d:
+            upper = bound if upper is None else min(upper, bound)
+        elif bound > lower:
+            lower, attained = bound, True
+    if upper is not None and (upper <= d or upper < lower):
+        return None
+    return lower, upper, attained
+
+
+def touching_by_vertex_scan(domain, a, b):
+    """Oracle: the vertices on the line x/a + y/b = 1, in boundary order."""
+    return tuple((x, y) for x, y in domain.vertices if x / a + y / b == 1)
+
+
+class CountingVertices(tuple):
+    """A vertex tuple that counts the vertices read through it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+@pytest.fixture(scope="module")
+def parabola():
+    """A 100,001-vertex moment polygon: (i, N^2 - i^2) for i = 0..N with
+    N = 10**5, whose slopes -(2i + 1) fall strictly."""
+    n = 10**5
+    return make_polygon_domain([(i, n * n - i * i) for i in range(n + 1)])
+
+
 class TestConstruction:
     def test_simplices_and_square_are_valid(self, tri11, tri12, square):
         assert tri11.x_extent == 1 and tri11.y_extent == 1
@@ -156,6 +214,16 @@ class TestDiagonal:
         assert diagonal(EllipsoidSpec((Fraction(3), Fraction(6)))) == 2
         for n in range(1, 11):
             assert diagonal(ball(1, n)) == Fraction(1, n)
+
+    def test_ellipsoid_matches_reciprocal_sum(self):
+        # the integer sum over the lcm of the axis numerators is exact
+        for n in range(1, 11):
+            for c in (Fraction(7, 3), Fraction(1, 1000), Fraction(10**6)):
+                assert diagonal(ball(c, n)) == c / n
+        rng = random.Random(59)
+        for _ in range(300):
+            axes = sorted(Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(rng.randint(1, 8)))
+            assert diagonal(EllipsoidSpec(tuple(axes))) == 1 / sum(1 / a for a in axes)
 
     def test_square_diagonal_matches_membership_scan(self, square):
         lo, hi = diagonal_by_scan(square)
@@ -254,6 +322,79 @@ class TestSupport:
         for _ in range(50):
             v = (rng.randint(0, 8), rng.randint(1, 8))
             assert support(pentagon, v) == support_by_vertex_enumeration(pentagon, v)
+
+
+class TestScanOracles:
+    """The O(log V) searches give exactly what the O(V) vertex scans give."""
+
+    @staticmethod
+    def polygons(concave_polygon, polygon_near_diagonal):
+        rng = random.Random(37)  # the polygons of TestToricPath's 200-polygon suite
+        yield from (concave_polygon(rng) for _ in range(200))
+        rng = random.Random(43)
+        yield from (polygon_near_diagonal(rng) for _ in range(400))
+        rng = random.Random(47)
+        yield from (random_polygon_with_diagonal_vertex(rng) for _ in range(300))
+
+    def test_support_matches_vertex_scan(self, concave_polygon, polygon_near_diagonal):
+        rng = random.Random(67)
+        for domain in self.polygons(concave_polygon, polygon_near_diagonal):
+            directions = [(1, 0), (0, 1), (1, 1), LatticeDirection(rng.randint(0, 9), rng.randint(1, 9))]
+            directions.append((Fraction(rng.randint(0, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+            for v in directions:
+                pair = v.as_pair() if isinstance(v, LatticeDirection) else v
+                assert support(domain, v) == support_by_vertex_enumeration(domain, pair), (domain.vertices, v)
+
+    def test_inclusion_matches_vertex_scan(self, concave_polygon, polygon_near_diagonal):
+        rng = random.Random(71)
+        for domain in self.polygons(concave_polygon, polygon_near_diagonal):
+            for _ in range(3):
+                a, b = sorted(Fraction(rng.randint(1, 60), rng.randint(1, 4)) for _ in range(2))
+                e = EllipsoidSpec((a, b))
+                assert included_in_ellipsoid(domain, e) == included_by_vertex_scan(domain, e)
+
+    def test_enclosure_matches_vertex_scan(self, concave_polygon, polygon_near_diagonal):
+        seen = Counter()
+        for domain in self.polygons(concave_polygon, polygon_near_diagonal):
+            search = equal_diagonal_enclosing_ellipsoids(domain)
+            d = search.diagonal
+            expected = enclosure_by_vertex_scan(domain)
+            if expected is None:
+                assert not search.feasible and search.pairs == (), domain.vertices
+                seen["infeasible"] += 1
+                continue
+            assert (search.lower, search.upper, search.lower_attained) == expected, domain.vertices
+            seen["corner" if (d, d) in domain.vertices else "edge"] += 1
+            for p in search.pairs:
+                touching = touching_by_vertex_scan(domain, p.x_axis, p.y_axis)
+                assert p.touching_vertices == touching, (domain.vertices, p)
+                seen[f"{len(touching)} touching"] += 1
+                if p.x_axis <= p.y_axis:  # inclusion exactly on the boundary, and just off it
+                    for c, inside in ((1, True), (Fraction(99, 100), False)):
+                        e = EllipsoidSpec((c * p.x_axis, c * p.y_axis))
+                        assert included_in_ellipsoid(domain, e) is included_by_vertex_scan(domain, e) is inside
+                        if inside:
+                            contact = diagonal_intersection_isolated(domain, e)
+                            assert (contact is DiagonalContact.SEGMENT) == (len(touching) >= 2)
+        for case in ("infeasible", "corner", "edge", "1 touching", "2 touching"):
+            assert seen[case] >= 20, seen
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda domain: support(domain, (1, 1)),
+            lambda domain: support(domain, (3, 10**6)),
+            lambda domain: support(domain, (Fraction(5, 7), 0)),
+            lambda domain: included_in_ellipsoid(domain, EllipsoidSpec((Fraction(2 * 10**10), Fraction(2 * 10**10)))),
+            equal_diagonal_enclosing_ellipsoids,
+        ],
+        ids=["support-diagonal", "support-steep", "support-axis", "inclusion", "enclosure"],
+    )
+    def test_searches_read_logarithmically_many_vertices(self, parabola, search):
+        counted = MomentDomain2D(CountingVertices(parabola.vertices))
+        assert search(counted) == search(parabola)
+        size = len(parabola.vertices)
+        assert counted.vertices.reads <= 4 * math.ceil(math.log2(size)) + 4
 
 
 class TestInclusion:
