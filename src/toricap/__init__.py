@@ -8,7 +8,6 @@ curves and holomorphic buildings.
 
 from .moment_domain import (
     BadEndpoints,
-    DiagonalContact,
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
@@ -45,7 +44,6 @@ from .rounding_reeb import (
     SlopeConditionUnreachable,
     SmoothDomain2D,
     capacity_via_spectrum,
-    flat_torus_geodesic_spectrum,
     gauss_point,
     orbit_families,
     reeb_angular_velocity,

@@ -25,6 +25,7 @@ from .moment_domain import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+_BALL_N_LIMIT = 10**6  # ball(c, n) builds and compares n Fraction axes in Python
 
 
 class InputError(Exception):
@@ -177,6 +178,7 @@ def cmd_gh(args) -> int:
 def cmd_spectrum(args) -> int:
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
+    polyline = _polyline(args, smooth)
     families = rounding_reeb.orbit_families(smooth, args.cutoff)
     rows = []
     for fam in families:
@@ -184,33 +186,39 @@ def cmd_spectrum(args) -> int:
         rows.append([str(fam.direction.l), str(fam.direction.m), str(fam.multiplicity),
                      _fmt_float(fam.action), str(split.elliptic_cz), str(split.hyperbolic_cz)])
     _emit_rows(args, ["l", "m", "gcd", "action", "cz_e", "cz_h"], rows)
-    _write_polyline(args, smooth)
+    _write_polyline(args, polyline)
     return EXIT_OK
 
 
-def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
+def _polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> Optional[list[tuple[float, float]]]:
+    """The --boundary-out samples, taken before any output so that a bad --samples writes nothing."""
+    return rounding_reeb.boundary_polyline(smooth, args.samples) if args.boundary_out else None
+
+
+def _write_polyline(args, points: Optional[list[tuple[float, float]]]) -> None:
     """Write the rounded boundary as an x,y CSV when --boundary-out is given."""
-    if not args.boundary_out:
+    if points is None:
         return
     with open(args.boundary_out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
-        for x, y in rounding_reeb.boundary_polyline(smooth, args.samples):
+        for x, y in points:
             writer.writerow([_fmt_float(x), _fmt_float(y)])
 
 
 def cmd_round(args) -> int:
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
+    polyline = _polyline(args, smooth)
     payload = {
         "tau": _fmt_float(smooth.tau),
         "v": _fmt_float(smooth.v),
         "x_max": _fmt_float(smooth.x_max),
-        "b_prime": _fmt_float(smooth.b_prime),
+        "b_prime": _fmt_float(smooth.value(0.0)),
         "hausdorff_bound": _fmt_float(smooth.hausdorff_bound),
     }
     _emit(args, json.dumps(payload, indent=2))
-    _write_polyline(args, smooth)
+    _write_polyline(args, polyline)
     return EXIT_OK
 
 
@@ -253,6 +261,8 @@ def cmd_lagcap(args) -> int:
 def _shape_from_args(args) -> capacities.Shape:
     kind = args.shape
     if kind == "ball":
+        if args.n > _BALL_N_LIMIT:
+            raise InputError(f"--n {args.n} is too large for a ball: the limit is {_BALL_N_LIMIT}")
         return moment_domain.ball(args.capacity, args.n)
     if kind == "projective":
         return capacities.ProjectiveSpace(n=args.n)
@@ -272,6 +282,13 @@ def cmd_ledger(args) -> int:
         _emit(args, str(value))
         return EXIT_OK
     if args.counts:
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent before 3.10.7: no limit
+        n_max, factorial, bound = 1, 1, 10**digits  # invariant: (n_max - 1)! == factorial < bound
+        while n_max <= args.n and factorial * n_max < bound:  # stops at n_max > n or at the limit
+            factorial *= n_max
+            n_max += 1
+        if digits and args.n > n_max:
+            raise InputError(f"--n {args.n} is too large: the counts (n-1)! print in full only for n <= {n_max}")
         payload = {
             "gw_tangency_count": capacities.gw_tangency_count(args.n),
             "torus_descendant_zero_sum": capacities.torus_descendant(

@@ -14,7 +14,6 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -381,23 +380,16 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     )
 
 
-class DiagonalContact(Enum):
-    """How the diagonal point (d, d) sits in the boundary intersection."""
-
-    ISOLATED = "Isolated"
-    SEGMENT = "Segment"
-
-
-def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> DiagonalContact:
-    """Classify (d, d) inside the intersection of the two boundaries.
+def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
+    """True iff (d, d) is an isolated point of the boundaries' intersection.
 
     Precondition (PreconditionViolated otherwise): the domain is included
     in the ellipsoid and the diagonals agree, so (d, d) lies on the edge
     that ``diagonal`` solved on and on the line x/a + y/b = 1.  Returns
-    SEGMENT when an edge through (d, d) lies inside that line, ISOLATED
-    when every such edge crosses it transversally.  The line supports the
+    False when an edge through (d, d) lies inside that line, True when
+    every such edge crosses it transversally.  The line supports the
     region and slopes strictly decrease, so the vertices on it are one
-    vertex or the two ends of a single edge: SEGMENT iff two or more.
+    vertex or the two ends of a single edge: isolated iff fewer than two.
     """
     if e.dim != 2:
         raise PreconditionViolated("classification requires a 4-dimensional ellipsoid")
@@ -405,9 +397,7 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
         raise PreconditionViolated("domain is not included in the ellipsoid")
     if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    if len(_touching(_near_diagonal(domain), *e.axes)) >= 2:
-        return DiagonalContact.SEGMENT
-    return DiagonalContact.ISOLATED
+    return len(_touching(_near_diagonal(domain), *e.axes)) < 2
 
 
 # ---------------------------------------------------------------------------

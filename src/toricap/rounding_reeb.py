@@ -94,10 +94,6 @@ class SmoothDomain2D:
         weights = self._weights(x)[1]
         return sum(map(operator.mul, weights, self._slopes)) / sum(weights)
 
-    @property
-    def b_prime(self) -> float:
-        return self.value(0.0)
-
 
 @dataclass(frozen=True)
 class ReebOrbitFamily:
@@ -116,8 +112,6 @@ class OrbitSplit:
 
     elliptic_cz: int
     hyperbolic_cz: int
-    elliptic_action: float
-    hyperbolic_action: float
 
 
 def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
@@ -277,12 +271,6 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
     return (x, smooth.value(x))
 
 
-def _rates_from(gauss_vec: tuple[float, float], w: tuple[float, float]) -> tuple[float, float]:
-    denom = gauss_vec[0] * w[0] + gauss_vec[1] * w[1]
-    factor = 2.0 * math.pi / denom
-    return (factor * gauss_vec[0], factor * gauss_vec[1])
-
-
 def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[float, float]:
     """Angular rotation rates (radians per unit time) of the Reeb flow
     over the boundary point w = (x, g(x)); both coordinates must be positive."""
@@ -293,8 +281,9 @@ def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[f
         raise ValueError("w does not lie on the rounded boundary graph")
     slope = smooth.derivative(x)
     norm = math.hypot(slope, 1.0)
-    gauss_vec = (-slope / norm, 1.0 / norm)
-    return _rates_from(gauss_vec, (x, y))
+    nx, ny = -slope / norm, 1.0 / norm  # the unit outward normal
+    factor = 2.0 * math.pi / (nx * x + ny * y)
+    return (factor * nx, factor * ny)
 
 
 def support_smooth(smooth: SmoothDomain2D, l: int, m: int) -> float:
@@ -394,16 +383,11 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
 def split_family(family: ReebOrbitFamily) -> OrbitSplit:
     """Resolve a family into its elliptic/hyperbolic orbit pair.
 
-    Indices are 2(l+m)+1 and 2(l+m); the actions stay equal to the family
-    action under the identification of perturbed and unperturbed actions.
+    Indices are 2(l+m)+1 and 2(l+m); both orbits keep ``family.action``
+    under the identification of perturbed and unperturbed actions.
     """
     total = family.direction.l + family.direction.m
-    return OrbitSplit(
-        elliptic_cz=2 * total + 1,
-        hyperbolic_cz=2 * total,
-        elliptic_action=family.action,
-        hyperbolic_action=family.action,
-    )
+    return OrbitSplit(elliptic_cz=2 * total + 1, hyperbolic_cz=2 * total)
 
 
 def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
@@ -422,39 +406,3 @@ def boundary_polyline(smooth: SmoothDomain2D, samples: int = 512) -> list[tuple[
         (x, smooth.value(x))
         for x in (smooth.x_max * i / (samples - 1) for i in range(samples))
     ]
-
-
-def flat_torus_geodesic_spectrum(
-    n: int, lattice_lengths: Sequence[float], cutoff: float
-) -> list[tuple[tuple[int, ...], float]]:
-    """Closed geodesics of the flat n-torus with cell lengths L_i.
-
-    Homotopy classes are nonzero integer vectors; the geodesic in class m
-    has length ||(m_1 L_1, ..., m_n L_n)||_2 and flat-metric Morse index 0.
-    Returns (class, length) pairs with length <= cutoff, sorted by length.
-    """
-    if n < 1 or len(lattice_lengths) != n:
-        raise ValueError("need one positive length per dimension")
-    lengths = [float(L) for L in lattice_lengths]
-    if any(L <= 0.0 for L in lengths):
-        raise ValueError("lattice lengths must be positive")
-    if cutoff <= 0.0:
-        return []
-    bounds = [int(cutoff / L) for L in lengths]
-    out: list[tuple[tuple[int, ...], float]] = []
-
-    def rec(i: int, prefix: tuple[int, ...], partial_sq: float) -> None:
-        if i == n:
-            if any(prefix):
-                length = math.sqrt(partial_sq)
-                if length <= cutoff:
-                    out.append((prefix, length))
-            return
-        for mi in range(-bounds[i], bounds[i] + 1):
-            step = (mi * lengths[i]) ** 2
-            if partial_sq + step <= cutoff * cutoff * (1.0 + 1e-12):
-                rec(i + 1, prefix + (mi,), partial_sq + step)
-
-    rec(0, (), 0.0)
-    out.sort(key=lambda item: (item[1], item[0]))
-    return out

@@ -5,6 +5,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,10 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no integer string limit"
+)
 
 SQUARE = '{"type":"polygon","vertices":[["0","1"],["1","1"],["1","0"]]}'
 
@@ -159,6 +164,23 @@ class TestSpectrum:
         rows = list(csv.DictReader(target.open()))
         assert len(rows) == 32
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--K", "2"],
+            ["spectrum", "--K", "2", "--out", "table.txt"],
+            ["round"],
+            ["round", "--out", "round.json"],
+        ],
+    )
+    def test_bad_samples_writes_nothing(self, capsys, tri11_json, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, *argv, "--polygon", tri11_json, "--samples", "1", "--boundary-out", "rim.csv"
+        )
+        assert (code, out, err) == (2, "", "error: need at least two samples\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
+
 
 class TestEnclose:
     def test_tri12_contains_itself(self, capsys, tri12_json):
@@ -211,6 +233,14 @@ class TestLagcap:
         assert code == 2 and out == ""
         assert err.splitlines() == [message]
 
+    def test_ball_dimension_is_capped(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, "lagcap", "--shape", "ball", "--n", "1000001")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 1000001 is too large for a ball: the limit is 1000000\n"
+        monkeypatch.setattr("toricap.cli._BALL_N_LIMIT", 5)  # the limit itself is accepted
+        assert run_cli(capsys, "lagcap", "--shape", "ball", "--n", "5")[:2] == (0, "1/5\n")
+        assert run_cli(capsys, "lagcap", "--shape", "ball", "--n", "6")[0] == 2
+
     def test_projective(self, capsys):
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "projective", "--n", "2")
         assert code == 0 and out.strip() == "1/3"
@@ -255,6 +285,31 @@ class TestLedger:
         payload = json.loads(out)
         assert payload["gw_tangency_count"] == 120
         assert payload["torus_descendant_zero_sum"] == 120
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("digits, n_max", [(640, 311), (4300, 1559)])
+    def test_counts_name_their_largest_n(self, capsys, digits, n_max):
+        # n_max is the largest n with (n-1)! below 10**digits
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(digits)
+        try:
+            code, out, _ = run_cli(capsys, "ledger", "--counts", "--n", str(n_max))
+            assert code == 0 and len(str(json.loads(out)["gw_tangency_count"])) <= digits
+            code, out, err = run_cli(capsys, "ledger", "--counts", "--n", str(n_max + 1))
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n_max + 1} is too large: the counts (n-1)! print in full only for n <= {n_max}\n"
+
+    @needs_digit_limit
+    def test_counts_without_digit_limit(self, capsys):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, out, _ = run_cli(capsys, "ledger", "--counts", "--n", "1600")
+            assert code == 0 and json.loads(out)["gw_tangency_count"] > 10**4300
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_partition_solver_large_n(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--partition", "--n", "1000", "--epsilon", "1/1001")

@@ -8,7 +8,6 @@ import pytest
 
 from toricap import (
     BadEndpoints,
-    DiagonalContact,
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
@@ -93,15 +92,15 @@ def boundary_value_by_scan(domain, x):
 
 
 def contact_by_cross_products(domain, e):
-    """Oracle: SEGMENT iff an edge containing (d, d), found by a cross
+    """Oracle: isolated unless an edge containing (d, d), found by a cross
     product and a bounding box, lies in the line x/a + y/b = 1."""
     (a, b), d = e.axes, diagonal(domain)
     for (x1, y1), (x2, y2) in domain.edges():
         cross = (x2 - x1) * (d - y1) - (y2 - y1) * (d - x1)
         on_edge = cross == 0 and min(x1, x2) <= d <= max(x1, x2) and min(y1, y2) <= d <= max(y1, y2)
         if on_edge and b * (x2 - x1) + a * (y2 - y1) == 0 and b * x1 + a * y1 == a * b:
-            return DiagonalContact.SEGMENT
-    return DiagonalContact.ISOLATED
+            return False
+    return True
 
 
 def support_by_vertex_enumeration(domain, v):
@@ -374,8 +373,7 @@ class TestScanOracles:
                         e = EllipsoidSpec((c * p.x_axis, c * p.y_axis))
                         assert included_in_ellipsoid(domain, e) is included_by_vertex_scan(domain, e) is inside
                         if inside:
-                            contact = diagonal_intersection_isolated(domain, e)
-                            assert (contact is DiagonalContact.SEGMENT) == (len(touching) >= 2)
+                            assert diagonal_intersection_isolated(domain, e) is (len(touching) < 2)
         for case in ("infeasible", "corner", "edge", "1 touching", "2 touching"):
             assert seen[case] >= 20, seen
 
@@ -487,21 +485,21 @@ class TestEnclosure:
 
 class TestDiagonalContact:
     def test_shared_edge(self, tri12, e12):
-        assert diagonal_intersection_isolated(tri12, e12) is DiagonalContact.SEGMENT
+        assert diagonal_intersection_isolated(tri12, e12) is False
 
     def test_isolated_touch(self):
         dom = make_polygon_domain([(0, 1), (Fraction(2, 3), Fraction(2, 3)), (1, 0)])
         e = EllipsoidSpec((Fraction(4, 3), Fraction(4, 3)))
         assert diagonal(dom) == diagonal(e) == Fraction(2, 3)
-        assert diagonal_intersection_isolated(dom, e) is DiagonalContact.ISOLATED
+        assert diagonal_intersection_isolated(dom, e) is True
 
     def test_square_corner_is_isolated(self, square):
         e = EllipsoidSpec((Fraction(2), Fraction(2)))
-        assert diagonal_intersection_isolated(square, e) is DiagonalContact.ISOLATED
+        assert diagonal_intersection_isolated(square, e) is True
 
     def test_matches_cross_product_classifier(self, polygon_near_diagonal):
         rng = random.Random(61)
-        seen = {DiagonalContact.SEGMENT: 0, DiagonalContact.ISOLATED: 0}
+        seen = {False: 0, True: 0}
         for _ in range(400):
             domain = polygon_near_diagonal(rng)
             search = equal_diagonal_enclosing_ellipsoids(domain)
