@@ -43,6 +43,7 @@ from .rounding_reeb import (
     ReebOrbitFamily,
     SlopeConditionUnreachable,
     SmoothDomain2D,
+    TooManyFamilies,
     capacity_via_spectrum,
     gauss_point,
     orbit_families,

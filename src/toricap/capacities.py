@@ -95,10 +95,8 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
         else:
             lo = mid + 1
     value = Fraction(lo, common)
-    strictly_below = (lo - 1) // big_a + (lo - 1) // big_b
-    offset = k - strictly_below  # position inside the tie block, a-multiples first
-    a_ties = lo // big_a - (lo - 1) // big_a
-    if offset <= a_ties and lo % big_a == 0:
+    first_in_tie = k - 1 == (lo - 1) // big_a + (lo - 1) // big_b  # a-multiples lead a tie
+    if first_in_tie and lo % big_a == 0:
         minimizer = AxisMultiple(axis=0, multiple=lo // big_a)
     else:
         minimizer = AxisMultiple(axis=1, multiple=lo // big_b)

@@ -178,27 +178,23 @@ def cmd_gh(args) -> int:
 def cmd_spectrum(args) -> int:
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
-    polyline = _polyline(args, smooth)
     families = rounding_reeb.orbit_families(smooth, args.cutoff)
+    _write_polyline(args, smooth)
     rows = []
     for fam in families:
         split = rounding_reeb.split_family(fam)
         rows.append([str(fam.direction.l), str(fam.direction.m), str(fam.multiplicity),
                      _fmt_float(fam.action), str(split.elliptic_cz), str(split.hyperbolic_cz)])
     _emit_rows(args, ["l", "m", "gcd", "action", "cz_e", "cz_h"], rows)
-    _write_polyline(args, polyline)
     return EXIT_OK
 
 
-def _polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> Optional[list[tuple[float, float]]]:
-    """The --boundary-out samples, taken before any output so that a bad --samples writes nothing."""
-    return rounding_reeb.boundary_polyline(smooth, args.samples) if args.boundary_out else None
-
-
-def _write_polyline(args, points: Optional[list[tuple[float, float]]]) -> None:
-    """Write the rounded boundary as an x,y CSV when --boundary-out is given."""
-    if points is None:
+def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
+    """Write the rounded boundary as an x,y CSV when --boundary-out is given,
+    before any other output: a bad --samples or path then prints nothing."""
+    if not args.boundary_out:
         return
+    points = rounding_reeb.boundary_polyline(smooth, args.samples)
     with open(args.boundary_out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y"])
@@ -209,7 +205,7 @@ def _write_polyline(args, points: Optional[list[tuple[float, float]]]) -> None:
 def cmd_round(args) -> int:
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
-    polyline = _polyline(args, smooth)
+    _write_polyline(args, smooth)
     payload = {
         "tau": _fmt_float(smooth.tau),
         "v": _fmt_float(smooth.v),
@@ -218,7 +214,6 @@ def cmd_round(args) -> int:
         "hausdorff_bound": _fmt_float(smooth.hausdorff_bound),
     }
     _emit(args, json.dumps(payload, indent=2))
-    _write_polyline(args, polyline)
     return EXIT_OK
 
 

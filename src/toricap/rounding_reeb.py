@@ -33,13 +33,19 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .moment_domain import LatticeDirection, MomentDomain2D
+from .moment_domain import LatticeDirection, MomentDomain2D, support
 
 _X_BISECT_TOL = 1e-12
 _GOLDEN_TOL = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+FAMILY_LIMIT = 100_000
+
+
+class TooManyFamilies(ValueError):
+    """orbit_families' search box would hold more directions than FAMILY_LIMIT."""
 
 
 class SlopeConditionUnreachable(ValueError):
@@ -67,7 +73,6 @@ class SmoothDomain2D:
     lines: tuple[_Line, ...]
     shift: float
     x_max: float
-    hausdorff_bound: float
     # the line slopes, g'(0) and g'(x_max), fixed at construction
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _slope_start: float = field(init=False, repr=False, compare=False)
@@ -77,6 +82,11 @@ class SmoothDomain2D:
         object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
         object.__setattr__(self, "_slope_start", self.derivative(0.0))
         object.__setattr__(self, "_slope_end", self.derivative(self.x_max))
+
+    @property
+    def hausdorff_bound(self) -> float:
+        """The reported Hausdorff bound: the shift plus the extension x_max - a."""
+        return self.shift + (self.x_max - float(self.source.x_extent))
 
     def _weights(self, x: float) -> tuple[float, list[float]]:
         """The lowest line at x and each line's soft-min weight there."""
@@ -129,6 +139,10 @@ def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
 def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D:
     """Round a moment polygon at smoothing scale tau with slope bound v.
 
+    shift = tau*log(N) + margin + support(Omega, (-s_cap0, 1)) - b over the
+    N lines, read from the proof below: O(V) work and one O(log V) support
+    call, before the O(V*N) certificate.
+
     Raises SlopeConditionUnreachable when the certificate of the boundary
     invariants fails, which happens when v is too small (or tau too large)
     for the requested polygon.  Rounding c*Omega at c*tau gives c times
@@ -141,28 +155,24 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     a = float(domain.x_extent)
     b = float(domain.y_extent)
-    # the kinks (x, f(x)); at a final vertical drop f(a) is the top vertex
-    kinks = domain.vertices[:-1] if domain.vertices[-2][0] == domain.x_extent else domain.vertices
-    f_end = float(kinks[-1][1])  # > 0 iff vertical drop
+    x_pen, y_pen = domain.vertices[-2]
+    f_end = float(y_pen) if x_pen == domain.x_extent else 0.0  # > 0 iff vertical drop
 
     slope_floor = tau / a
     if slope_floor >= v / 2.0:
         raise SlopeConditionUnreachable("tau too large relative to v for a slope floor")
     edge_lines = _edge_lines(domain, slope_floor)
 
-    steepest = max(abs(ln.s) for ln in edge_lines)
-    s_cap1 = -max(2.0 / v, 2.0 * steepest)
+    # slopes fall strictly and tilting sets a shallow prefix to exactly
+    # -slope_floor, so the last line is the steepest
+    s_cap1 = -max(2.0 / v, 2.0 * abs(edge_lines[-1].s))
     n_lines = len(edge_lines) + 2
     margin = tau * math.log(8.0 * n_lines * (abs(s_cap1) + 1.0) / v)
 
-    first_slope = edge_lines[0].s
-    s_cap0 = -v / 2.0 if first_slope < -v / 2.0 else first_slope
+    s_cap0 = max(edge_lines[0].s, -v / 2.0)
     cap0 = _Line(b - margin, s_cap0)
 
-    if f_end > 0.0:
-        x_max = a + (f_end + 2.0 * margin) / abs(s_cap1)
-    else:
-        x_max = a
+    x_max = a + (f_end + 2.0 * margin) / abs(s_cap1) if f_end > 0.0 else a
     cap1 = _Line(-margin + abs(s_cap1) * x_max, s_cap1)
 
     lines = tuple(edge_lines + [cap0, cap1])
@@ -178,27 +188,18 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     if tau < floor:
         raise SlopeConditionUnreachable(f"tau = {tau:.6g} is below the float resolution floor {floor:.6g} of this polygon")
 
-    # largest dip of any line below the graph; the gap is piecewise linear
-    # in x, so checking the kinks is exact.  A tilted line dips at most
-    # slope_floor * a = tau, far less than cap0, which starts
-    # margin >= tau * log(72) > 4 * tau below b at the kink (0, b)
-    max_dip = 0.0
-    for x_frac, y_frac in kinks:
-        x = float(x_frac)
-        lowest = min(c + s * x for c, s in lines)
-        max_dip = max(max_dip, float(y_frac) - lowest)
+    # largest dip y - (c + s*x) of any line below a vertex (x, y).  An
+    # untilted edge line lies on or above the concave f.  Tilted edges, if
+    # any, are a prefix shallower than -slope_floor, so edge 0 is one and
+    # cap0 has slope -slope_floor too; at every vertex it dips
+    # margin - (b - y_i - slope_floor * x_i) >= margin more than the tilted
+    # line through (x_i, y_i), as y_i >= b - slope_floor * x_i.  cap1 dips
+    # at most margin, cap0's dip at (0, b).  So the largest dip is cap0's,
+    # max(y - s_cap0 * x) - (b - margin), a support value
+    max_dip = margin + float(support(domain, (Fraction(-s_cap0), 1))) - b
     shift = tau * math.log(n_lines) + max_dip
-    hausdorff = shift + (x_max - a)
 
-    smooth = SmoothDomain2D(
-        source=domain,
-        tau=tau,
-        v=v,
-        lines=lines,
-        shift=shift,
-        x_max=x_max,
-        hausdorff_bound=hausdorff,
-    )
+    smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=lines, shift=shift, x_max=x_max)
     _verify(smooth)
     return smooth
 
@@ -325,10 +326,18 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     at least l*x* + m*y* for any interior point (x*, y*), and each row of
     fixed m stops at the first l whose action passes the cutoff.  Axis families
     (l, 0) and (0, m) carry actions l*x_max and m*g(0).  Sorted by action,
-    ties by (l, m).
+    ties by (l, m).  Raises TooManyFamilies before any solve when the box
+    l_max * m_max holds more than FAMILY_LIMIT (100,000) directions.
     """
     if not 0.0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
+    x_star = float(smooth.source.x_extent) / 2.0
+    y_star = smooth.value(x_star)
+    l_max = int(cutoff / x_star) + 1
+    m_max = int(cutoff / y_star) + 1
+    # the box bounds the axis families too: x_max >= x_star and g(0) >= y_star
+    if l_max * m_max > FAMILY_LIMIT:
+        raise TooManyFamilies(f"cutoff {cutoff:.6g} needs {l_max} x {m_max} directions, above the limit of {FAMILY_LIMIT}")
     families: list[ReebOrbitFamily] = []
     keep = cutoff * (1.0 + 1e-12)
 
@@ -346,10 +355,6 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
             )
             j += 1
 
-    x_star = float(smooth.source.x_extent) / 2.0
-    y_star = smooth.value(x_star)
-    l_max = int(cutoff / x_star) + 1
-    m_max = int(cutoff / y_star) + 1
     # The action is the support of the rounded domain in the direction
     # (l, m), non-decreasing in l as the domain lies in x >= 0.  So once the
     # computed action passes the cutoff by a relative 1e-9, far above its

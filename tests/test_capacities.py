@@ -29,9 +29,10 @@ from toricap.capacities import AxisMultiple, LengthMismatch
 
 def merged_multiples(a, b, count):
     """Oracle: materialize the first ``count`` entries of the sorted
-    multiset {i*a} union {j*b}."""
-    values = [i * a for i in range(1, count + 1)] + [j * b for j in range(1, count + 1)]
-    return sorted(values)[:count]
+    multiset {i*a} union {j*b}, each as (value, axis, multiple) with the
+    a-multiple (axis 0) first on a tie."""
+    entries = [(i * a, 0, i) for i in range(1, count + 1)] + [(j * b, 1, j) for j in range(1, count + 1)]
+    return sorted(entries)[:count]
 
 
 def toric_min_max(domain, k):
@@ -157,8 +158,9 @@ class TestSpectrumPath:
         for _ in range(25):
             e = random_ellipsoid(rng, cap=20)
             expected = merged_multiples(e.axes[0], e.axes[1], 40)
-            got = [gh_spectrum_ellipsoid(e, k).value for k in range(1, 41)]
-            assert got == expected
+            reports = [gh_spectrum_ellipsoid(e, k) for k in range(1, 41)]
+            assert [r.value for r in reports] == [value for value, _, _ in expected]
+            assert [(r.minimizer.axis, r.minimizer.multiple) for r in reports] == [entry[1:] for entry in expected]
 
     def test_minimizer_descriptor(self, e12):
         r3 = gh_spectrum_ellipsoid(e12, 3)

@@ -23,6 +23,13 @@ needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no integer string limit"
 )
 
+BOUNDARY_COMMANDS = [
+    ["spectrum", "--K", "2"],
+    ["spectrum", "--K", "2", "--out", "table.txt"],
+    ["round"],
+    ["round", "--out", "round.json"],
+]
+
 SQUARE = '{"type":"polygon","vertices":[["0","1"],["1","1"],["1","0"]]}'
 
 
@@ -161,24 +168,35 @@ class TestSpectrum:
             "--boundary-out", str(target), "--samples", "32",
         )
         assert code == 0
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 32
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["spectrum", "--K", "2"],
-            ["spectrum", "--K", "2", "--out", "table.txt"],
-            ["round"],
-            ["round", "--out", "round.json"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", BOUNDARY_COMMANDS)
     def test_bad_samples_writes_nothing(self, capsys, tri11_json, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(
             capsys, *argv, "--polygon", tri11_json, "--samples", "1", "--boundary-out", "rim.csv"
         )
         assert (code, out, err) == (2, "", "error: need at least two samples\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
+
+    @pytest.mark.parametrize("argv", BOUNDARY_COMMANDS)
+    def test_unopenable_boundary_out_writes_nothing(self, capsys, tri11_json, tmp_path, monkeypatch, argv):
+        # the boundary file is opened before the table or JSON is printed
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--polygon", tri11_json, "--boundary-out", "nodir/rim.csv")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
+
+    @pytest.mark.parametrize("extra", [[], ["--out", "table.txt", "--boundary-out", "rim.csv"]])
+    def test_family_limit_exits_before_output(self, capsys, tri11_json, tmp_path, monkeypatch, extra):
+        # the search box of tri11 at K = 1e5 holds about 4e10 directions
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "spectrum", "--polygon", tri11_json, "--K", "1e5", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cutoff 100000 needs ") and err.endswith("above the limit of 100000\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
 
 

@@ -1,6 +1,7 @@
 """Rounding construction, Gauss points, orbit families, and CZ splits."""
 import bisect
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from toricap import (
     LatticeDirection,
     ReebOrbitFamily,
     SlopeConditionUnreachable,
+    TooManyFamilies,
     capacity_via_spectrum,
     gauss_point,
     gh_capacity_toric4,
@@ -30,12 +32,14 @@ TAU = 1e-3
 V = 1.0 / 32.0
 
 
-# Oracles: the soft-min evaluation written out per call, the Gauss point
-# search with two independent bisections, the orbit-family scan that solves
-# every direction of the search box, and the 1,025-point sweep of every
-# boundary invariant with f read in exact Fractions.  The fast code must
-# agree with them bit for bit; the vertex certificate in _verify must never
-# accept what the sweep rejects, except for float noise in the gap check.
+# Oracles: the soft-min evaluation written out per call, the kink scan for
+# the shift, the Gauss point search with two independent bisections, the
+# orbit-family scan that solves every direction of the search box, and the
+# 1,025-point sweep of every boundary invariant with f read in exact
+# Fractions.  The fast code must agree with them bit for bit, except that
+# the shift may differ from the scan's by float noise; the vertex
+# certificate in _verify must never accept what the sweep rejects, except
+# for float noise in the gap check.
 
 GAP_MESSAGE = "vertical gap exceeds the reported bound"
 
@@ -53,6 +57,13 @@ def oracle_derivative(smooth, x):
     weights = [math.exp(-(val - lowest) / smooth.tau) for val in vals]
     total = sum(weights)
     return sum(w * ln.s for w, ln in zip(weights, smooth.lines)) / total
+
+
+def oracle_shift(smooth):
+    """tau * log(N) plus the largest dip of any line below a polygon vertex,
+    every line evaluated at every vertex."""
+    dips = (float(y) - min(c + s * float(x) for c, s in smooth.lines) for x, y in smooth.source.vertices)
+    return smooth.tau * math.log(len(smooth.lines)) + max(0.0, *dips)
 
 
 def oracle_gauss_point(smooth, d):
@@ -310,6 +321,34 @@ class TestRounding:
                     for scaled, unit in pairs:
                         assert abs(scaled - c * unit) <= 1e-13 * c * max(1.0, unit)
 
+    def test_shift_matches_the_kink_scan(self):
+        # the shift comes from one support call; the scan agrees within the
+        # float noise of the line terms that assert_certificate_sound allows
+        for domain in scaled_polygons():
+            for scale in SCALES:
+                scaled = domain.scaled(scale)
+                a = float(scaled.x_extent)
+                for tau, v in itertools.product((1e-2 * a, 1e-3 * a, 1e-4 * a), (1.0 / 32.0, 0.25)):
+                    smooth = round_domain(scaled, tau, v)
+                    line_scale = max(abs(c) + abs(s) * smooth.x_max for c, s in smooth.lines)
+                    assert abs(smooth.shift - oracle_shift(smooth)) <= 4 * math.ulp(line_scale)
+                    assert smooth.hausdorff_bound == smooth.shift + (smooth.x_max - a)
+
+    def test_one_support_call_per_rounding(self, monkeypatch):
+        calls = 0
+        real_support = toricap.rounding_reeb.support
+
+        def counting_support(domain, v):
+            nonlocal calls
+            calls += 1
+            return real_support(domain, v)
+
+        monkeypatch.setattr(toricap.rounding_reeb, "support", counting_support)
+        for domain in scaled_polygons():
+            calls = 0
+            round_domain(domain, TAU, V)
+            assert calls == 1
+
     def test_small_domain_slope_floor_scales_with_width(self):
         # the slope floor tau / a is 10 here, far above v / 2
         tiny = make_polygon_domain([(0, Fraction(1, 1000)), (Fraction(1, 1000), 0)])
@@ -430,6 +469,20 @@ class TestOrbitFamilies:
     @pytest.mark.parametrize("cutoff", [math.inf, math.nan, -math.inf, 0.0])
     def test_non_finite_or_non_positive_cutoff_is_rejected(self, rounded_tri11, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
+            orbit_families(rounded_tri11, cutoff)
+
+    def test_search_box_is_limited(self, monkeypatch, rounded_tri11):
+        # tri11 at K = 1e5 once ran past 20 s; the limit fires before any solve
+        monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", None)
+        with pytest.raises(TooManyFamilies, match=r"^cutoff 100000 needs 200001 x \d+ directions, above the limit of 100000$"):
+            orbit_families(rounded_tri11, 1e5)
+        monkeypatch.undo()
+        cutoff = 3.0
+        box = (int(cutoff / 0.5) + 1) * (int(cutoff / rounded_tri11.value(0.5)) + 1)
+        monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box)
+        assert orbit_families(rounded_tri11, cutoff) == oracle_orbit_families(rounded_tri11, cutoff)
+        monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box - 1)
+        with pytest.raises(TooManyFamilies):
             orbit_families(rounded_tri11, cutoff)
 
     def test_sorted_by_action(self, rounded_pentagon):
