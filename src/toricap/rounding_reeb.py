@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -73,13 +74,16 @@ class SmoothDomain2D:
     lines: tuple[_Line, ...]
     shift: float
     x_max: float
-    # the line slopes, g'(0) and g'(x_max), fixed at construction
+    # the line slopes, the lines by ascending (slope, constant), g'(0) and
+    # g'(x_max), fixed at construction
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _by_slope: tuple[_Line, ...] = field(init=False, repr=False, compare=False)
     _slope_start: float = field(init=False, repr=False, compare=False)
     _slope_end: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
+        object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
         object.__setattr__(self, "_slope_start", self.derivative(0.0))
         object.__setattr__(self, "_slope_end", self.derivative(self.x_max))
 
@@ -101,8 +105,14 @@ class SmoothDomain2D:
 
     def derivative(self, x: float) -> float:
         """g'(x), a weighted average of the line slopes."""
-        weights = self._weights(x)[1]
-        return sum(map(operator.mul, weights, self._slopes)) / sum(weights)
+        return self._evaluate(x)[1]
+
+    def _evaluate(self, x: float) -> tuple[float, float, list[float]]:
+        """g(x) by the float operations of value, g'(x) and the weights, in one pass."""
+        lowest, weights = self._weights(x)
+        total = sum(weights)
+        slope = sum(map(operator.mul, weights, self._slopes)) / total
+        return self.shift + lowest - self.tau * math.log(total), slope, weights
 
 
 @dataclass(frozen=True)
@@ -237,19 +247,69 @@ def _verify(smooth: SmoothDomain2D) -> None:
             raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
 
 
+def _newton(f, lo: float, hi: float, x: float, tol: float):
+    """Root of a decreasing f on [lo, hi] by safeguarded Newton from x (rtsafe;
+    Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).  f(x) returns
+    (f(x), f'(x), data); a step outside the bracket, or with f' = 0, bisects.
+    |step| < tol/2 is tested before the bracket, since a converged step lands
+    on the bracket end it just moved.  Returns the last x evaluated and its data."""
+    while True:
+        fx, dfx, data = f(x)
+        if fx == 0.0:
+            return x, data
+        lo, hi = (x, hi) if fx > 0.0 else (lo, x)
+        new = x - fx / dfx if dfx else 0.5 * (lo + hi)
+        if abs(new - x) < 0.5 * tol or hi - lo < 0.5 * tol:
+            return x, data
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if not lo < new < hi:  # float spacing exceeds the tolerance, as for subnormal widths
+            return x, data
+        x = new
+
+
 def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[float, float]]:
     """Boundary point whose outward normal is parallel to (l, m).
 
-    Solves g'(x) = -l/m by bisection (g' is strictly monotone).  Returns
-    None for axis directions (l = 0 or m = 0, whose families live over
-    the boundary axes) and when -l/m falls outside the slope range, which
-    cannot happen for directions with v <= m/l and l/m <= 1/v.
+    Solves g'(x) = t = -l/m by safeguarded Newton on the log-odds form
+    u = log A - log B = 0, A and B the sums of w_i*|s_i - t| over the line
+    slopes s_i above and below t, started at the root of u for the two lines
+    that bracket t in slope order (see the README).  Where g' = t exactly in
+    floats there, as along an edge normal to (l, m), the point is the
+    midpoint of that plateau, its ends found by bisecting g', as is the point
+    where g'(0) or g'(x_max) rounds past every line slope.  Returns None for
+    axis directions (l = 0 or m = 0, whose families live over the boundary
+    axes) and when -l/m falls outside the slope range, which cannot happen
+    for directions with v <= m/l and l/m <= 1/v.
     """
     if d.l == 0 or d.m == 0:
         return None
     target = -d.l / d.m
     if not (smooth._slope_end < target < smooth._slope_start):
         return None
+    up = [s - target if s > target else 0.0 for s in smooth._slopes]
+    down = [target - s if s < target else 0.0 for s in smooth._slopes]
+    up2, down2 = list(map(operator.mul, up, up)), list(map(operator.mul, down, down))
+
+    def log_odds(x: float):  # u and u' = -(sum w*(s - t)^2 / A + sum w*(t - s)^2 / B) / tau
+        g, slope, weights = smooth._evaluate(x)
+        above, below = sum(map(operator.mul, weights, up)), sum(map(operator.mul, weights, down))
+        if not (above and below):  # one side's weights underflow: only the sign of u is known
+            return above - below, 0.0, (g, slope)
+        spread = sum(map(operator.mul, weights, up2)) / above + sum(map(operator.mul, weights, down2)) / below
+        return math.log(above) - math.log(below), -spread / smooth.tau, (g, slope)
+
+    # g'(x_max) < t < g'(0) are weighted means of the slopes, so some line
+    # is steeper than t and some shallower, except where a mean rounds one
+    # ulp past every slope; then u has no root and only g' can be bisected
+    ordered, key = smooth._by_slope, operator.itemgetter(1)
+    i, j = bisect_left(ordered, target, key=key), bisect_right(ordered, target, key=key)
+    if 0 < i and j < len(ordered):
+        (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
+        x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
+        x, (g, slope) = _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
+        if slope != target:
+            return (x, g)
 
     def bisect(lo: float, hi: float, keep_left, shared: bool = False) -> float:
         while hi - lo > _X_BISECT_TOL * smooth.x_max:
@@ -265,9 +325,9 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
                 hi = mid
         return 0.5 * (lo + hi)
 
-    # when the direction is normal to a flat stretch, g' sits at the target
-    # over a plateau (up to float resolution); report its midpoint.  The
-    # searches for its two ends share their steps until g'(mid) == target
+    # g' sits at the target over a plateau (up to float resolution); report
+    # its midpoint.  The searches for its two ends share their steps until
+    # g'(mid) == target
     x = bisect(0.0, smooth.x_max, lambda s: s > target, shared=True)
     return (x, smooth.value(x))
 
@@ -397,10 +457,21 @@ def split_family(family: ReebOrbitFamily) -> OrbitSplit:
 
 def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
     """Minimum action over directions summing to k, the spectral reading
-    of the k-th capacity on the rounded domain."""
-    if k < 1:
+    of the k-th capacity on the rounded domain.  h(l) = support_smooth(l,
+    k - l) is convex, least at l* = k*(-g'(x_d))/(1 - g'(x_d)) where
+    g(x_d) = x_d (see the README), so the minimum over l = 0..k takes one
+    Newton solve and two support_smooth calls, at floor(l*) and
+    floor(l*) + 1.  Raises ValueError unless k is a positive integer."""
+    if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    return min(support_smooth(smooth, l, k - l) for l in range(k + 1))
+
+    def excess(x: float):
+        g, slope, _ = smooth._evaluate(x)
+        return g - x, slope - 1.0, slope
+
+    slope = _newton(excess, 0.0, smooth.x_max, 0.5 * smooth.x_max, _X_BISECT_TOL * smooth.x_max)[1]
+    low = math.floor(k * -slope / (1.0 - slope))
+    return min(support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
 
 
 def boundary_polyline(smooth: SmoothDomain2D, samples: int = 512) -> list[tuple[float, float]]:

@@ -13,6 +13,7 @@ from toricap import (
     LatticeDirection,
     ReebOrbitFamily,
     SlopeConditionUnreachable,
+    SmoothDomain2D,
     TooManyFamilies,
     capacity_via_spectrum,
     gauss_point,
@@ -37,7 +38,8 @@ V = 1.0 / 32.0
 # orbit-family scan that solves every direction of the search box, and the
 # 1,025-point sweep of every boundary invariant with f read in exact
 # Fractions.  The fast code must agree with them bit for bit, except that
-# the shift may differ from the scan's by float noise; the vertex
+# the shift may differ from the scan's by float noise and the Newton orbit
+# families from the bisection's as assert_families_match allows; the vertex
 # certificate in _verify must never accept what the sweep rejects, except
 # for float noise in the gap check.
 
@@ -114,6 +116,30 @@ def oracle_orbit_families(smooth, cutoff):
                 )
     families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
     return families
+
+
+def assert_families_match(smooth, families, oracle, cutoff):
+    """The same directions as the oracle's, except one whose action is
+    within 1e-12 relative of the cutoff; each action within 1e-12 relative;
+    each point within the bisection tolerance of the oracle's, or g' within
+    4 ulps of -l/m at both points: along an edge normal to (l, m), float
+    noise in g' sets the bisection's point."""
+    ours, theirs = ({f.direction: f for f in fams} for fams in (families, oracle))
+    for direction in ours.keys() ^ theirs.keys():
+        action = (ours.get(direction) or theirs[direction]).action
+        assert abs(action - cutoff) <= 1e-12 * cutoff, direction
+    for direction in ours.keys() & theirs.keys():
+        fam, ref = ours[direction], theirs[direction]
+        assert (fam.multiplicity, fam.underlying_simple) == (ref.multiplicity, ref.underlying_simple)
+        assert abs(fam.action - ref.action) <= 1e-12 * ref.action, direction
+        if ref.point is None:
+            assert fam.point is None
+            continue
+        target = -direction.l / direction.m
+        xs = (fam.point[0], ref.point[0])
+        on_level = all(abs(oracle_derivative(smooth, x) - target) <= 4 * math.ulp(target) for x in xs)
+        assert abs(xs[0] - xs[1]) <= toricap.rounding_reeb._X_BISECT_TOL * smooth.x_max or on_level, direction
+    assert families == sorted(families, key=lambda fam: (fam.action, fam.direction.as_pair()))
 
 
 def exact_boundary_value(domain, vertex_xs, x):
@@ -397,6 +423,16 @@ class TestGaussPoint:
         assert y == pytest.approx(0.5, abs=0.1)
         assert rounded_tri11.derivative(x) == pytest.approx(-1.0, abs=1e-6)
 
+    def test_mean_slope_rounded_past_every_line(self):
+        # g'(0), a weighted mean of the slopes, rounds one ulp above the
+        # largest of them, the first edge's -5/392, so (5, 392) is solved
+        # though no line is shallower than -l/m: u has no root there, and
+        # bisecting g' gives the oracle's point
+        smooth = round_domain(make_polygon_domain([(0, Fraction(2455, 49)), (8, 50), (9, 0)]), 0.09, 0.125)
+        assert max(smooth._slopes) == -5 / 392 < smooth.derivative(0.0)
+        d = LatticeDirection(5, 392)
+        assert gauss_point(smooth, d) == oracle_gauss_point(smooth, d)
+
     def test_axis_direction_returns_none(self, rounded_tri11):
         assert gauss_point(rounded_tri11, LatticeDirection(1, 0)) is None
         assert gauss_point(rounded_tri11, LatticeDirection(0, 3)) is None
@@ -480,7 +516,8 @@ class TestOrbitFamilies:
         cutoff = 3.0
         box = (int(cutoff / 0.5) + 1) * (int(cutoff / rounded_tri11.value(0.5)) + 1)
         monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box)
-        assert orbit_families(rounded_tri11, cutoff) == oracle_orbit_families(rounded_tri11, cutoff)
+        oracle = oracle_orbit_families(rounded_tri11, cutoff)
+        assert_families_match(rounded_tri11, orbit_families(rounded_tri11, cutoff), oracle, cutoff)
         monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box - 1)
         with pytest.raises(TooManyFamilies):
             orbit_families(rounded_tri11, cutoff)
@@ -549,10 +586,37 @@ class TestSplitAndCapacity:
         value = capacity_via_spectrum(rounded_tri12, 1)
         assert value == pytest.approx(1.0, abs=2 * rounded_tri12.hausdorff_bound)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3"])
+    def test_non_integer_k_is_rejected(self, rounded_tri11, k):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            capacity_via_spectrum(rounded_tri11, k)
+
+    def test_two_support_calls_at_huge_k(self, monkeypatch, rounded_tri11):
+        # the scan over all k + 1 splits costs O(k) and never returns here;
+        # the counter stops it after three non-axis calls
+        calls = 0
+        real_support_smooth = toricap.rounding_reeb.support_smooth
+
+        def counting_support_smooth(smooth, l, m):
+            nonlocal calls
+            if l and m:
+                calls += 1
+                if calls > 3:
+                    raise AssertionError("more than three non-axis support_smooth calls")
+            return real_support_smooth(smooth, l, m)
+
+        monkeypatch.setattr(toricap.rounding_reeb, "support_smooth", counting_support_smooth)
+        k = 10**7
+        value = capacity_via_spectrum(rounded_tri11, k)
+        assert calls <= 2
+        assert abs(value - math.ceil(k / 2)) <= 3.0 * rounded_tri11.hausdorff_bound * k
+
 
 class TestAgainstOracles:
-    """The vertex certificate, the shared bisection and the row walk give
-    the outputs and verdicts of the oracles above."""
+    """The vertex certificate, the Newton solves with their plateau
+    bisection and the row walk give the verdicts of the oracles above and,
+    as assert_families_match allows, their families; the closed-form
+    capacity gives the scan's value bit for bit."""
 
     @staticmethod
     def unverified(monkeypatch, domain, tau, v):
@@ -561,14 +625,16 @@ class TestAgainstOracles:
         monkeypatch.undo()
         return smooth
 
-    def assert_matches_oracles(self, smooth, cutoff, k):
-        """A sound verdict; if accepted, the same families and capacity as
-        the oracles.  Returns the verdicts of _verify and of the oracle."""
+    def assert_matches_oracles(self, smooth, cutoff, *ks):
+        """A sound verdict; if accepted, the same families and capacities
+        at each k as the oracles.  Returns the verdicts of _verify and of
+        the oracle."""
         verdicts = assert_certificate_sound(smooth)
         if verdicts[0] is None:
-            assert orbit_families(smooth, cutoff) == oracle_orbit_families(smooth, cutoff)
+            assert_families_match(smooth, orbit_families(smooth, cutoff), oracle_orbit_families(smooth, cutoff), cutoff)
             view = OracleView(smooth)
-            assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1))
+            for k in ks:
+                assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1))
         return verdicts
 
     def test_exact_boundary_value_is_boundary_value(self):
@@ -586,7 +652,8 @@ class TestAgainstOracles:
             edges = round(200 ** ((i / 99) ** 2))
             domain = random_unit_polygon(rng, edges)
             smooth = self.unverified(monkeypatch, domain, (1e-2, 1e-3)[i % 2], V)
-            certified, swept = self.assert_matches_oracles(smooth, rng.uniform(1.2, 3.0), rng.randint(1, 12))
+            # the closed-form capacity at large k too, where a floor of l* off by one would show
+            certified, swept = self.assert_matches_oracles(smooth, rng.uniform(1.2, 3.0), rng.randint(1, 12), 24, 100)
             assert certified == swept  # the certificate's verdicts and messages are the sweep's here
             verdicts.append(certified)
         assert verdicts.count(None) >= 50
@@ -642,12 +709,44 @@ class TestAgainstOracles:
         assert message == "g' fails to be non-increasing on the grid"
 
     def test_gauss_point_split_branch(self, rounded_tri11):
-        # far from the corners the other weights vanish against 1.0, so the
-        # first midpoint already sits exactly at the target slope -1
+        # far from the corners the other weights vanish against 1.0, so g'
+        # is exactly -1 at the Newton point, and the shared bisection reports
+        # the midpoint of that plateau, bit for bit the oracle's
         assert rounded_tri11.derivative(rounded_tri11.x_max / 2) == -1.0
         for l in (1, 2, 5):
             d = LatticeDirection(l, l)
             assert gauss_point(rounded_tri11, d) == oracle_gauss_point(rounded_tri11, d)
+
+    def test_closed_form_capacity_on_tie_heavy_shapes(self, tri11, square, tri12):
+        # l* sits near k/2 on the triangle, and h(l) is nearly flat on the square
+        for domain in (tri11, square, tri12):
+            smooth = round_domain(domain, TAU, V)
+            view = OracleView(smooth)
+            for k in range(1, 101):
+                assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1)), (domain, k)
+
+    def test_weights_passes_per_gauss_solve(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
+        # bisecting g' took about 42 passes per solve.  The plateau
+        # bisection still runs for 31 of the pentagon's 361 solves: the edge
+        # normals (1, 2) and (3, 2), (1, 1), whose -1 is the mean of those
+        # edges' slopes, so g' = -1 exactly at their corner, and multiples
+        counts = {"passes": 0, "solves": 0}
+        real_weights, real_gauss_point = SmoothDomain2D._weights, toricap.rounding_reeb.gauss_point
+
+        def counting_weights(smooth, x):
+            counts["passes"] += 1
+            return real_weights(smooth, x)
+
+        def counting_gauss_point(smooth, d):
+            counts["solves"] += 1
+            return real_gauss_point(smooth, d)
+
+        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", counting_gauss_point)
+        for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
+            orbit_families(smooth, 40.0)
+            counts["passes"] -= 2  # orbit_families evaluates g twice outside the solves
+        assert counts["solves"] > 2500 and counts["passes"] <= 6 * counts["solves"]
 
     def test_gauss_solves_follow_the_output(self, monkeypatch, rounded_tri11):
         calls = 0
