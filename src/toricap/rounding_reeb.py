@@ -74,18 +74,24 @@ class SmoothDomain2D:
     lines: tuple[_Line, ...]
     shift: float
     x_max: float
-    # the line slopes, the lines by ascending (slope, constant), g'(0) and
-    # g'(x_max), fixed at construction
+    # the line slopes, the lines by ascending (slope, constant), g'(0),
+    # g'(x_max) and the largest l + m for which l*x and m*g(x) are finite
+    # floats on [0, x_max], fixed at construction
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _by_slope: tuple[_Line, ...] = field(init=False, repr=False, compare=False)
     _slope_start: float = field(init=False, repr=False, compare=False)
     _slope_end: float = field(init=False, repr=False, compare=False)
+    _order_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
         object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
-        object.__setattr__(self, "_slope_start", self.derivative(0.0))
+        g_start, slope_start, _ = self._evaluate(0.0)
+        object.__setattr__(self, "_slope_start", slope_start)
         object.__setattr__(self, "_slope_end", self.derivative(self.x_max))
+        # 1 - 2**-52 absorbs the quotient's rounding; the 1 keeps l + m a finite float
+        limit = math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, self.x_max, g_start))
+        object.__setattr__(self, "_order_limit", limit)
 
     @property
     def hausdorff_bound(self) -> float:
@@ -352,6 +358,8 @@ def support_smooth(smooth: SmoothDomain2D, l: int, m: int) -> float:
     the strictly concave objective (axis directions in closed form)."""
     if l < 0 or m < 0 or (l == 0 and m == 0):
         raise ValueError("direction must be nonzero with non-negative components")
+    if l + m > smooth._order_limit:
+        raise ValueError(f"l + m must be at most {smooth._order_limit} on this domain, or the support overflows a float")
     if m == 0:
         return l * smooth.x_max
     if l == 0:
@@ -464,13 +472,15 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
     floor(l*) + 1.  Raises ValueError unless k is a positive integer."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
+    if k > smooth._order_limit:
+        raise ValueError(f"k must be at most {smooth._order_limit} on this domain, or the support overflows a float")
 
     def excess(x: float):
         g, slope, _ = smooth._evaluate(x)
         return g - x, slope - 1.0, slope
 
     slope = _newton(excess, 0.0, smooth.x_max, 0.5 * smooth.x_max, _X_BISECT_TOL * smooth.x_max)[1]
-    low = math.floor(k * -slope / (1.0 - slope))
+    low = math.floor(k * (-slope / (1.0 - slope)))
     return min(support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
 
 

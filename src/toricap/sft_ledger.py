@@ -288,9 +288,11 @@ class ValidationReport:
         return [r for r in self.results if r.status == "fail"]
 
 
-def _pairing_failure(by_id: dict[str, CurveNode], edges: set[frozenset[str]]) -> str:
+def _pairing_failure(by_id: dict[str, CurveNode], gluings: list[tuple[str, str]]) -> str:
     """The first pairing violation in node and puncture order, or "" when
-    there is none; edges collects the pairing edges met before it."""
+    there is none; gluings collects each gluing met before it once, at
+    whichever of its two ends comes first."""
+    earlier: set[str] = set()
     for nd in by_id.values():
         for i, p in enumerate(nd.punctures):
             if p.paired_with is None:
@@ -309,15 +311,25 @@ def _pairing_failure(by_id: dict[str, CurveNode], edges: set[frozenset[str]]) ->
                 return f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})"
             if q.cz != p.cz or q.action != p.action:
                 return f"{nd.id}[{i}] pairs mismatched orbit data"
-            edges.add(frozenset((nd.id, other_id)))
+            if other_id not in earlier:
+                gluings.append((nd.id, other_id))
+        earlier.add(nd.id)
     return ""
+
+
+def _exact_sum(values: list[Fraction]) -> Fraction:
+    """The exact sum, in one integer pass over the least common denominator."""
+    common = math.lcm(*(x.denominator for x in values))
+    return Fraction(sum(x.numerator * (common // x.denominator) for x in values), common)
 
 
 def building_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:
     """Run the structural checks; every violation lands in the report
     rather than raising.
 
-    Checks: (tree) the pairing graph is a connected tree; (pairing)
+    Checks: (tree) the pairing graph is a connected tree: connected, with
+    gluings = nodes - 1, each gluing counted once, so two nodes glued
+    along two orbit pairs (genus one) fail; (pairing)
     paired punctures are mutual, oppositely signed, one level apart, and
     agree in CZ and action; (index-total) node indices sum to the
     declared total; (energy-positivity) energies are non-negative and
@@ -340,13 +352,13 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
         return ValidationReport(tuple(results))
     add("structure", True)
 
-    edges: set[frozenset[str]] = set()
-    pairing_detail = _pairing_failure(by_id, edges)
+    gluings: list[tuple[str, str]] = []
+    pairing_detail = _pairing_failure(by_id, gluings)
     add("pairing", not pairing_detail, pairing_detail)
 
     # genus zero: the node/edge graph is a tree
     adjacency: dict[str, set[str]] = {i: set() for i in by_id}
-    for u, w in map(tuple, edges):
+    for u, w in gluings:
         adjacency[u].add(w)
         adjacency[w].add(u)
     seen = {b.nodes[0].id}
@@ -357,8 +369,8 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
                 seen.add(nb)
                 stack.append(nb)
     connected = len(seen) == len(by_id)
-    is_tree = connected and len(edges) == len(by_id) - 1
-    tree_detail = f"{len(by_id)} nodes, {len(edges)} pairing edges, connected={connected}"
+    is_tree = connected and len(gluings) == len(by_id) - 1
+    tree_detail = f"{len(by_id)} nodes, {len(gluings)} pairing edges, connected={connected}"
     add("tree", is_tree, "" if is_tree else tree_detail)
 
     total = sum(nd.index for nd in b.nodes)
@@ -375,7 +387,7 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     add("energy-positivity", not energy_detail, energy_detail)
 
     if b.energy_budget is not None:
-        total_energy = sum((nd.energy for nd in b.nodes), Fraction(0))
+        total_energy = _exact_sum([nd.energy for nd in b.nodes])
         budget_detail = f"total {format_rational(total_energy)} vs budget {format_rational(b.energy_budget)}"
         add("energy-budget", total_energy <= b.energy_budget, budget_detail)
 
@@ -443,8 +455,7 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
         punctures=tuple(bottom_punctures),
     )
     nodes = (bottom, *planes)
-    budget = sum((nd.energy for nd in nodes), Fraction(0))
-    return Building(nodes=nodes, total_index=0, energy_budget=budget)
+    return Building(nodes=nodes, total_index=0, energy_budget=_exact_sum([nd.energy for nd in nodes]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,61 +463,48 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
 
 
 def building_to_json(b: Building) -> str:
-    payload = {
-        "nodes": [
-            {
-                "id": nd.id,
-                "level": nd.level,
-                "kind": nd.kind,
-                "index": nd.index,
-                "energy": format_rational(nd.energy),
-                "punctures": [
-                    {
-                        "cz": p.cz,
-                        "action": format_rational(p.action),
-                        "sign": p.sign,
-                        "paired_with": list(p.paired_with) if p.paired_with else None,
-                    }
-                    for p in nd.punctures
-                ],
-                "divisor_hits": nd.divisor_hits,
-            }
-            for nd in b.nodes
-        ],
-        "total_index": b.total_index,
-        "energy_budget": format_rational(b.energy_budget) if b.energy_budget is not None else None,
-    }
-    return json.dumps(payload, indent=2)
+    """Compact one-line JSON.  Any indent sends json to its pure-Python
+    encoder; every rational field holds a Fraction, whose str is
+    format_rational's lowest-terms form."""
+    nodes = [
+        {"id": nd.id, "level": nd.level, "kind": nd.kind, "index": nd.index, "energy": str(nd.energy),
+         "punctures": [{"cz": p.cz, "action": str(p.action), "sign": p.sign,
+                        "paired_with": list(p.paired_with) if p.paired_with else None} for p in nd.punctures],
+         "divisor_hits": nd.divisor_hits}
+        for nd in b.nodes
+    ]
+    budget = None if b.energy_budget is None else str(b.energy_budget)
+    return json.dumps({"nodes": nodes, "total_index": b.total_index, "energy_budget": budget})
 
 
 def building_from_json(text: str) -> Building:
+    """The building a JSON text describes, in any whitespace."""
     payload = json.loads(text)
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value):
+        # each distinct string is parsed once; anything else, and a string
+        # that does not parse, goes on for the constructor to reject in turn
+        if type(value) is str and value not in parsed:
+            try:
+                parsed[value] = as_rational(value)
+            except ValueError:
+                return value
+        return parsed[value] if type(value) is str else value
+
     nodes = []
     for nd in payload["nodes"]:
         punctures = tuple(
-            Puncture(
-                cz=p["cz"],
-                action=p["action"],
-                sign=p["sign"],
-                paired_with=tuple(p["paired_with"]) if p.get("paired_with") else None,
-            )
+            Puncture(cz=p["cz"], action=rational(p["action"]), sign=p["sign"],
+                     paired_with=tuple(p["paired_with"]) if p.get("paired_with") else None)
             for p in nd.get("punctures", [])
         )
-        nodes.append(
-            CurveNode(
-                id=nd["id"],
-                level=nd["level"],
-                kind=nd["kind"],
-                index=nd["index"],
-                energy=nd["energy"],
-                punctures=punctures,
-                divisor_hits=nd.get("divisor_hits", 0),
-            )
-        )
+        nodes.append(CurveNode(id=nd["id"], level=nd["level"], kind=nd["kind"], index=nd["index"],
+                               energy=rational(nd["energy"]), punctures=punctures, divisor_hits=nd.get("divisor_hits", 0)))
     return Building(
         nodes=tuple(nodes),
         total_index=payload.get("total_index", 0),
-        energy_budget=payload.get("energy_budget"),
+        energy_budget=rational(payload.get("energy_budget")),
     )
 
 

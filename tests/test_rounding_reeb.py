@@ -232,6 +232,7 @@ class OracleView:
 
     def __init__(self, smooth):
         self.x_max = smooth.x_max
+        self._order_limit = smooth._order_limit
         self.smooth = smooth
 
     def value(self, x):
@@ -590,6 +591,28 @@ class TestSplitAndCapacity:
     def test_non_integer_k_is_rejected(self, rounded_tri11, k):
         with pytest.raises(ValueError, match="^k must be a positive integer$"):
             capacity_via_spectrum(rounded_tri11, k)
+
+    @pytest.mark.parametrize("fixture", ["rounded_tri11", "rounded_tri12"])
+    def test_k_past_the_float_range_is_rejected_before_any_solve(self, request, monkeypatch, fixture):
+        smooth = request.getfixturevalue(fixture)
+        with pytest.raises(ValueError, match=r"^k must be at most \d+ ") as info:
+            capacity_via_spectrum(smooth, 10**400)
+        limit = int(re.search(r"\d+", str(info.value)).group())
+        assert math.isfinite(limit * max(smooth.x_max, smooth.value(0.0)))
+        assert math.isfinite(capacity_via_spectrum(smooth, limit))
+        for l, m in ((limit, 0), (0, limit), (limit // 2, limit - limit // 2)):
+            assert math.isfinite(support_smooth(smooth, l, m))
+
+        def no_solve(*args):
+            raise AssertionError("solved before rejecting k")
+
+        monkeypatch.setattr(toricap.rounding_reeb, "_newton", no_solve)
+        for k in (limit + 1, 10**400):
+            with pytest.raises(ValueError, match=f"^k must be at most {limit} "):
+                capacity_via_spectrum(smooth, k)
+            for l, m in ((k, 0), (0, k), (k - 1, 1)):
+                with pytest.raises(ValueError, match=f"^l \\+ m must be at most {limit} "):
+                    support_smooth(smooth, l, m)
 
     def test_two_support_calls_at_huge_k(self, monkeypatch, rounded_tri11):
         # the scan over all k + 1 splits costs O(k) and never returns here;

@@ -1,10 +1,14 @@
 """Index formulas, forced-structure solvers, and building validation."""
 import itertools
+import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricap import (
     Building,
@@ -33,7 +37,7 @@ from toricap.sft_ledger import (
     building_to_json,
     report_to_json,
 )
-from toricap.moment_domain import format_rational
+from toricap.moment_domain import as_rational, format_rational
 
 
 def index_oracle(n, cz_tuple, tangency_order):
@@ -288,7 +292,9 @@ class TestEnergyPartition:
 
 def oracle_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:
     """Oracle: the validator as it stood before the id map, looking every
-    paired node up with Building.node and rescanning the nodes per level."""
+    paired node up with Building.node and rescanning the nodes per level.
+    A gluing is the set of its two ends, so each counts once, from
+    whichever end is met."""
     results = []
     ids = [nd.id for nd in b.nodes]
 
@@ -330,14 +336,14 @@ def oracle_validate(b: Building, check_unpaired_parity: bool = False) -> Validat
             if q.cz != p.cz or q.action != p.action:
                 pairing_ok, pairing_detail = False, f"{nd.id}[{i}] pairs mismatched orbit data"
                 break
-            edges.add(frozenset((nd.id, other_id)))
+            edges.add(frozenset(((nd.id, i), (other_id, j))))
         if not pairing_ok:
             break
     add("pairing", pairing_ok, pairing_detail)
 
     adjacency = {i: set() for i in ids}
     for e in edges:
-        u, w = tuple(e)
+        (u, _), (w, _) = tuple(e)
         adjacency[u].add(w)
         adjacency[w].add(u)
     seen = {ids[0]}
@@ -507,6 +513,21 @@ def mutate_building(rng, b):
     return Building(nodes=tuple(nodes), total_index=total_index, energy_budget=budget)
 
 
+def genus_one_building():
+    """Two nodes glued along two orbit pairs: connected, but a genus-one
+    surface, since two gluings join two nodes."""
+    def ends(sign, other):
+        return tuple(Puncture(1, 1, sign, paired_with=(other, i)) for i in range(2))
+
+    return Building(
+        nodes=(
+            CurveNode("a", 0, "cotangent", 0, 2, ends("positive", "b")),
+            CurveNode("b", 1, "top", 0, 1, ends("negative", "a")),
+        ),
+        energy_budget=3,
+    )
+
+
 def _mutate_node(building, node_id, **changes):
     nodes = tuple(
         replace(nd, **changes) if nd.id == node_id else nd for nd in building.nodes
@@ -595,6 +616,11 @@ class TestBuildingValidation:
         assert not report.ok
         assert any(r.check == "unpaired-parity" for r in report.failed())
 
+    def test_two_gluings_between_two_nodes_fail_tree_check(self):
+        report = building_validate(genus_one_building(), check_unpaired_parity=True)
+        assert [r.check for r in report.failed()] == ["tree"]
+        assert report.failed()[0].detail == "2 nodes, 2 pairing edges, connected=True"
+
     def test_json_round_trip(self):
         b = canonical_ball_building(4, Fraction(1, 9))
         again = building_from_json(building_to_json(b))
@@ -609,7 +635,8 @@ class TestBuildingValidation:
             bottom = canonical_ball_building(n, Fraction(1, 10)).node("bottom")
             ends = tuple(replace(p, paired_with=None) for p in bottom.punctures)
             bases.append(Building(nodes=(replace(bottom, punctures=ends),)))
-        corpus = [Building(nodes=())] + [canonical_ball_building(n, Fraction(1, 2 * n)) for n in (29, 100)]
+        corpus = [Building(nodes=()), genus_one_building()]
+        corpus += [canonical_ball_building(n, Fraction(1, 2 * n)) for n in (29, 100)]
         for _ in range(1500):
             b = rng.choice(bases)
             for _ in range(rng.randint(1, 3)):
@@ -666,3 +693,108 @@ class TestBuildingValidation:
                 Building(nodes=(), total_index=value)
             else:
                 CurveNode(**{**node, field: value})
+
+
+def test_building_json_is_one_line():
+    # any indent sends json.dumps to its pure-Python encoder, several times
+    # slower than the C one; this keeps that path from coming back unnoticed
+    # without a timing gate
+    assert "\n" not in building_to_json(canonical_ball_building(3, "1/10"))
+
+
+properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+
+
+@st.composite
+def mutated_buildings(draw):
+    """A canonical or stacked ball building with up to three changes to a
+    node index or energy, or to an end's cz, action or pairing."""
+    n = draw(st.integers(2, 6))
+    b = draw(st.sampled_from([canonical_ball_building, stacked_ball_building]))(n, Fraction(1, n + 2))
+    nodes = list(b.nodes)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(nodes) - 1))
+        nd = nodes[k]
+        change = draw(st.sampled_from(["index", "energy", "cz", "action", "pairing"]))
+        if change == "index":
+            nd = replace(nd, index=draw(st.integers(-2, 2)))
+        elif change == "energy":
+            nd = replace(nd, energy=draw(small_rationals))
+        else:
+            i = draw(st.integers(0, len(nd.punctures) - 1))
+            p = nd.punctures[i]
+            if change == "cz":
+                p = replace(p, cz=draw(st.integers(-1, 8)))
+            elif change == "action":
+                p = replace(p, action=draw(small_rationals))
+            else:
+                ids = st.sampled_from([other.id for other in nodes] + ["ghost"])
+                p = replace(p, paired_with=draw(st.none() | st.tuples(ids, st.integers(-2, 3))))
+            nd = replace(nd, punctures=nd.punctures[:i] + (p,) + nd.punctures[i + 1:])
+        nodes[k] = nd
+    budget = draw(st.sampled_from([b.energy_budget, None, b.energy_budget - Fraction(1, 7)]))
+    return Building(nodes=tuple(nodes), total_index=b.total_index, energy_budget=budget)
+
+
+def spellings(x):
+    """Strings that spell the rational x: lowest terms, unreduced, padded,
+    and as a decimal when one terminates."""
+    num, den = x.numerator, x.denominator
+    out = [str(x), f"{3 * num}/{3 * den}", f" {x} ", f"{num}/{den}\n"]
+    scale = 10 ** den.bit_length()  # a multiple of den when den is 2**a * 5**b
+    if scale % den == 0:
+        whole, part = divmod(abs(num) * (scale // den), scale)
+        out.append(f"{'-' if num < 0 else ''}{whole}.{part:0{len(str(scale)) - 1}d}")
+    return out
+
+
+class TestBuildingJsonProperties:
+    @properties
+    @given(mutated_buildings())
+    def test_round_trip_keeps_the_building_and_its_report(self, b):
+        again = building_from_json(building_to_json(b))
+        assert again == b
+        for parity in (False, True):
+            assert report_to_json(building_validate(again, parity)) == report_to_json(building_validate(b, parity))
+
+    def test_equal_values_spelled_differently_load_equal(self):
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/10")))
+        bottom, plane = payload["nodes"][:2]  # plane_0, glued to the bottom's end 0
+        for spelling in ("1/2", "2/4", " 1/2 ", "0.5"):
+            plane["energy"] = plane["punctures"][0]["action"] = spelling
+            b = building_from_json(json.dumps(payload))
+            assert b.nodes[1].energy == b.nodes[1].punctures[0].action == Fraction(1, 2)
+            assert bottom["punctures"][0]["action"] == "1/2"
+            assert building_validate(b).ok
+
+    @properties
+    @given(st.integers(2, 10), st.data())
+    def test_any_spelling_of_each_rational_loads_the_same_building(self, n, data):
+        b = canonical_ball_building(n, Fraction(1, n + 3))
+        payload = json.loads(building_to_json(b))
+        for nd in payload["nodes"]:
+            nd["energy"] = data.draw(st.sampled_from(spellings(Fraction(nd["energy"]))))
+            for p in nd["punctures"]:
+                p["action"] = data.draw(st.sampled_from(spellings(Fraction(p["action"]))))
+        text = json.dumps(payload, indent=data.draw(st.sampled_from([None, 1, "\t"])))
+        assert building_from_json(text) == b
+
+    @properties
+    @given(
+        st.floats(allow_nan=False) | st.lists(st.integers(0, 3), max_size=2) | st.sampled_from(["x", "1/0", "1//2"]),
+        st.integers(0, 3),
+    )
+    def test_malformed_action_raises_as_its_constructor_does(self, action, slot):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            as_rational(action)
+        payload = json.loads(building_to_json(canonical_ball_building(3, "1/10")))
+        payload["nodes"][0]["punctures"][slot]["action"] = action
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            building_from_json(json.dumps(payload))
+
+    def test_the_first_malformed_field_in_constructor_order_is_named(self):
+        payload = json.loads(building_to_json(canonical_ball_building(3, "1/10")))
+        payload["nodes"][0]["punctures"][0].update(cz="2", action="x")
+        with pytest.raises(ValueError, match="^puncture cz must be an integer, got '2'$"):
+            building_from_json(json.dumps(payload))
