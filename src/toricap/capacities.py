@@ -63,7 +63,7 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     floor(l*) + 1 <= k: two support evaluations, O(log V) exact work, ties
     going to the lexicographically smallest pair.
     """
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
     (x1, y1), (x2, y2) = _near_diagonal(domain)[:2]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
@@ -81,7 +81,7 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
     """
     if e.dim != 2:
         raise ValueError("the spectrum path is defined for 4-dimensional ellipsoids")
-    if k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
     a, b = e.axes
     common = a.denominator * b.denominator

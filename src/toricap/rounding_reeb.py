@@ -40,8 +40,6 @@ from typing import NamedTuple, Optional, Sequence
 from .moment_domain import LatticeDirection, MomentDomain2D, support
 
 _X_BISECT_TOL = 1e-12
-_GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 FAMILY_LIMIT = 100_000
 
 
@@ -354,36 +352,23 @@ def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[f
 
 
 def support_smooth(smooth: SmoothDomain2D, l: int, m: int) -> float:
-    """max over the rounded region of l*x + m*g(x), by golden-section on
-    the strictly concave objective (axis directions in closed form)."""
-    if l < 0 or m < 0 or (l == 0 and m == 0):
-        raise ValueError("direction must be nonzero with non-negative components")
+    """max over the rounded region of l*x + m*g(x), the action l*x + m*y at
+    the Gauss point of (l, m).  Without one, as for axis directions or -l/m
+    outside (g'(x_max), g'(0)), concavity makes l*x + m*g(x) monotone on
+    [0, x_max]: the maximum is at x = 0 when -l/m >= g'(0), at x_max
+    otherwise.  Raises ValueError unless l and m are non-negative integers,
+    not both zero."""
+    if type(l) is not int or type(m) is not int or l < 0 or m < 0 or (l == 0 and m == 0):
+        raise ValueError(f"direction ({l!r}, {m!r}) must be nonzero with non-negative integer components")
     if l + m > smooth._order_limit:
         raise ValueError(f"l + m must be at most {smooth._order_limit} on this domain, or the support overflows a float")
     if m == 0:
         return l * smooth.x_max
-    if l == 0:
-        return m * smooth.value(0.0)
-
-    def h(x: float) -> float:
-        return l * x + m * smooth.value(x)
-
-    lo, hi = 0.0, smooth.x_max
-    tol = _GOLDEN_TOL * smooth.x_max
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    hc, hd = h(c), h(d)
-    while hi - lo > tol:
-        if hc >= hd:
-            hi, d, hd = d, c, hc
-            c = hi - _INV_PHI * (hi - lo)
-            hc = h(c)
-        else:
-            lo, c, hc = c, d, hd
-            d = lo + _INV_PHI * (hi - lo)
-            hd = h(d)
-    xm = 0.5 * (lo + hi)
-    return max(h(xm), h(0.0), h(smooth.x_max))
+    point = gauss_point(smooth, LatticeDirection(l, m))
+    if point is None:
+        x = 0.0 if -l / m >= smooth._slope_start else smooth.x_max
+        point = (x, smooth.value(x))
+    return l * point[0] + m * point[1]
 
 
 def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamily]:
@@ -468,9 +453,10 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
     of the k-th capacity on the rounded domain.  h(l) = support_smooth(l,
     k - l) is convex, least at l* = k*(-g'(x_d))/(1 - g'(x_d)) where
     g(x_d) = x_d (see the README), so the minimum over l = 0..k takes one
-    Newton solve and two support_smooth calls, at floor(l*) and
-    floor(l*) + 1.  Raises ValueError unless k is a positive integer."""
-    if not isinstance(k, int) or k < 1:
+    Newton solve for x_d and two support_smooth calls, at floor(l*) and
+    floor(l*) + 1, each at most one Gauss solve.  Raises ValueError unless
+    k is a positive integer."""
+    if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
     if k > smooth._order_limit:
         raise ValueError(f"k must be at most {smooth._order_limit} on this domain, or the support overflows a float")

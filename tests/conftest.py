@@ -1,8 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from toricap import EllipsoidSpec, make_polygon_domain
+
+# every property suite replays the same examples on every run, keeps no
+# example database and has no per-example deadline; a suite sets only its
+# own max_examples
+settings.register_profile("toricap", derandomize=True, database=None, deadline=None)
+settings.load_profile("toricap")
 
 
 def random_polygon_near_diagonal(rng):

@@ -13,6 +13,7 @@ from toricap import (
     ProjectiveSpace,
     UnsupportedShape,
     ball,
+    capacity_via_spectrum,
     diagonal,
     find_k_equal_diagonal,
     gh_capacity_toric4,
@@ -20,7 +21,9 @@ from toricap import (
     gw_tangency_count,
     lagrangian_capacity,
     make_polygon_domain,
+    round_domain,
     support,
+    support_smooth,
     torus_descendant,
 )
 import toricap.capacities
@@ -175,6 +178,32 @@ class TestSpectrumPath:
         tri = e12.simplex_domain()
         for k in range(1, 31):
             assert gh_spectrum_ellipsoid(e12, k).value == gh_capacity_toric4(tri, k).value
+
+
+NOT_A_POSITIVE_INT = "^k must be a positive integer$"
+
+
+@pytest.mark.parametrize(
+    "function, shape, args, message",
+    [
+        (capacity_via_spectrum, "rounded", (True,), NOT_A_POSITIVE_INT),
+        (support_smooth, "rounded", (1.5, 0.5), r"^direction \(1\.5, 0\.5\) "),
+        (support_smooth, "rounded", (True, 1), r"^direction \(True, 1\) "),
+        (support_smooth, "rounded", (1, 2.0), r"^direction \(1, 2\.0\) "),
+        (gh_capacity_toric4, "polygon", (True,), NOT_A_POSITIVE_INT),
+        (gh_capacity_toric4, "polygon", (2.0,), NOT_A_POSITIVE_INT),
+        (gh_capacity_toric4, "polygon", ("3",), NOT_A_POSITIVE_INT),
+        (gh_spectrum_ellipsoid, "ellipsoid", (True,), NOT_A_POSITIVE_INT),
+        (gh_spectrum_ellipsoid, "ellipsoid", (2.5,), NOT_A_POSITIVE_INT),
+        (gh_spectrum_ellipsoid, "ellipsoid", ("3",), NOT_A_POSITIVE_INT),
+    ],
+)
+def test_orders_must_be_ints(tri12, e12, function, shape, args, message):
+    # bools, floats and strings are rejected as sft_ledger rejects them,
+    # by type, not taken as 1 or failing deep inside with a TypeError
+    target = round_domain(tri12, 1e-3, 1.0 / 32.0) if shape == "rounded" else {"polygon": tri12, "ellipsoid": e12}[shape]
+    with pytest.raises(ValueError, match=message):
+        function(target, *args)
 
 
 class TestEqualDiagonalIndex:

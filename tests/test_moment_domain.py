@@ -5,7 +5,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_concave_polygon
 from toricap import (
     BadEndpoints,
     EllipsoidSpec,
@@ -526,12 +529,24 @@ class TestDiagonalContact:
             diagonal_intersection_isolated(square, big)
 
 
+positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6)
+polygons = st.builds(
+    lambda rng, scale: random_concave_polygon(rng).scaled(scale), st.randoms(use_true_random=False), positive_rationals
+)
+ellipsoids = st.lists(positive_rationals, min_size=1, max_size=5).map(lambda axes: EllipsoidSpec(tuple(sorted(axes))))
+
+
 class TestInterchange:
     def test_json_round_trip(self, square, tri12):
         for domain in (square, tri12):
             assert domain_from_json(domain_to_json(domain)) == domain
         e = EllipsoidSpec((Fraction(1, 2), Fraction(3)))
         assert domain_from_json(domain_to_json(e)) == e
+
+    @settings(max_examples=100)
+    @given(polygons | ellipsoids)
+    def test_json_round_trip_of_any_domain(self, domain):
+        assert domain_from_json(domain_to_json(domain)) == domain
 
     def test_rational_strings(self):
         dom = domain_from_json('{"type":"polygon","vertices":[["0","1"],["1","0"]]}')

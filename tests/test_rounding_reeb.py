@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from toricap import (
     LatticeDirection,
@@ -35,13 +37,15 @@ V = 1.0 / 32.0
 
 # Oracles: the soft-min evaluation written out per call, the kink scan for
 # the shift, the Gauss point search with two independent bisections, the
-# orbit-family scan that solves every direction of the search box, and the
-# 1,025-point sweep of every boundary invariant with f read in exact
-# Fractions.  The fast code must agree with them bit for bit, except that
-# the shift may differ from the scan's by float noise and the Newton orbit
-# families from the bisection's as assert_families_match allows; the vertex
-# certificate in _verify must never accept what the sweep rejects, except
-# for float noise in the gap check.
+# orbit-family scan that solves every direction of the search box, the
+# golden-section search for the support, and the 1,025-point sweep of
+# every boundary invariant with f read in exact Fractions.  The fast code
+# must agree with them bit for bit, except that the shift may differ from
+# the scan's by float noise, the Newton orbit families from the
+# bisection's as assert_families_match allows, and the support from the
+# golden-section search by 8 ulps; the vertex certificate in _verify must
+# never accept what the sweep rejects, except for float noise in the gap
+# check.
 
 GAP_MESSAGE = "vertical gap exceeds the reported bound"
 
@@ -227,16 +231,46 @@ def assert_certificate_sound(smooth):
     return certified, swept
 
 
-class OracleView:
-    """A rounded domain evaluated by the oracle's soft-min, for support_smooth."""
+def oracle_support_smooth(smooth, l, m):
+    """max of l*x + m*g(x) over [0, x_max] by golden-section on the
+    strictly concave objective, g evaluated by oracle_value (axis
+    directions in closed form)."""
+    if m == 0:
+        return l * smooth.x_max
+    if l == 0:
+        return m * oracle_value(smooth, 0.0)
 
-    def __init__(self, smooth):
-        self.x_max = smooth.x_max
-        self._order_limit = smooth._order_limit
-        self.smooth = smooth
+    def h(x):
+        return l * x + m * oracle_value(smooth, x)
 
-    def value(self, x):
-        return oracle_value(self.smooth, x)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, smooth.x_max
+    tol = 1e-10 * smooth.x_max
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    hc, hd = h(c), h(d)
+    while hi - lo > tol:
+        if hc >= hd:
+            hi, d, hd = d, c, hc
+            c = hi - inv_phi * (hi - lo)
+            hc = h(c)
+        else:
+            lo, c, hc = c, d, hd
+            d = lo + inv_phi * (hi - lo)
+            hd = h(d)
+    xm = 0.5 * (lo + hi)
+    return max(h(xm), h(0.0), h(smooth.x_max))
+
+
+def supports_matching_oracle(smooth, directions):
+    """support_smooth, the action at the Gauss point, in each direction,
+    each asserted within 8 ulps of the golden-section search."""
+    values = []
+    for l, m in directions:
+        value, oracle = support_smooth(smooth, l, m), oracle_support_smooth(smooth, l, m)
+        assert abs(value - oracle) <= 8 * math.ulp(oracle), (smooth.source, l, m)
+        values.append(value)
+    return values
 
 
 def random_unit_polygon(rng, edges):
@@ -415,6 +449,29 @@ class TestRounding:
         assert all(y0 > y1 for y0, y1 in zip(ys, ys[1:]))
 
 
+class TestHomogeneityProperties:
+    @settings(max_examples=30)
+    @given(
+        st.builds(random_unit_polygon, st.randoms(use_true_random=False), st.integers(1, 12)),
+        st.sampled_from([1e-2, 1e-3]),
+        st.sampled_from([(l, m) for l, m in itertools.product(range(13), repeat=2) if l or m]),
+        st.integers(1, 24),
+    )
+    def test_support_and_capacity_scale_with_the_domain(self, domain, tau, direction, k):
+        # on c * Omega rounded at c * tau, both are c times their values on
+        # Omega, within 1e-13 of c * max(1, value)
+        try:
+            base = round_domain(domain, tau, V)
+        except SlopeConditionUnreachable:
+            reject()
+        unit = (support_smooth(base, *direction), capacity_via_spectrum(base, k))
+        for scale in SCALES:
+            c = float(scale)
+            smooth = round_domain(domain.scaled(scale), c * tau, V)
+            for scaled, value in zip((support_smooth(smooth, *direction), capacity_via_spectrum(smooth, k)), unit):
+                assert abs(scaled - c * value) <= 1e-13 * c * max(1.0, value)
+
+
 class TestGaussPoint:
     def test_symmetric_direction_on_round_ball(self, rounded_tri11):
         point = gauss_point(rounded_tri11, LatticeDirection(1, 1))
@@ -541,7 +598,7 @@ class TestOrbitFamilies:
             if fam.point is None:
                 continue
             l, m = fam.direction.as_pair()
-            assert abs(fam.action - support_smooth(rounded_pentagon, l, m)) <= 1e-9 * (1 + fam.action)
+            assert abs(fam.action - oracle_support_smooth(rounded_pentagon, l, m)) <= 1e-9 * (1 + fam.action)
 
     def test_support_perturbation_bound(self, rounded_pentagon):
         domain = rounded_pentagon.source
@@ -639,7 +696,8 @@ class TestAgainstOracles:
     """The vertex certificate, the Newton solves with their plateau
     bisection and the row walk give the verdicts of the oracles above and,
     as assert_families_match allows, their families; the closed-form
-    capacity gives the scan's value bit for bit."""
+    capacity gives the scan of support_smooth over l = 0..k bit for bit,
+    and support_smooth lies within 8 ulps of the golden-section oracle."""
 
     @staticmethod
     def unverified(monkeypatch, domain, tau, v):
@@ -655,9 +713,8 @@ class TestAgainstOracles:
         verdicts = assert_certificate_sound(smooth)
         if verdicts[0] is None:
             assert_families_match(smooth, orbit_families(smooth, cutoff), oracle_orbit_families(smooth, cutoff), cutoff)
-            view = OracleView(smooth)
             for k in ks:
-                assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1))
+                assert capacity_via_spectrum(smooth, k) == min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)]))
         return verdicts
 
     def test_exact_boundary_value_is_boundary_value(self):
@@ -744,9 +801,9 @@ class TestAgainstOracles:
         # l* sits near k/2 on the triangle, and h(l) is nearly flat on the square
         for domain in (tri11, square, tri12):
             smooth = round_domain(domain, TAU, V)
-            view = OracleView(smooth)
             for k in range(1, 101):
-                assert capacity_via_spectrum(smooth, k) == min(support_smooth(view, l, k - l) for l in range(k + 1)), (domain, k)
+                scan = min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)]))
+                assert capacity_via_spectrum(smooth, k) == scan, (domain, k)
 
     def test_weights_passes_per_gauss_solve(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
         # bisecting g' took about 42 passes per solve.  The plateau
@@ -770,6 +827,40 @@ class TestAgainstOracles:
             orbit_families(smooth, 40.0)
             counts["passes"] -= 2  # orbit_families evaluates g twice outside the solves
         assert counts["solves"] > 2500 and counts["passes"] <= 6 * counts["solves"]
+
+    def test_support_matches_golden_section_at_every_scale(self):
+        directions = [(l, m) for l, m in itertools.product(range(7), repeat=2) if l or m]
+        for domain in scaled_polygons():
+            for scale in (Fraction(1),) + SCALES:
+                for tau in (1e-2, 1e-3):
+                    supports_matching_oracle(round_domain(domain.scaled(scale), float(scale) * tau, V), directions)
+
+    def test_weights_passes_per_support_call(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
+        # golden-section took about 50 passes per call.  Off a plateau the
+        # support is one Newton solve; on one, the plateau bisection of g'
+        # runs, the only caller of derivative here
+        counts = {"passes": 0, "plateau": False}
+        real_weights, real_derivative = SmoothDomain2D._weights, SmoothDomain2D.derivative
+
+        def counting_weights(smooth, x):
+            counts["passes"] += 1
+            return real_weights(smooth, x)
+
+        def flagging_derivative(smooth, x):
+            counts["plateau"] = True
+            return real_derivative(smooth, x)
+
+        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        monkeypatch.setattr(SmoothDomain2D, "derivative", flagging_derivative)
+        off_plateau = 0
+        for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
+            for l, m in itertools.product(range(1, 41), repeat=2):
+                counts.update(passes=0, plateau=False)
+                support_smooth(smooth, l, m)
+                if not counts["plateau"]:
+                    off_plateau += 1
+                    assert counts["passes"] <= 6, (smooth.source, l, m, counts["passes"])
+        assert off_plateau > 0.95 * 3 * 40 * 40
 
     def test_gauss_solves_follow_the_output(self, monkeypatch, rounded_tri11):
         calls = 0

@@ -702,7 +702,7 @@ def test_building_json_is_one_line():
     assert "\n" not in building_to_json(canonical_ball_building(3, "1/10"))
 
 
-properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+properties = settings(max_examples=60)
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
 
 
