@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import capacities, moment_domain, rounding_reeb, sft_ledger
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 _BALL_N_LIMIT = 10**6  # ball(c, n) builds and compares n Fraction axes in Python
+_BUILDING_N_LIMIT = 10**5  # the canonical building holds n + 2 nodes, about 1 kB each
 
 
 class InputError(Exception):
@@ -65,6 +67,13 @@ def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     return _parse_payload(moment_domain.domain_from_json, text)
+
+
+def _rational_pair(text: str, option: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InputError(f"{option} takes two comma-separated values, got {text!r}")
+    return as_rational(parts[0]), as_rational(parts[1])
 
 
 def _require_polygon(domain) -> MomentDomain2D:
@@ -132,8 +141,7 @@ def cmd_diag(args) -> int:
 
 def cmd_support(args) -> int:
     domain = _require_polygon(_load_domain(args))
-    l_str, m_str = args.direction.split(",", 1)
-    value = moment_domain.support(domain, (as_rational(l_str), as_rational(m_str)))
+    value = moment_domain.support(domain, _rational_pair(args.direction, "--direction"))
     _emit(args, format_rational(value))
     return EXIT_OK
 
@@ -212,6 +220,7 @@ def cmd_round(args) -> int:
         "x_max": _fmt_float(smooth.x_max),
         "b_prime": _fmt_float(smooth.value(0.0)),
         "hausdorff_bound": _fmt_float(smooth.hausdorff_bound),
+        "margins": {check: _fmt_float(slack) for check, slack in smooth.margins._asdict().items()},
     }
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
@@ -262,8 +271,7 @@ def _shape_from_args(args) -> capacities.Shape:
     if kind == "projective":
         return capacities.ProjectiveSpace(n=args.n)
     if kind == "ellipsoid4":
-        a_str, b_str = args.axes.split(",", 1)
-        return EllipsoidSpec(tuple(sorted((as_rational(a_str), as_rational(b_str)))))
+        return EllipsoidSpec(tuple(sorted(_rational_pair(args.axes, "--axes"))))
     if kind == "cylinder":
         return capacities.Cylinder(k=args.n, m=args.m)
     if kind == "polydisk":
@@ -309,9 +317,9 @@ def cmd_ledger(args) -> int:
         return EXIT_OK
 
     if args.canonical_ball_building is not None:
-        building = sft_ledger.canonical_ball_building(
-            args.canonical_ball_building, as_rational(args.epsilon)
-        )
+        if args.canonical_ball_building > _BUILDING_N_LIMIT:
+            raise InputError(f"--canonical-ball-building {args.canonical_ball_building} is too large: the limit is {_BUILDING_N_LIMIT}")
+        building = sft_ledger.canonical_ball_building(args.canonical_ball_building, as_rational(args.epsilon))
     else:
         with open(args.building, "r", encoding="utf-8") as fh:
             building = _parse_payload(sft_ledger.building_from_json, fh.read())

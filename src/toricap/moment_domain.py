@@ -75,7 +75,7 @@ class LatticeDirection:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.l, int) and isinstance(self.m, int)):
+        if type(self.l) is not int or type(self.m) is not int:
             raise TypeError("lattice components must be integers")
         if self.l < 0 or self.m < 0:
             raise ZeroDirection("lattice direction components must be non-negative")

@@ -48,7 +48,12 @@ class TooManyFamilies(ValueError):
 
 
 class SlopeConditionUnreachable(ValueError):
-    """The requested (tau, v) cannot produce a valid rounded boundary."""
+    """The requested (tau, v) cannot produce a valid rounded boundary.  When a
+    check of _verify fails, check names its Margins field and margin its slack."""
+
+    def __init__(self, message: str, check: Optional[str] = None, margin: Optional[float] = None):
+        super().__init__(message)
+        self.check, self.margin = check, margin
 
 
 class AxisPoint(ValueError):
@@ -62,6 +67,18 @@ class _Line(NamedTuple):
     s: float
 
 
+class Margins(NamedTuple):
+    """Slack of each check of _verify, in order: negative fails, and so does 0 where strict."""
+
+    resolution: float  # tau - the resolution floor 2*gamma_2*L/log(2), see _verify
+    slope_start_low: float  # g'(0) + v
+    slope_start_high: float  # -g'(0), strict
+    slope_end: float  # -1/v - g'(x_max), strict
+    g_start: float  # (1 + 1e-9) * hausdorff_bound - |g(0) - b|
+    g_end: float  # how far g(x_max) lies inside [-1e-9, (1 + 1e-9) * hausdorff_bound]
+    containment: float  # shift - tau*log(N) - cap0's dip + 4*gamma_2*L, see _verify
+
+
 @dataclass(frozen=True)
 class SmoothDomain2D:
     """Rounded domain with evaluable boundary function and derivative."""
@@ -72,6 +89,7 @@ class SmoothDomain2D:
     lines: tuple[_Line, ...]
     shift: float
     x_max: float
+    margins: Margins = field(init=False, repr=False, compare=False)
     # the line slopes, the lines by ascending (slope, constant), g'(0),
     # g'(x_max) and the largest l + m for which l*x and m*g(x) are finite
     # floats on [0, x_max], fixed at construction
@@ -84,12 +102,23 @@ class SmoothDomain2D:
     def __post_init__(self):
         object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
         object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
-        g_start, slope_start, _ = self._evaluate(0.0)
+        (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(self.x_max)
         object.__setattr__(self, "_slope_start", slope_start)
-        object.__setattr__(self, "_slope_end", self.derivative(self.x_max))
+        object.__setattr__(self, "_slope_end", slope_end)
         # 1 - 2**-52 absorbs the quotient's rounding; the 1 keeps l + m a finite float
         limit = math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, self.x_max, g_start))
         object.__setattr__(self, "_order_limit", limit)
+        # in floats each line value c + s*x on [0, x_max] is off by at most
+        # gamma_2*L, L the largest |c| + |s|*x_max and gamma_2 = eps/(1 - eps)
+        # (Higham 2002, Lemma 3.1 and eq. 3.4); cap0 is the last line but one
+        eps, scale = sys.float_info.epsilon, max(abs(c) + abs(s) * self.x_max for c, s in self.lines)
+        dip = float(support(self.source, (Fraction(-self.lines[-2].s), 1))) - self.lines[-2].c
+        bound = self.hausdorff_bound * (1.0 + 1e-9)
+        object.__setattr__(self, "margins", Margins(
+            self.tau - 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * scale,
+            slope_start + self.v, -slope_start, -1.0 / self.v - slope_end,
+            bound - abs(g_start - float(self.source.y_extent)), min(g_end + 1e-9, bound - g_end),
+            self.shift - self.tau * math.log(len(self.lines)) - dip + 4.0 * eps / (1.0 - eps) * scale))
 
     @property
     def hausdorff_bound(self) -> float:
@@ -104,8 +133,7 @@ class SmoothDomain2D:
 
     def value(self, x: float) -> float:
         """g(x), evaluated with a stabilized log-sum-exp."""
-        lowest, weights = self._weights(x)
-        return self.shift + lowest - self.tau * math.log(sum(weights))
+        return self._evaluate(x)[0]
 
     def derivative(self, x: float) -> float:
         """g'(x), a weighted average of the line slopes."""
@@ -140,13 +168,16 @@ class OrbitSplit:
 
 def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
     """Supporting lines of the boundary graph, with shallow slopes tilted
-    down to ``-slope_floor`` about the edge's left endpoint."""
+    down to ``-slope_floor`` about the edge's left endpoint.  Each float is
+    one quotient of integers, which int true division rounds correctly, so
+    it equals the float of the Fraction bit for bit without normalising one."""
     lines: list[_Line] = []
-    for (x1, y1), (x2, y2) in domain.edges():
-        if x2 == x1:
+    points = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in domain.vertices]
+    for ((x1n, x1d), (y1n, y1d)), ((x2n, x2d), (y2n, y2d)) in zip(points, points[1:]):
+        if x2n * x1d == x1n * x2d:
             continue  # final vertical drop, handled by the steep cap
-        s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
-        lines.append(_Line(float(y1) - s * float(x1), s))
+        s = min((y2n * y1d - y1n * y2d) * x1d * x2d / ((x2n * x1d - x1n * x2d) * y1d * y2d), -slope_floor)
+        lines.append(_Line(y1n / y1d - s * (x1n / x1d), s))
     return lines
 
 
@@ -154,8 +185,8 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     """Round a moment polygon at smoothing scale tau with slope bound v.
 
     shift = tau*log(N) + margin + support(Omega, (-s_cap0, 1)) - b over the
-    N lines, read from the proof below: O(V) work and one O(log V) support
-    call, before the O(V*N) certificate.
+    N lines, read from the proof below.  Construction and its certificate
+    take O(V) work, two soft-min passes and two O(log V) support calls.
 
     Raises SlopeConditionUnreachable when the certificate of the boundary
     invariants fails, which happens when v is too small (or tau too large)
@@ -189,19 +220,6 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     x_max = a + (f_end + 2.0 * margin) / abs(s_cap1) if f_end > 0.0 else a
     cap1 = _Line(-margin + abs(s_cap1) * x_max, s_cap1)
 
-    lines = tuple(edge_lines + [cap0, cap1])
-
-    # resolution floor: in floats each line value c + s*x on [0, x_max] is
-    # off by at most gamma_2 * L, with L the largest |c| + |s|*x_max and
-    # gamma_2 = eps/(1 - eps) (Higham 2002, Lemma 3.1 and eq. 3.4), so each
-    # soft-min weight exp(-(val - lowest)/tau) is off by a factor up to
-    # exp(2 * gamma_2 * L / tau).  Above the floor that factor is at most 2,
-    # which the factor 8 in the margin absorbs at the slope conditions
-    eps = sys.float_info.epsilon
-    floor = 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * max(abs(c) + abs(s) * x_max for c, s in lines)
-    if tau < floor:
-        raise SlopeConditionUnreachable(f"tau = {tau:.6g} is below the float resolution floor {floor:.6g} of this polygon")
-
     # largest dip y - (c + s*x) of any line below a vertex (x, y).  An
     # untilted edge line lies on or above the concave f.  Tilted edges, if
     # any, are a prefix shallower than -slope_floor, so edge 0 is one and
@@ -212,43 +230,27 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     # max(y - s_cap0 * x) - (b - margin), a support value
     max_dip = margin + float(support(domain, (Fraction(-s_cap0), 1))) - b
     shift = tau * math.log(n_lines) + max_dip
-
-    smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=lines, shift=shift, x_max=x_max)
+    smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=(*edge_lines, cap0, cap1), shift=shift, x_max=x_max)
     _verify(smooth)
     return smooth
 
 
 def _verify(smooth: SmoothDomain2D) -> None:
-    """Certify the rounded-boundary invariants.
-
-    Three hold by construction: every line slope is negative, so g' < 0; a
-    soft-min of affine functions is concave, so g' is non-increasing; and
-    the lowest line at each x in [0, a] lies at or below f, so
-    g - f <= shift.  Containment g >= f is checked at the vertices only: on
-    each edge f is linear and g concave, so g - f is concave there and
-    smallest at an endpoint.  The endpoint checks are real conditions on
-    (tau, v).
-    """
-    domain, v = smooth.source, smooth.v
-    b = float(domain.y_extent)
-
-    d0 = smooth._slope_start
-    if not (-v <= d0 < 0.0):
-        raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
-    d1 = smooth._slope_end
-    if not (d1 < -1.0 / v):
-        raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
-
-    if abs(smooth.value(0.0) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
-        raise SlopeConditionUnreachable("g(0) strays from b beyond the reported bound")
-    g_end = smooth.value(smooth.x_max)
-    if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
-        raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
-
-    for x, y in domain.vertices:
-        fx = float(y)
-        if smooth.value(float(x)) < fx - 1e-9 * (1.0 + abs(fx)):
-            raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
+    """Raise SlopeConditionUnreachable, naming the check and its slack, at the
+    first check of smooth.margins that fails; no point is evaluated here.
+    README, "Notes on the rounding", derives the resolution floor and proves
+    containment: every soft-min weight is at most 1, so g >= shift + lowest
+    - tau*log(N) >= f where shift - tau*log(N) is at least cap0's dip (see
+    round_domain), up to the float error 4*gamma_2*L of shift and dip."""
+    d0, d1, v, tau = smooth._slope_start, smooth._slope_end, smooth.v, smooth.tau
+    slope_start = f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}"
+    messages = (f"tau = {tau:.6g} is below the float resolution floor {tau - smooth.margins.resolution:.6g} of this polygon",
+                slope_start, slope_start, f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}",
+                "g(0) strays from b beyond the reported bound", "g(x_max) is not within the reported bound of 0",
+                "containment failed: g dips below the polygon boundary")
+    for check, margin, message in zip(Margins._fields, smooth.margins, messages):
+        if not (margin > 0.0 if check in ("slope_start_high", "slope_end") else margin >= 0.0):
+            raise SlopeConditionUnreachable(message, check, margin)
 
 
 def _newton(f, lo: float, hi: float, x: float, tol: float):

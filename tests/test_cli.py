@@ -79,6 +79,23 @@ class TestSupport:
         code, out, _ = run_cli(capsys, "support", "--polygon", square_json, "--direction", "2,3")
         assert code == 0 and out.strip() == "5"
 
+    @pytest.mark.parametrize("direction", ["1", "1,2,3"])
+    def test_direction_needs_two_components(self, capsys, square_json, direction):
+        code, out, err = run_cli(capsys, "support", "--polygon", square_json, "--direction", direction)
+        assert (code, out) == (2, "")
+        assert err == f"error: --direction takes two comma-separated values, got {direction!r}\n"
+
+
+class TestRound:
+    def test_prints_every_margin(self, capsys, square_json):
+        code, out, _ = run_cli(capsys, "round", "--polygon", square_json, "--tau", "1e-2", "--v", "0.1")
+        margins = json.loads(out)["margins"]
+        assert code == 0 and list(margins) == [
+            "resolution", "slope_start_low", "slope_start_high", "slope_end", "g_start", "g_end", "containment"
+        ]
+        assert all(float(slack) > 0 for slack in margins.values())
+        assert float(margins["slope_end"]) == pytest.approx(10.0)  # g'(x_max) = -20 against -1/v = -10
+
 
 class TestGh:
     def test_spectrum_table(self, capsys):
@@ -263,6 +280,11 @@ class TestLagcap:
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "projective", "--n", "2")
         assert code == 0 and out.strip() == "1/3"
 
+    def test_ellipsoid4_needs_two_axes(self, capsys):
+        code, out, err = run_cli(capsys, "lagcap", "--shape", "ellipsoid4", "--axes", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: --axes takes two comma-separated values, got '1'\n"
+
     @pytest.mark.parametrize("axes", ["3,6", "6,3"])
     def test_ellipsoid4_sorts_axes(self, capsys, axes):
         code, out, _ = run_cli(capsys, "lagcap", "--shape", "ellipsoid4", "--axes", axes)
@@ -292,6 +314,17 @@ class TestLedger:
         assert code == 0
         report = json.loads(out)
         assert all(item["status"] == "pass" for item in report)
+
+    def test_canonical_building_size_is_capped(self, capsys, monkeypatch):
+        # checked before anything is built; the limit itself is accepted
+        monkeypatch.setattr("toricap.cli._BUILDING_N_LIMIT", 5)
+        assert run_cli(capsys, "ledger", "--canonical-ball-building", "5", "--epsilon", "1/10")[0] == 0
+        code, out, err = run_cli(capsys, "ledger", "--canonical-ball-building", "6", "--epsilon", "1/10")
+        assert (code, out, err) == (2, "", "error: --canonical-ball-building 6 is too large: the limit is 5\n")
+        monkeypatch.undo()
+        code, out, err = run_cli(capsys, "ledger", "--canonical-ball-building", "100000000", "--epsilon", "1/1000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: --canonical-ball-building 100000000 is too large: the limit is 100000\n"
 
     def test_min_punctures(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--min-punctures", "--n", "4", "--k", "4")

@@ -296,6 +296,12 @@ class TestSupport:
             assert support(domain, (1, 0)) == domain.x_extent
             assert support(domain, (0, 1)) == domain.y_extent
 
+    @pytest.mark.parametrize("pair", [(True, 1), (1, True), (1.0, 1)])
+    def test_lattice_direction_rejects_non_int_components(self, pair):
+        # a bool is an int subclass, and LatticeDirection(True, 1) once equalled (1, 1)
+        with pytest.raises(TypeError):
+            LatticeDirection(*pair)
+
     def test_zero_direction_rejected(self, square):
         with pytest.raises(ZeroDirection):
             support(square, (0, 0))

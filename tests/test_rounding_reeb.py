@@ -29,7 +29,8 @@ from toricap import (
     support_smooth,
 )
 import toricap.rounding_reeb
-from toricap.rounding_reeb import AxisPoint, _verify, boundary_polyline
+from conftest import random_concave_polygon
+from toricap.rounding_reeb import AxisPoint, Margins, _edge_lines, _Line, _verify, boundary_polyline
 
 TAU = 1e-3
 V = 1.0 / 32.0
@@ -94,6 +95,15 @@ def oracle_gauss_point(smooth, d):
 
     x = 0.5 * (bisect(lambda s: s > target) + bisect(lambda s: s >= target))
     return (x, oracle_value(smooth, x))
+
+
+def exact_derivative(smooth, x):
+    """g'(x) with every line value exact: each weight is exp of a float
+    rounded from the exact difference of two line values."""
+    vals = [Fraction(c) + Fraction(s) * Fraction(x) for c, s in smooth.lines]
+    lowest = min(vals)
+    weights = [math.exp(-float((val - lowest) / Fraction(smooth.tau))) for val in vals]
+    return sum(w * s for w, (_, s) in zip(weights, smooth.lines)) / sum(weights)
 
 
 def oracle_orbit_families(smooth, cutoff):
@@ -207,6 +217,29 @@ def oracle_gap_excess(smooth, grid=1024):
         for x in oracle_points(smooth, grid)
         if x <= float(domain.x_extent)
     )
+
+
+def oracle_vertex_gap(smooth):
+    """The least g - f over the polygon's vertices, each read at its float
+    abscissa with f read exactly there, as a Fraction: the vertex loop that
+    _verify ran before containment was proved."""
+    domain = smooth.source
+    vertex_xs = [x for x, _ in domain.vertices]
+    gaps = []
+    for x, _ in domain.vertices:
+        x_float = min(Fraction(float(x)), domain.x_extent)
+        gaps.append(Fraction(oracle_value(smooth, float(x_float))) - exact_boundary_value(domain, vertex_xs, x_float))
+    return min(gaps)
+
+
+def oracle_edge_lines(domain, slope_floor):
+    """_edge_lines by Fraction arithmetic, each float rounded from its Fraction."""
+    lines = []
+    for (x1, y1), (x2, y2) in domain.edges():
+        if x2 != x1:
+            s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
+            lines.append(_Line(float(y1) - s * float(x1), s))
+    return lines
 
 
 def verdict(check, smooth):
@@ -395,7 +428,9 @@ class TestRounding:
                     assert abs(smooth.shift - oracle_shift(smooth)) <= 4 * math.ulp(line_scale)
                     assert smooth.hausdorff_bound == smooth.shift + (smooth.x_max - a)
 
-    def test_one_support_call_per_rounding(self, monkeypatch):
+    def test_two_support_calls_per_rounding(self, monkeypatch):
+        # one reads the shift, the other re-reads cap0's dip for the
+        # containment certificate; neither grows with the vertex count
         calls = 0
         real_support = toricap.rounding_reeb.support
 
@@ -408,7 +443,49 @@ class TestRounding:
         for domain in scaled_polygons():
             calls = 0
             round_domain(domain, TAU, V)
-            assert calls == 1
+            assert calls == 2
+
+    def test_two_weights_passes_per_rounding(self, monkeypatch):
+        # g and g' at x = 0 and at x_max; the certificate evaluates no vertex
+        passes = 0
+        real_weights = SmoothDomain2D._weights
+
+        def counting_weights(smooth, x):
+            nonlocal passes
+            passes += 1
+            return real_weights(smooth, x)
+
+        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        rng = random.Random(67)
+        for edges in (1, 10, 100, 200):
+            passes = 0
+            round_domain(random_unit_polygon(rng, edges), TAU, V)
+            assert passes == 2, edges
+
+    def test_edge_lines_are_the_fraction_formula_bit_for_bit(self):
+        rng = random.Random(71)
+        coprime = Fraction(10**9 + 7, 10**9 + 9)  # both prime
+        for scale in SCALES:
+            for _ in range(25):
+                domain = random_concave_polygon(rng).scaled(scale * coprime * Fraction(rng.randint(1, 10**6), 999_983))
+                slope_floor = rng.choice([1e-12, 1e-3, 0.5]) * rng.random()
+                ours = [(c.hex(), s.hex()) for c, s in _edge_lines(domain, slope_floor)]
+                assert ours == [(c.hex(), s.hex()) for c, s in oracle_edge_lines(domain, slope_floor)]
+
+    def test_vertex_containment_oracle_on_every_fixture_and_scale(self, rounded_tri11, rounded_tri12, rounded_pentagon):
+        # every certified rounding has g >= f at every vertex exactly; lowered
+        # by that least gap and a little more, the oracle rejects it, and so
+        # does the certificate
+        rounded = [rounded_tri11, rounded_tri12, rounded_pentagon]
+        for domain in scaled_polygons():
+            for scale, tau in itertools.product(SCALES, (1e-2, 1e-3)):
+                rounded.append(round_domain(domain.scaled(scale), float(scale) * tau, V))
+        for smooth in rounded:
+            gap = oracle_vertex_gap(smooth)
+            assert gap > 0 and min(smooth.margins) > 0
+            lowered = dataclasses.replace(smooth, shift=smooth.shift - 1.001 * float(gap))
+            assert oracle_vertex_gap(lowered) < 0
+            assert verdict(_verify, lowered) is not None
 
     def test_small_domain_slope_floor_scales_with_width(self):
         # the slope floor tau / a is 10 here, far above v / 2
@@ -422,6 +499,22 @@ class TestRounding:
             round_domain(tri, 0.5, 0.5)
         with pytest.raises(SlopeConditionUnreachable):
             round_domain(tri, 1e-3, 1.5)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2])
+    def test_steep_cap_sets_the_floor_at_x_max(self, monkeypatch, tau):
+        # the steep cap is the lowest line at x_max, so the floor keeps its
+        # term |c| + |s|*x_max, 1.28e14 here, although its weight underflows
+        # at x = 0
+        tri = make_polygon_domain([(0, 10**12), (10**12, 0)])
+        with pytest.raises(SlopeConditionUnreachable) as info:
+            round_domain(tri, tau, V)
+        assert str(info.value) == f"tau = {tau:.6g} is below the float resolution floor 0.0820077 of this polygon"
+        assert info.value.check == "resolution" and info.value.margin == pytest.approx(tau - 0.0820077, rel=1e-6)
+        # below that floor the float g'(x_max) check decides rounding noise:
+        # at v = 0.03 and tau = 1e-4 it passes, where g'(x_max) of the same
+        # lines in exact arithmetic is -1.58, far above -1/v
+        smooth = TestAgainstOracles.unverified(monkeypatch, tri, 1e-4, 0.03)
+        assert smooth.derivative(smooth.x_max) < -1.0 / 0.03 < -2.0 < exact_derivative(smooth, smooth.x_max)
 
     @pytest.mark.parametrize("size, tau", [(1, 1e-300), (10**12, 1e-6)])
     def test_tau_below_the_resolution_floor_names_the_floor(self, size, tau):
@@ -772,6 +865,24 @@ class TestAgainstOracles:
             message = verdict(_verify, variant)
             assert message is not None and message.startswith(prefix)
             assert message == verdict(oracle_verify, variant)
+
+    def test_failed_check_names_its_margin(self):
+        smooth = self.square_at_coarse_tau()
+        assert isinstance(smooth.margins, Margins) and min(smooth.margins) > 0
+        variants = {
+            "resolution": dataclasses.replace(smooth, tau=1e-300),
+            "slope_start_low": dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2),
+            "slope_end": dataclasses.replace(smooth, x_max=smooth.x_max / 2),
+            # raised lines lift g(0) but not the reported bound
+            "g_start": dataclasses.replace(smooth, lines=tuple(ln._replace(c=ln.c + 2 * smooth.hausdorff_bound) for ln in smooth.lines)),
+            "g_end": dataclasses.replace(smooth, shift=smooth.shift - 2 * smooth.margins.g_end),
+            "containment": dataclasses.replace(smooth, shift=smooth.shift - 1e-7),
+        }
+        for check, variant in variants.items():
+            with pytest.raises(SlopeConditionUnreachable) as info:
+                _verify(variant)
+            assert (info.value.check, info.value.margin) == (check, getattr(variant.margins, check))
+            assert info.value.margin < 0 and str(info.value) == verdict(_verify, variant)
 
     def test_each_oracle_only_check_fires(self):
         # _verify leaves these to the construction, which cannot break them;
