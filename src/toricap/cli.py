@@ -85,11 +85,11 @@ def _require_polygon(domain) -> MomentDomain2D:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(text)]
+    lo, sep, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        ks = []
     if not ks or any(k < 1 for k in ks):
         raise InputError(f"bad k range {text!r}")
     return ks

@@ -54,6 +54,8 @@ def as_rational(value: RationalLike) -> Fraction:
             return Fraction(value)  # strips surrounding whitespace itself
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            raise ValueError(f"not a rational number: {value!r}") from None
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact-arithmetic inputs; pass a string or Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational number")

@@ -90,9 +90,9 @@ class SmoothDomain2D:
     shift: float
     x_max: float
     margins: Margins = field(init=False, repr=False, compare=False)
-    # the line slopes, the lines by ascending (slope, constant), g'(0),
-    # g'(x_max) and the largest l + m for which l*x and m*g(x) are finite
-    # floats on [0, x_max], fixed at construction
+    # the line slopes, the lines by ascending (slope, constant), g'(0) and
+    # g'(x_max) clamped to the slope range, and the largest l + m for which
+    # l*x and m*g(x) are finite floats on [0, x_max], fixed at construction
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _by_slope: tuple[_Line, ...] = field(init=False, repr=False, compare=False)
     _slope_start: float = field(init=False, repr=False, compare=False)
@@ -103,8 +103,10 @@ class SmoothDomain2D:
         object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
         object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
         (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(self.x_max)
-        object.__setattr__(self, "_slope_start", slope_start)
-        object.__setattr__(self, "_slope_end", slope_end)
+        # a float mean of the slopes can round one ulp past all of them; clamped,
+        # slope_end < t < slope_start leaves a line slope on each side of t
+        object.__setattr__(self, "_slope_start", min(slope_start, self._by_slope[-1].s))
+        object.__setattr__(self, "_slope_end", max(slope_end, self._by_slope[0].s))
         # 1 - 2**-52 absorbs the quotient's rounding; the 1 keeps l + m a finite float
         limit = math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, self.x_max, g_start))
         object.__setattr__(self, "_order_limit", limit)
@@ -242,6 +244,8 @@ def _verify(smooth: SmoothDomain2D) -> None:
     containment: every soft-min weight is at most 1, so g >= shift + lowest
     - tau*log(N) >= f where shift - tau*log(N) is at least cap0's dip (see
     round_domain), up to the float error 4*gamma_2*L of shift and dip."""
+    # where a check fails, the clamp has not moved g'(0) or g'(x_max): it moves
+    # them only to slopes in [-v/2, 0) or below -2/v (see round_domain)
     d0, d1, v, tau = smooth._slope_start, smooth._slope_end, smooth.v, smooth.tau
     slope_start = f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}"
     messages = (f"tau = {tau:.6g} is below the float resolution floor {tau - smooth.margins.resolution:.6g} of this polygon",
@@ -277,16 +281,14 @@ def _newton(f, lo: float, hi: float, x: float, tol: float):
 def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[float, float]]:
     """Boundary point whose outward normal is parallel to (l, m).
 
-    Solves g'(x) = t = -l/m by safeguarded Newton on the log-odds form
-    u = log A - log B = 0, A and B the sums of w_i*|s_i - t| over the line
-    slopes s_i above and below t, started at the root of u for the two lines
-    that bracket t in slope order (see the README).  Where g' = t exactly in
-    floats there, as along an edge normal to (l, m), the point is the
-    midpoint of that plateau, its ends found by bisecting g', as is the point
-    where g'(0) or g'(x_max) rounds past every line slope.  Returns None for
-    axis directions (l = 0 or m = 0, whose families live over the boundary
-    axes) and when -l/m falls outside the slope range, which cannot happen
-    for directions with v <= m/l and l/m <= 1/v.
+    g is strictly concave, so g'(x) = t = -l/m has one root, and it is the
+    root of the log-odds form u = log A - log B, A and B the sums of
+    w_i*|s_i - t| over the line slopes s_i above and below t.  Safeguarded
+    Newton solves u = 0, started at the root of u for the two lines that
+    bracket t in slope order (see the README).  Returns None for axis
+    directions (l = 0 or m = 0, whose families live over the boundary axes)
+    and when -l/m falls outside (g'(x_max), g'(0)), each end clamped to the
+    line slopes, which cannot happen for directions with v < l/m < 1/v.
     """
     if d.l == 0 or d.m == 0:
         return None
@@ -298,44 +300,19 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
     up2, down2 = list(map(operator.mul, up, up)), list(map(operator.mul, down, down))
 
     def log_odds(x: float):  # u and u' = -(sum w*(s - t)^2 / A + sum w*(t - s)^2 / B) / tau
-        g, slope, weights = smooth._evaluate(x)
+        g, _, weights = smooth._evaluate(x)
         above, below = sum(map(operator.mul, weights, up)), sum(map(operator.mul, weights, down))
         if not (above and below):  # one side's weights underflow: only the sign of u is known
-            return above - below, 0.0, (g, slope)
+            return above - below, 0.0, g
         spread = sum(map(operator.mul, weights, up2)) / above + sum(map(operator.mul, weights, down2)) / below
-        return math.log(above) - math.log(below), -spread / smooth.tau, (g, slope)
+        return math.log(above) - math.log(below), -spread / smooth.tau, g
 
-    # g'(x_max) < t < g'(0) are weighted means of the slopes, so some line
-    # is steeper than t and some shallower, except where a mean rounds one
-    # ulp past every slope; then u has no root and only g' can be bisected
+    # the clamped slope range leaves a line steeper than t and one shallower
     ordered, key = smooth._by_slope, operator.itemgetter(1)
     i, j = bisect_left(ordered, target, key=key), bisect_right(ordered, target, key=key)
-    if 0 < i and j < len(ordered):
-        (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
-        x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
-        x, (g, slope) = _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
-        if slope != target:
-            return (x, g)
-
-    def bisect(lo: float, hi: float, keep_left, shared: bool = False) -> float:
-        while hi - lo > _X_BISECT_TOL * smooth.x_max:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # float spacing exceeds the tolerance, as for subnormal widths
-                break
-            slope = smooth.derivative(mid)
-            if shared and slope == target:
-                return 0.5 * (bisect(lo, mid, keep_left) + bisect(mid, hi, lambda s: s >= target))
-            if keep_left(slope):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    # g' sits at the target over a plateau (up to float resolution); report
-    # its midpoint.  The searches for its two ends share their steps until
-    # g'(mid) == target
-    x = bisect(0.0, smooth.x_max, lambda s: s > target, shared=True)
-    return (x, smooth.value(x))
+    (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
+    x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
+    return _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
 
 
 def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[float, float]:
@@ -356,10 +333,10 @@ def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[f
 def support_smooth(smooth: SmoothDomain2D, l: int, m: int) -> float:
     """max over the rounded region of l*x + m*g(x), the action l*x + m*y at
     the Gauss point of (l, m).  Without one, as for axis directions or -l/m
-    outside (g'(x_max), g'(0)), concavity makes l*x + m*g(x) monotone on
-    [0, x_max]: the maximum is at x = 0 when -l/m >= g'(0), at x_max
-    otherwise.  Raises ValueError unless l and m are non-negative integers,
-    not both zero."""
+    outside gauss_point's clamped slope range, concavity makes l*x + m*g(x)
+    monotone on [0, x_max]: the maximum is at x = 0 when -l/m is at or above
+    the clamped g'(0), at x_max otherwise.  Raises ValueError unless l and m
+    are non-negative integers, not both zero."""
     if type(l) is not int or type(m) is not int or l < 0 or m < 0 or (l == 0 and m == 0):
         raise ValueError(f"direction ({l!r}, {m!r}) must be nonzero with non-negative integer components")
     if l + m > smooth._order_limit:

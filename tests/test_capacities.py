@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricap import (
     Cylinder,
@@ -46,6 +48,9 @@ def toric_min_max(domain, k):
     points = [(int(x * scale), int(y * scale)) for x, y in domain.vertices]
     value, l = min((max(l * x + (k - l) * y for x, y in points), l) for l in range(k + 1))
     return Fraction(value, scale), l
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
 
 
 def random_ellipsoid(rng, cap=50):
@@ -174,10 +179,17 @@ class TestSpectrumPath:
     def test_large_k_is_fast(self, e12):
         assert gh_spectrum_ellipsoid(e12, 10**6).value == Fraction(666667)
 
-    def test_cross_oracle_with_toric(self, e12):
-        tri = e12.simplex_domain()
-        for k in range(1, 31):
-            assert gh_spectrum_ellipsoid(e12, k).value == gh_capacity_toric4(tri, k).value
+    @settings(max_examples=150)
+    @example(Fraction(1), Fraction(2), 30, Fraction(1))
+    @given(positive_rationals, positive_rationals, st.integers(1, 40), positive_rationals)
+    def test_cross_oracle_with_toric(self, a, b, k, c):
+        # the toric min-max on E(a, b)'s triangle is the ellipsoid's
+        # spectrum, and scaling the axes by c scales both by exactly c
+        e = EllipsoidSpec((min(a, b), max(a, b)))
+        value = gh_spectrum_ellipsoid(e, k).value
+        assert gh_capacity_toric4(e.simplex_domain(), k).value == value
+        scaled = EllipsoidSpec(tuple(c * axis for axis in e.axes))
+        assert gh_spectrum_ellipsoid(scaled, k).value == gh_capacity_toric4(scaled.simplex_domain(), k).value == c * value
 
 
 NOT_A_POSITIVE_INT = "^k must be a positive integer$"

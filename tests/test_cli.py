@@ -569,6 +569,26 @@ class TestErrorsAndDeterminism:
         assert err.splitlines() == ["error: zero denominator in '1/0'"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [
+            (["diag", "--ellipsoid", ","], ""),
+            (["diag", "--ellipsoid", "1,b"], "b"),
+            (["support", "--polygon", SQUARE, "--direction", "a,1"], "a"),
+            (["ledger", "--partition", "--n", "2", "--epsilon", "1.5.2"], "1.5.2"),
+        ],
+    )
+    def test_malformed_rational_is_named(self, capsys, argv, literal):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: not a rational number: {literal!r}"]
+
+    @pytest.mark.parametrize("k", ["1..x", "x", "3..", "..3", "1..2..3", "2..1", "0"])
+    def test_malformed_k_range_is_named(self, capsys, k):
+        code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", k)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: bad k range {k!r}"]
+
     @pytest.mark.parametrize("cutoff", ["inf", "nan"])
     def test_non_finite_cutoff_is_input_error(self, capsys, tri11_json, cutoff):
         code, _, err = run_cli(capsys, "spectrum", "--polygon", tri11_json, "--K", cutoff)

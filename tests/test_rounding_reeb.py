@@ -1,6 +1,7 @@
 """Rounding construction, Gauss points, orbit families, and CZ splits."""
 import bisect
 import dataclasses
+import decimal
 import itertools
 import math
 import random
@@ -38,7 +39,7 @@ V = 1.0 / 32.0
 
 # Oracles: the soft-min evaluation written out per call, the kink scan for
 # the shift, the Gauss point search with two independent bisections, the
-# orbit-family scan that solves every direction of the search box, the
+# root of the log-odds form in 80-digit decimal, the orbit-family scan that solves every direction of the search box, the
 # golden-section search for the support, and the 1,025-point sweep of
 # every boundary invariant with f read in exact Fractions.  The fast code
 # must agree with them bit for bit, except that the shift may differ from
@@ -95,6 +96,43 @@ def oracle_gauss_point(smooth, d):
 
     x = 0.5 * (bisect(lambda s: s > target) + bisect(lambda s: s >= target))
     return (x, oracle_value(smooth, x))
+
+
+EXACT = decimal.Context(prec=80, Emin=-10**9, Emax=10**9)
+
+
+def decimal_gauss_x(smooth, l, m):
+    """The root of u = log A - log B, A and B the sums of w_i*|s_i - t| over
+    the line slopes above and below t = -l/m, by 100 bisections of [0, x_max]
+    at 80 digits, with Emin lowered so that no weight underflows.  Slow:
+    keep it off the polygon loops."""
+    with decimal.localcontext(EXACT):
+        t, tau = decimal.Decimal(-l) / m, decimal.Decimal(smooth.tau)
+        lines = [(decimal.Decimal(c), decimal.Decimal(s)) for c, s in smooth.lines]
+
+        def log_odds(x):
+            vals = [c + s * x for c, s in lines]
+            lowest = min(vals)
+            weights = [((lowest - val) / tau).exp() for val in vals]
+            above = sum(w * (s - t) for w, (_, s) in zip(weights, lines) if s > t)
+            below = sum(w * (t - s) for w, (_, s) in zip(weights, lines) if s < t)
+            return above.ln() - below.ln()
+
+        lo, hi = decimal.Decimal(0), decimal.Decimal(smooth.x_max)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if log_odds(mid) > 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+def triangle_gauss_x(smooth, l):
+    """The root of u for (l, l) on a rounded triangle with edge slope -1, at
+    80 digits: u has only the caps (c0, s0) and (c1, s1), so w0*(s0 - t) =
+    w1*(t - s1) gives x = (c1 - c0 - tau*log((t - s1)/(s0 - t)))/(s0 - s1)."""
+    with decimal.localcontext(EXACT):
+        (c0, s0), (c1, s1) = ((decimal.Decimal(c), decimal.Decimal(s)) for c, s in smooth.lines[-2:])
+        t = decimal.Decimal(-l) / l
+        return float((c1 - c0 - decimal.Decimal(smooth.tau) * ((t - s1) / (s0 - t)).ln()) / (s0 - s1))
 
 
 def exact_derivative(smooth, x):
@@ -567,22 +605,34 @@ class TestHomogeneityProperties:
 
 class TestGaussPoint:
     def test_symmetric_direction_on_round_ball(self, rounded_tri11):
+        # the caps are not symmetric, so the point is not the edge's middle:
+        # x = 64*(63 - tau*log 64)/(63*65), near the steep corner
         point = gauss_point(rounded_tri11, LatticeDirection(1, 1))
         assert point is not None
         x, y = point
-        assert x == pytest.approx(0.5, abs=0.1)
-        assert y == pytest.approx(0.5, abs=0.1)
+        assert abs(x - triangle_gauss_x(rounded_tri11, 1)) <= 2 * math.ulp(x)
+        assert x == pytest.approx(64 * (63 - TAU * math.log(64)) / (63 * 65), rel=1e-15)
+        assert y == rounded_tri11.value(x)
         assert rounded_tri11.derivative(x) == pytest.approx(-1.0, abs=1e-6)
 
     def test_mean_slope_rounded_past_every_line(self):
         # g'(0), a weighted mean of the slopes, rounds one ulp above the
-        # largest of them, the first edge's -5/392, so (5, 392) is solved
-        # though no line is shallower than -l/m: u has no root there, and
-        # bisecting g' gives the oracle's point
+        # largest of them, the first edge's -5/392.  Exact g' is below it
+        # everywhere, so (5, 392) has no Gauss point and the support's
+        # maximum is at x = 0; reading it at x_max gives 93.9
         smooth = round_domain(make_polygon_domain([(0, Fraction(2455, 49)), (8, 50), (9, 0)]), 0.09, 0.125)
         assert max(smooth._slopes) == -5 / 392 < smooth.derivative(0.0)
-        d = LatticeDirection(5, 392)
-        assert gauss_point(smooth, d) == oracle_gauss_point(smooth, d)
+        assert gauss_point(smooth, LatticeDirection(5, 392)) is None
+        assert support_smooth(smooth, 5, 392) == 392 * smooth.value(0.0) == pytest.approx(19688.9, abs=0.1)
+        # orbit_families passes it over and walks on along its row.  The
+        # cutoff that reaches (5, 392) needs about 10**6 directions, so the
+        # walk is checked on a smaller polygon with the same rounding of g'(0)
+        smooth = round_domain(make_polygon_domain([(0, Fraction(26, 5)), (1, 5), (3, 0)]), 0.05, 0.6)
+        assert max(smooth._slopes) == -1 / 5 < smooth.derivative(0.0)
+        assert gauss_point(smooth, LatticeDirection(1, 5)) is None
+        assert support_smooth(smooth, 1, 5) == 5 * smooth.value(0.0) < 30.0
+        row = [f.direction.l for f in orbit_families(smooth, 30.0) if f.direction.m == 5]
+        assert row == [0, 2, 3, 4]
 
     def test_axis_direction_returns_none(self, rounded_tri11):
         assert gauss_point(rounded_tri11, LatticeDirection(1, 0)) is None
@@ -603,11 +653,12 @@ class TestGaussPoint:
         assert abs(action - 2.0) <= 2 * tol
 
     def test_terminates_at_large_scale(self):
-        # the bisection tolerance is relative to the width, so this stops as at unit scale
+        # the Newton tolerance is relative to the width, so this stops as at unit scale
         big = 10**6
         smooth = round_domain(make_polygon_domain([(0, big), (big, 0)]), 10.0, V)
         x, y = gauss_point(smooth, LatticeDirection(1, 1))
-        assert x == pytest.approx(big / 2, rel=1e-2) and y == pytest.approx(big / 2, rel=1e-2)
+        assert abs(x - triangle_gauss_x(smooth, 1)) <= 2 * math.ulp(x)
+        assert x == pytest.approx(984614.73, abs=0.01) and y == smooth.value(x)
         assert smooth.derivative(x) == pytest.approx(-1.0, abs=1e-6)
         assert len(orbit_families(smooth, 3e6)) == 9
 
@@ -786,8 +837,7 @@ class TestSplitAndCapacity:
 
 
 class TestAgainstOracles:
-    """The vertex certificate, the Newton solves with their plateau
-    bisection and the row walk give the verdicts of the oracles above and,
+    """The vertex certificate, the Newton solves and the row walk give the verdicts of the oracles above and,
     as assert_families_match allows, their families; the closed-form
     capacity gives the scan of support_smooth over l = 0..k bit for bit,
     and support_smooth lies within 8 ulps of the golden-section oracle."""
@@ -899,14 +949,29 @@ class TestAgainstOracles:
         message = verdict(lambda sm: oracle_verify(sm, derivative=bumped), smooth)
         assert message == "g' fails to be non-increasing on the grid"
 
-    def test_gauss_point_split_branch(self, rounded_tri11):
+    @pytest.mark.parametrize("tau", [1e-3, 1e-4, 1e-5])
+    def test_gauss_point_on_a_float_plateau_is_the_root(self, tau):
         # far from the corners the other weights vanish against 1.0, so g'
-        # is exactly -1 at the Newton point, and the shared bisection reports
-        # the midpoint of that plateau, bit for bit the oracle's
-        assert rounded_tri11.derivative(rounded_tri11.x_max / 2) == -1.0
+        # is exactly -1 along the edge in floats; the Gauss point is still
+        # the one root of u, not the middle of that plateau
+        smooth = round_domain(make_polygon_domain([(0, 1), (1, 0)]), tau, V)
+        assert smooth.derivative(smooth.x_max / 2) == -1.0
         for l in (1, 2, 5):
-            d = LatticeDirection(l, l)
-            assert gauss_point(rounded_tri11, d) == oracle_gauss_point(rounded_tri11, d)
+            x, y = gauss_point(smooth, LatticeDirection(l, l))
+            assert abs(x - triangle_gauss_x(smooth, l)) <= 2 * math.ulp(x) and y == smooth.value(x)
+
+    def test_gauss_point_matches_the_decimal_root(self, rounded_pentagon):
+        # the pentagon's edge normals (1, 2) and (3, 2), and (1, 1), whose -1
+        # is the mean of those edges' slopes; on the four-vertex polygon at
+        # tau = 1e-3 every weight but the -1 edge's underflows along that
+        # edge, so u there is only a sign, and Newton's start is the root
+        quad = make_polygon_domain([(0, 10), (1, Fraction(19, 2)), (9, Fraction(3, 2)), (10, 0)])
+        cases = [(rounded_pentagon, d) for d in ((1, 1), (3, 2), (1, 2))]
+        cases += [(round_domain(quad, tau, V), (1, 1)) for tau in (1e-1, 1e-2, 1e-3)]
+        for smooth, (l, m) in cases:
+            x, y = gauss_point(smooth, LatticeDirection(l, m))
+            assert abs(x - decimal_gauss_x(smooth, l, m)) <= 2 * math.ulp(x), (smooth.source, l, m)
+            assert y == smooth.value(x)
 
     def test_closed_form_capacity_on_tie_heavy_shapes(self, tri11, square, tri12):
         # l* sits near k/2 on the triangle, and h(l) is nearly flat on the square
@@ -917,10 +982,10 @@ class TestAgainstOracles:
                 assert capacity_via_spectrum(smooth, k) == scan, (domain, k)
 
     def test_weights_passes_per_gauss_solve(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
-        # bisecting g' took about 42 passes per solve.  The plateau
-        # bisection still runs for 31 of the pentagon's 361 solves: the edge
-        # normals (1, 2) and (3, 2), (1, 1), whose -1 is the mean of those
-        # edges' slopes, so g' = -1 exactly at their corner, and multiples
+        # bisecting g' took about 42 passes per solve, and a bisection of
+        # the plateau where g' = -l/m in floats about 80.  Newton from the
+        # two-line root takes one pass per solve on these fixtures, plateaus
+        # such as the pentagon's edge normals (1, 2) and (3, 2) included
         counts = {"passes": 0, "solves": 0}
         real_weights, real_gauss_point = SmoothDomain2D._weights, toricap.rounding_reeb.gauss_point
 
@@ -947,31 +1012,22 @@ class TestAgainstOracles:
                     supports_matching_oracle(round_domain(domain.scaled(scale), float(scale) * tau, V), directions)
 
     def test_weights_passes_per_support_call(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
-        # golden-section took about 50 passes per call.  Off a plateau the
-        # support is one Newton solve; on one, the plateau bisection of g'
-        # runs, the only caller of derivative here
-        counts = {"passes": 0, "plateau": False}
-        real_weights, real_derivative = SmoothDomain2D._weights, SmoothDomain2D.derivative
+        # golden-section took about 50 passes per call, and the plateau
+        # bisection about 80; every support is now one Newton solve
+        passes = 0
+        real_weights = SmoothDomain2D._weights
 
         def counting_weights(smooth, x):
-            counts["passes"] += 1
+            nonlocal passes
+            passes += 1
             return real_weights(smooth, x)
 
-        def flagging_derivative(smooth, x):
-            counts["plateau"] = True
-            return real_derivative(smooth, x)
-
         monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
-        monkeypatch.setattr(SmoothDomain2D, "derivative", flagging_derivative)
-        off_plateau = 0
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
             for l, m in itertools.product(range(1, 41), repeat=2):
-                counts.update(passes=0, plateau=False)
+                passes = 0
                 support_smooth(smooth, l, m)
-                if not counts["plateau"]:
-                    off_plateau += 1
-                    assert counts["passes"] <= 6, (smooth.source, l, m, counts["passes"])
-        assert off_plateau > 0.95 * 3 * 40 * 40
+                assert passes <= 6, (smooth.source, l, m, passes)
 
     def test_gauss_solves_follow_the_output(self, monkeypatch, rounded_tri11):
         calls = 0
