@@ -47,8 +47,10 @@ class PreconditionViolated(ValueError):
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' or decimal strings to Fraction."""
-    if isinstance(value, Fraction):
+    if type(value) is Fraction or isinstance(value, Fraction):  # the first test skips the ABC check
         return value  # immutable, so no copy is needed
+    if isinstance(value, bool):
+        raise TypeError(f"booleans are not accepted as rational numbers, got {value!r}")
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)  # strips surrounding whitespace itself

@@ -47,7 +47,7 @@ def cz_from_morse(morse: int) -> int:
     return morse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Puncture:
     cz: int
     action: Fraction
@@ -64,7 +64,8 @@ class Puncture:
             isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
         ):
             raise ValueError(f"puncture paired_with must be None or a (node id, puncture index) pair, got {pair!r}")
-        object.__setattr__(self, "action", as_rational(self.action))
+        if type(self.action) is not Fraction:
+            object.__setattr__(self, "action", as_rational(self.action))
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
 # Holomorphic buildings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveNode:
     id: str
     level: int
@@ -227,23 +228,24 @@ class CurveNode:
     def __post_init__(self):
         if not isinstance(self.id, str):
             raise ValueError(f"node id must be a string, got {self.id!r}")
-        for name in ("level", "index", "divisor_hits"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"node {name} must be an integer, got {getattr(self, name)!r}")
+        if not (type(self.level) is int and type(self.index) is int and type(self.divisor_hits) is int):
+            name = next(name for name in ("level", "index", "divisor_hits") if type(getattr(self, name)) is not int)
+            raise ValueError(f"node {name} must be an integer, got {getattr(self, name)!r}")
         if self.kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {self.kind!r}")
-        object.__setattr__(self, "energy", as_rational(self.energy))
+        if type(self.energy) is not Fraction:
+            object.__setattr__(self, "energy", as_rational(self.energy))
 
     def is_trivial_cylinder(self) -> bool:
         """Index 0, energy 0, one positive and one negative puncture on
         identical orbit data."""
-        if self.index != 0 or self.energy != 0 or len(self.punctures) != 2:
+        if self.index != 0 or self.energy.numerator != 0 or len(self.punctures) != 2:
             return False
         p, q = self.punctures
         return p.sign != q.sign and p.cz == q.cz and p.action == q.action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Building:
     """Genus-zero leveled tree of curve nodes.
 
@@ -293,27 +295,29 @@ def _pairing_failure(by_id: dict[str, CurveNode], gluings: list[tuple[str, str]]
     there is none; gluings collects each gluing met before it once, at
     whichever of its two ends comes first."""
     earlier: set[str] = set()
-    for nd in by_id.values():
+    for nd_id, nd in by_id.items():
         for i, p in enumerate(nd.punctures):
-            if p.paired_with is None:
+            pair = p.paired_with
+            if pair is None:
                 continue
-            other_id, j = p.paired_with
+            other_id, j = pair
             other = by_id.get(other_id)
-            if other is None or not -len(other.punctures) <= j < len(other.punctures):
-                return f"{nd.id}[{i}] points at a missing puncture"
-            q = other.punctures[j]
-            if q.paired_with != (nd.id, i):
-                return f"{nd.id}[{i}] is not reciprocally paired"
+            ends = () if other is None else other.punctures
+            if not -len(ends) <= j < len(ends):
+                return f"{nd_id}[{i}] points at a missing puncture"
+            q = ends[j]
+            if q.paired_with != (nd_id, i):
+                return f"{nd_id}[{i}] is not reciprocally paired"
             if q.sign == p.sign:
-                return f"{nd.id}[{i}] pairs equal signs"
+                return f"{nd_id}[{i}] pairs equal signs"
             upper, lower = (nd, other) if p.sign == "negative" else (other, nd)
             if upper.level != lower.level + 1:
                 return f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})"
-            if q.cz != p.cz or q.action != p.action:
-                return f"{nd.id}[{i}] pairs mismatched orbit data"
+            if (q.cz, q.action) != (p.cz, p.action):
+                return f"{nd_id}[{i}] pairs mismatched orbit data"
             if other_id not in earlier:
-                gluings.append((nd.id, other_id))
-        earlier.add(nd.id)
+                gluings.append((nd_id, other_id))
+        earlier.add(nd_id)
     return ""
 
 
@@ -339,7 +343,9 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     (stability) no symplectization level is made of trivial cylinders
     only; (levels) occupied levels are contiguous.  With
     check_unpaired_parity, unpaired ends must carry odd CZ (elliptic
-    asymptotics).  One id -> node map makes the whole run linear.
+    asymptotics).  One id -> node map makes the whole run linear; paired
+    ends compare (cz, action) as tuples, which test identity before ==,
+    so the actions a loaded or built building shares skip Fraction.__eq__.
     """
     results: list[CheckResult] = []
 
@@ -378,10 +384,11 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
 
     energy_detail = ""
     for nd in b.nodes:
-        if nd.energy < 0:
+        sign = nd.energy.numerator  # a Fraction's denominator is positive
+        if sign < 0:
             energy_detail = f"{nd.id} has negative energy"
             break
-        if nd.energy == 0 and not nd.is_trivial_cylinder():
+        if sign == 0 and not nd.is_trivial_cylinder():
             energy_detail = f"{nd.id} is nonconstant but has zero energy"
             break
     add("energy-positivity", not energy_detail, energy_detail)
@@ -465,11 +472,11 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
 def building_to_json(b: Building) -> str:
     """Compact one-line JSON.  Any indent sends json to its pure-Python
     encoder; every rational field holds a Fraction, whose str is
-    format_rational's lowest-terms form."""
+    format_rational's lowest-terms form; paired_with tuples go out as arrays."""
     nodes = [
         {"id": nd.id, "level": nd.level, "kind": nd.kind, "index": nd.index, "energy": str(nd.energy),
          "punctures": [{"cz": p.cz, "action": str(p.action), "sign": p.sign,
-                        "paired_with": list(p.paired_with) if p.paired_with else None} for p in nd.punctures],
+                        "paired_with": p.paired_with} for p in nd.punctures],
          "divisor_hits": nd.divisor_hits}
         for nd in b.nodes
     ]

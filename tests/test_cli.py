@@ -1,4 +1,5 @@
 """Command-line behavior: outputs, exit codes, determinism, round-trips."""
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,11 @@ import re
 import shlex
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricap.cli import main
 
@@ -519,6 +523,22 @@ class TestErrorsAndDeterminism:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["energy", "action", "energy_budget"])
+    def test_boolean_rational_in_building_is_input_error(self, capsys, tmp_path, field, value):
+        # true was once read as 1, so the building went on to validation and exit 1
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        owner = {"action": payload["nodes"][1]["punctures"][0], "energy_budget": payload}.get(field, payload["nodes"][1])
+        owner[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed input: booleans are not accepted as rational numbers, got {value}\n"
+
     def test_fractional_index_and_cz_are_not_truncated(self, capsys, tmp_path):
         # int() once read these as 0 and 1, so the building passed every check
         from toricap import canonical_ball_building
@@ -634,3 +654,113 @@ class TestReadme:
             assert argv[0] == "toricap"
             code, _, err = run_cli(capsys, *argv[1:])
             assert code == 0, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: bounded argument lists, some well formed and some not, run in-process
+
+PYTHON_MESSAGES = (
+    "Traceback", "invalid literal for int()", "Invalid literal for Fraction", "unsupported operand", "index out of range",
+)
+FUZZ_FILES = {
+    "square.json": SQUARE,
+    "tri11.json": '{"type":"polygon","vertices":[["0","1"],["1","0"]]}',
+    "ellipsoid.json": '{"type":"ellipsoid","axes":["1","3/2"]}',
+    "pentagon.json": '{"type":"polygon","vertices":[["0","2"],["1","3/2"],["2","0"]]}',
+    "truncated.json": '{"type":"polygon","vertices":[["0","1"]',
+    "float.json": '{"type":"polygon","vertices":[[0.0,1.0],[1.0,0.0]]}',
+    "rising.json": '{"type":"polygon","vertices":[["0","1"],["1","1"],["2","2"],["3","0"]]}',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from toricap import canonical_ball_building
+    from toricap.sft_ledger import building_to_json
+
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        (root / name).write_text(text)
+    payload = json.loads(building_to_json(canonical_ball_building(3, "1/10")))
+    (root / "building.json").write_text(json.dumps(payload))
+    payload["nodes"][1]["energy"] = True
+    (root / "bool_building.json").write_text(json.dumps(payload))
+    payload["nodes"][1].update(energy="1/3", index=1)
+    (root / "invalid_building.json").write_text(json.dumps(payload))
+    return root
+
+
+# each pool lists well-formed values first and malformed ones after
+fuzz_rationals = st.fractions(0, 5, max_denominator=12).map(str) | st.sampled_from(
+    ["0.25", " 2 ", "-1", "1/0", "x", "", "nan"]
+)
+fuzz_taus = st.floats(1e-4, 0.1).map(repr) | st.sampled_from(["0", "-1", "5", "nan", "inf", "x"])
+fuzz_vs = st.floats(0.01, 0.99).map(repr) | st.sampled_from(["0", "1", "nan", "x"])
+fuzz_ints = st.integers(-3, 50).map(str) | st.sampled_from(["x", "1.5", ""])
+fuzz_pairs = st.tuples(fuzz_rationals, fuzz_rationals).map(",".join) | st.lists(fuzz_rationals, max_size=3).map(",".join)
+fuzz_k = (
+    st.integers(1, 100).map(str)
+    | st.tuples(st.integers(1, 30), st.integers(1, 100)).map(lambda ks: f"{ks[0]}..{ks[1]}")
+    | st.sampled_from(["0", "x", "1..", "1..x", "3..2"])
+)
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    """One command line: a subcommand, each of its options present or not
+    with a value drawn from a bounded pool, and sometimes a stray token."""
+    def path(*names):
+        return str(root / draw(st.sampled_from(names + ("missing.json", ""))))
+
+    def maybe(option, values):
+        return [option, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["diag", "support", "gh", "spectrum", "round", "enclose", "lagcap", "ledger"]))
+    polygons = ("square.json", "tri11.json", "pentagon.json", "ellipsoid.json", "truncated.json", "float.json", "rising.json")
+    argv = [command]
+    if command == "lagcap":
+        shape = draw(st.sampled_from(["ball", "projective", "ellipsoid4", "cylinder", "polydisk", "toric", "cube"]))
+        argv += ["--shape", shape] + maybe("--capacity", fuzz_rationals) + maybe("--n", fuzz_ints)
+        argv += maybe("--m", fuzz_ints) + maybe("--axes", fuzz_pairs) + maybe("--radii", fuzz_pairs)
+        argv += maybe("--polygon", st.just(path(*polygons)))
+    elif command == "ledger":
+        buildings = ("building.json", "invalid_building.json", "bool_building.json", "square.json")
+        scenarios = [["--building", path(*buildings)], ["--canonical-ball-building", draw(fuzz_ints)],
+                     ["--min-punctures"], ["--counts"], ["--forced-morse"], ["--partition"]]
+        for scenario in draw(st.lists(st.sampled_from(scenarios), min_size=1, max_size=2) | st.just([])):
+            argv += scenario
+        argv += maybe("--epsilon", fuzz_rationals) + maybe("--n", fuzz_ints) + maybe("--k", fuzz_ints)
+        argv += maybe("--areas", fuzz_pairs) + (["--check-parity"] if draw(st.booleans()) else [])
+    else:
+        argv += draw(st.sampled_from([
+            ["--polygon", path(*polygons)], ["--polygon", path(*polygons)], ["--ellipsoid", draw(fuzz_pairs)],
+            ["--polygon", SQUARE], [],
+        ]))
+        if command == "support":
+            argv += ["--direction", draw(fuzz_pairs)]
+        elif command == "gh":
+            argv += ["--k", draw(fuzz_k)] + maybe("--via", st.sampled_from(["auto", "minmax", "spectrum", "both"]))
+        elif command in ("spectrum", "round"):
+            if command == "spectrum":
+                argv += ["--K", draw(st.floats(0.5, 5).map(repr) | st.sampled_from(["-1", "nan", "x"]))]
+            argv += maybe("--tau", fuzz_taus) + maybe("--v", fuzz_vs) + maybe("--samples", fuzz_ints)
+            argv += maybe("--boundary-out", st.sampled_from([str(root / "rim.csv"), str(root)]))
+        if command in ("gh", "spectrum"):
+            argv += maybe("--format", st.sampled_from(["json", "csv", "table", "xml"]))
+    argv += maybe("--out", st.sampled_from([str(root / "out.txt"), str(root)]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "1", "-"])))
+    return argv
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, data):
+    argv = data.draw(fuzz_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch("sys.stdin", io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    assert not [m for m in PYTHON_MESSAGES if m in err.getvalue()], (argv, err.getvalue())

@@ -75,11 +75,17 @@ def oracle_shift(smooth):
 
 
 def oracle_gauss_point(smooth, d):
-    """Two independent bisections for the ends of the level set g' = -l/m."""
+    """Two independent bisections for the ends of the level set g' = -l/m,
+    for t = -l/m strictly inside the slope range: g'(0) and g'(x_max)
+    clamped to the oracle's own line slopes, since a float mean of the
+    slopes can round past all of them and exact g' never does."""
     if d.l == 0 or d.m == 0:
         return None
     target = -d.l / d.m
-    if not (oracle_derivative(smooth, smooth.x_max) < target < oracle_derivative(smooth, 0.0)):
+    slopes = [s for _, s in smooth.lines]
+    start = min(oracle_derivative(smooth, 0.0), max(slopes))
+    end = max(oracle_derivative(smooth, smooth.x_max), min(slopes))
+    if not (end < target < start):
         return None
 
     def bisect(keep_left):
@@ -633,6 +639,13 @@ class TestGaussPoint:
         assert support_smooth(smooth, 1, 5) == 5 * smooth.value(0.0) < 30.0
         row = [f.direction.l for f in orbit_families(smooth, 30.0) if f.direction.m == 5]
         assert row == [0, 2, 3, 4]
+
+    def test_families_match_the_oracle_where_the_mean_slope_rounds_past_every_line(self):
+        # the oracle once bracketed t by the float g'(0), so it solved (1, 5) here
+        smooth = round_domain(make_polygon_domain([(0, Fraction(26, 5)), (1, 5), (3, 0)]), 0.05, 0.6)
+        oracle = oracle_orbit_families(smooth, 30.0)
+        assert LatticeDirection(1, 5) not in {f.direction for f in oracle}
+        assert_families_match(smooth, orbit_families(smooth, 30.0), oracle, 30.0)
 
     def test_axis_direction_returns_none(self, rounded_tri11):
         assert gauss_point(rounded_tri11, LatticeDirection(1, 0)) is None

@@ -528,6 +528,74 @@ def genus_one_building():
     )
 
 
+def two_node_building(bottom_action, plane_action):
+    """A bottom sphere glued to one plane along one orbit, each end's
+    action given on its own."""
+    return Building(
+        nodes=(
+            CurveNode("bottom", 0, "cotangent", 0, 1, (Puncture(1, bottom_action, "positive", paired_with=("plane", 0)),)),
+            CurveNode("plane", 1, "top", 0, 1, (Puncture(1, plane_action, "negative", paired_with=("bottom", 0)),)),
+        ),
+        energy_budget=2,
+    )
+
+
+def loaded_with_actions(b, spellings):
+    """b written out, each end's action respelled in node order, read back."""
+    payload = json.loads(building_to_json(b))
+    ends = [p for nd in payload["nodes"] for p in nd["punctures"]]
+    for p, spelling in zip(ends, spellings):
+        p["action"] = spelling
+    return building_from_json(json.dumps(payload))
+
+
+def intruded_buildings():
+    """The canonical n = 2 building with a third end pointing at plane_0[0],
+    the later end of the reciprocal pair bottom[0] <-> plane_0[0]; the
+    intruder comes last, then first, in node order."""
+    b = canonical_ball_building(2, Fraction(1, 5))
+    end = Puncture(1, Fraction(1, 2), "negative", paired_with=("plane_0", 0))
+    intruder = CurveNode("intruder", 1, "top", 0, Fraction(1, 7), (end,))
+    return [replace(b, nodes=b.nodes + (intruder,)), replace(b, nodes=(intruder,) + b.nodes)]
+
+
+def seeded_corpus():
+    """Hand-made edge cases plus 1,500 seeded random mutations of the
+    canonical, stacked and lone-sphere buildings."""
+    rng = random.Random(2018)
+    bases = [canonical_ball_building(n, Fraction(1, n + 2)) for n in range(2, 9)]
+    bases += [stacked_ball_building(n, Fraction(1, n + 3)) for n in (2, 3, 5)]
+    for n in (3, 4):  # a lone bottom sphere: every end unpaired, of even CZ for n = 3
+        bottom = canonical_ball_building(n, Fraction(1, 10)).node("bottom")
+        ends = tuple(replace(p, paired_with=None) for p in bottom.punctures)
+        bases.append(Building(nodes=(replace(bottom, punctures=ends),)))
+    corpus = [Building(nodes=()), genus_one_building()]
+    corpus += [canonical_ball_building(n, Fraction(1, 2 * n)) for n in (29, 100)]
+    # equal actions held by distinct Fraction objects, built and loaded
+    corpus += [two_node_building(Fraction(1, 3), Fraction(2, 6))]
+    corpus += [loaded_with_actions(two_node_building(1, 1), ["1/3", "2/6"])]
+    corpus += intruded_buildings()
+    for _ in range(1500):
+        b = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            b = mutate_building(rng, b)
+        corpus.append(b)
+    return corpus
+
+
+def list_based_building_to_json(b):
+    """The writer as it stood when each paired_with went out through list()."""
+    nodes = [
+        {"id": nd.id, "level": nd.level, "kind": nd.kind, "index": nd.index, "energy": str(nd.energy),
+         "punctures": [{"cz": p.cz, "action": str(p.action), "sign": p.sign,
+                        "paired_with": list(p.paired_with) if p.paired_with else None} for p in nd.punctures],
+         "divisor_hits": nd.divisor_hits}
+        for nd in b.nodes
+    ]
+    budget = None if b.energy_budget is None else str(b.energy_budget)
+    return json.dumps({"nodes": nodes, "total_index": b.total_index, "energy_budget": budget})
+
+
 def _mutate_node(building, node_id, **changes):
     nodes = tuple(
         replace(nd, **changes) if nd.id == node_id else nd for nd in building.nodes
@@ -628,22 +696,8 @@ class TestBuildingValidation:
         assert building_validate(again).ok
 
     def test_reports_match_the_oracle_on_seeded_mutations(self):
-        rng = random.Random(2018)
-        bases = [canonical_ball_building(n, Fraction(1, n + 2)) for n in range(2, 9)]
-        bases += [stacked_ball_building(n, Fraction(1, n + 3)) for n in (2, 3, 5)]
-        for n in (3, 4):  # a lone bottom sphere: every end unpaired, of even CZ for n = 3
-            bottom = canonical_ball_building(n, Fraction(1, 10)).node("bottom")
-            ends = tuple(replace(p, paired_with=None) for p in bottom.punctures)
-            bases.append(Building(nodes=(replace(bottom, punctures=ends),)))
-        corpus = [Building(nodes=()), genus_one_building()]
-        corpus += [canonical_ball_building(n, Fraction(1, 2 * n)) for n in (29, 100)]
-        for _ in range(1500):
-            b = rng.choice(bases)
-            for _ in range(rng.randint(1, 3)):
-                b = mutate_building(rng, b)
-            corpus.append(b)
         failed = set()
-        for b in corpus:
+        for b in seeded_corpus():
             for parity in (False, True):
                 report = building_validate(b, check_unpaired_parity=parity)
                 assert report_to_json(report) == report_to_json(oracle_validate(b, parity))
@@ -653,6 +707,40 @@ class TestBuildingValidation:
             "structure", "pairing", "tree", "index-total", "energy-positivity",
             "energy-budget", "divisor-budget", "levels", "stability", "unpaired-parity",
         }
+
+    def test_equal_actions_in_distinct_objects_pass_pairing(self):
+        built = two_node_building(Fraction(1, 3), Fraction(2, 6))
+        loaded = loaded_with_actions(two_node_building(1, 1), ["1/3", "2/6"])
+        for b in (built, loaded):
+            bottom_end, plane_end = (nd.punctures[0] for nd in b.nodes)
+            assert bottom_end.action == plane_end.action and bottom_end.action is not plane_end.action
+            report = building_validate(b)
+            assert report.ok, report.failed()
+            assert report_to_json(report) == report_to_json(oracle_validate(b))
+
+    def test_third_end_at_the_later_end_of_a_pair_fails_pairing(self):
+        for b in intruded_buildings():
+            expected = oracle_validate(b)
+            assert [r.detail for r in expected.failed() if r.check == "pairing"] == [
+                "intruder[0] is not reciprocally paired"
+            ]
+            assert report_to_json(building_validate(b)) == report_to_json(expected)
+
+    def test_json_bytes_match_the_list_based_writer(self):
+        corpus = [canonical_ball_building(n, Fraction(1, n + 1)) for n in (2, 29, 960)] + seeded_corpus()
+        for b in corpus:
+            assert building_to_json(b) == list_based_building_to_json(b)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["energy", "action", "energy_budget"])
+    def test_booleans_in_rational_fields_are_rejected(self, field, value):
+        with pytest.raises(TypeError, match="^booleans are not accepted"):
+            as_rational(value)
+        payload = json.loads(building_to_json(canonical_ball_building(3, "1/10")))
+        owner = {"action": payload["nodes"][1]["punctures"][0], "energy_budget": payload}.get(field, payload["nodes"][1])
+        owner[field] = value
+        with pytest.raises(TypeError, match=f"^booleans are not accepted as rational numbers, got {value}$"):
+            building_from_json(json.dumps(payload))
 
     def test_validation_never_scans_for_a_node(self, monkeypatch):
         calls = []
@@ -798,3 +886,57 @@ class TestBuildingJsonProperties:
         payload["nodes"][0]["punctures"][0].update(cz="2", action="x")
         with pytest.raises(ValueError, match="^puncture cz must be an integer, got '2'$"):
             building_from_json(json.dumps(payload))
+
+
+# ---------------------------------------------------------------------------
+# the forced-structure solvers on bounded inputs: each returns an answer
+# that meets its defining identity, or raises a ValueError with a message
+
+solver_ints = st.integers(-3, 60)
+
+
+def outcome(call, *args):
+    """call(*args), or the ValueError it raised; any other exception fails."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        assert str(exc), call.__name__
+        return exc
+
+
+@st.composite
+def partition_inputs(draw):
+    """n in -3..60 and epsilon in (-1, 2) with n * epsilon at most 8."""
+    n = draw(solver_ints)
+    top = min(Fraction(2), Fraction(8, n)) if n > 0 else Fraction(2)
+    eps = draw(st.fractions(-1, top, max_denominator=64).filter(lambda e: -1 < e < 2))
+    return n, eps
+
+
+class TestSolverProperties:
+    @settings(max_examples=200)
+    @given(solver_ints, solver_ints, solver_ints)
+    def test_puncture_and_morse_solvers(self, n, tangency, morse):
+        l = outcome(min_positive_punctures, n, tangency, morse)
+        if not isinstance(l, ValueError):
+            gain = morse - n + 3
+            assert l * gain - 4 - 2 * tangency >= 0
+            assert l == 1 or (l - 1) * gain - 4 - 2 * tangency < 0
+        forced = outcome(forced_morse_indices, n)
+        if not isinstance(forced, ValueError):
+            assert forced == [n - 1] * (n + 1) and sum(forced) == n * n - 1
+
+    @settings(max_examples=100)
+    @given(partition_inputs(), st.lists(st.fractions(-1, 2, max_denominator=12), max_size=6))
+    def test_partition_solver_and_check(self, inputs, areas):
+        n, eps = inputs
+        solved = outcome(energy_partition_solve, n, eps)
+        if not isinstance(solved, ValueError):
+            for candidate in solved:
+                assert len(candidate) == n + 1 and sum(candidate) == 1 + eps and candidate[-1] > 0
+                assert all(x >= Fraction(1, n) and (x * n).denominator == 1 for x in candidate[:-1])
+            assert (len(solved) == 1) if eps < Fraction(1, n) else len(solved) >= 1
+        for trial in (areas, [Fraction(1, max(n, 1))] * max(n, 0) + [eps]):
+            report = outcome(energy_partition_check, n, eps, trial)
+            if not isinstance(report, ValueError):
+                assert report.valid == (list(trial) == [Fraction(1, n)] * n + [eps])
