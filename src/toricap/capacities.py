@@ -65,7 +65,8 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     """
     if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
-    (x1, y1), (x2, y2) = _near_diagonal(domain)[:2]
+    j = _near_diagonal(domain)  # the floor is scale-free, so it reads the lattice without its denominator
+    (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
     value, l = min((support(domain, (l, k - l)), l) for l in range(floor, min(floor + 2, k + 1)))
     return CapacityReport(k, value, LatticeDirection(l, k - l))

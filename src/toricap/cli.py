@@ -39,12 +39,14 @@ def _fmt_float(x: float) -> str:
 
 
 def _parse_payload(parse, text: str):
-    """Run a JSON parser; the TypeError, IndexError, AttributeError or
-    KeyError a malformed payload raises (a float coordinate, a list where
-    an object belongs, a vertex missing a coordinate, a missing field)
-    becomes an InputError."""
+    """Run a JSON parser; a JSON syntax error, and the TypeError,
+    IndexError, AttributeError or KeyError a malformed payload raises (a
+    float coordinate, a list where an object belongs, a vertex missing a
+    coordinate, a missing field), becomes an InputError."""
     try:
         return parse(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON at line {exc.lineno} column {exc.colno}") from exc
     except KeyError as exc:
         raise InputError(f"malformed input: missing field {exc}") from exc
     except (TypeError, IndexError, AttributeError) as exc:

@@ -3,7 +3,8 @@
 A 4-dimensional convex toric domain is described by its moment polygon:
 the region under the graph of a piecewise-linear, concave, non-increasing
 function f on [0, a] with f(0) = b and final height 0.  All arithmetic in
-this module is exact rational (``fractions.Fraction``); no floats enter.
+this module is exact: polygon predicates run in integers over one common
+denominator and return ``fractions.Fraction``; no floats enter.
 
 Everything here is an immutable value; all operations are pure functions
 and safe to call concurrently.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
@@ -106,6 +107,17 @@ class MomentDomain2D:
     """
 
     vertices: tuple[Point, ...]
+    # the vertices on one integer lattice, fixed at construction: vertex i
+    # is (_xs[i], _ys[i]) / _denominator, the lcm of the vertex denominators
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        scale = math.lcm(*(c.denominator for p in self.vertices for c in p))
+        object.__setattr__(self, "_denominator", scale)
+        object.__setattr__(self, "_xs", tuple(x.numerator * (scale // x.denominator) for x, _ in self.vertices))
+        object.__setattr__(self, "_ys", tuple(y.numerator * (scale // y.denominator) for _, y in self.vertices))
 
     @property
     def x_extent(self) -> Fraction:
@@ -192,19 +204,21 @@ def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDom
     pts = [(as_rational(p[0]), as_rational(p[1])) for p in vertices]
     if len(pts) < 2:
         raise BadEndpoints("at least two vertices are required")
-    if pts[0][0] != 0:
+    domain = MomentDomain2D(tuple(pts))
+    xs, ys = domain._xs, domain._ys  # the same signs and slopes as the vertices
+    if xs[0] != 0:
         raise BadEndpoints("first vertex must have x = 0")
-    if pts[-1][1] != 0:
+    if ys[-1] != 0:
         raise BadEndpoints("last vertex must have y = 0")
-    if pts[0][1] <= 0:
+    if ys[0] <= 0:
         raise BadEndpoints("height b = f(0) must be positive")
-    if pts[-1][0] <= 0:
+    if xs[-1] <= 0:
         raise BadEndpoints("width a must be positive")
 
-    prev_slope: Optional[Fraction] = None  # None means "no edge yet"
+    pdx, pdy = 0, 1  # the last finite edge; (0, 1) before the first, of slope +infinity
     n_edges = len(pts) - 1
-    for i, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:])):
-        dx, dy = x2 - x1, y2 - y1
+    for i in range(n_edges):
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
         if dx < 0:
             raise NotMonotone("x-coordinates must be non-decreasing")
         if dx == 0:
@@ -215,29 +229,33 @@ def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDom
             if i != n_edges - 1:
                 raise NotMonotone("a vertical edge is only allowed as the final drop to the x-axis")
             continue  # slope -infinity, strictly below any finite slope
-        slope = dy / dx
-        if slope > 0:
-            raise NotMonotone(f"edge {i} has positive slope {format_rational(slope)}")
-        if prev_slope is not None and slope >= prev_slope:
+        if dy > 0:
+            raise NotMonotone(f"edge {i} has positive slope {format_rational(Fraction(dy, dx))}")
+        if dy * pdx >= pdy * dx:  # dy/dx >= pdy/pdx, as dx > 0 and pdx >= 0
             raise NonConcave(
-                f"edge {i} slope {format_rational(slope)} does not strictly decrease "
-                f"from {format_rational(prev_slope)}"
+                f"edge {i} slope {format_rational(Fraction(dy, dx))} does not strictly decrease "
+                f"from {format_rational(Fraction(pdy, pdx))}"
             )
-        prev_slope = slope
-    return MomentDomain2D(tuple(pts))
+        pdx, pdy = dx, dy
+    return domain
 
 
-def _near_diagonal(domain: MomentDomain2D) -> tuple[Point, ...]:
-    """Vertices j - 1, j and j + 1, j the first vertex on or below y = x.
+def _near_diagonal(domain: MomentDomain2D) -> int:
+    """j, the first vertex on or below y = x; j - 1, j and j + 1 are near it.
 
     Along the boundary y - x falls strictly, from b > 0 to -a < 0, so
     j >= 1 and the boundary meets y = x on the edge (x1, y1) -> (x2, y2)
     from j - 1 to j, with y1 > x1 and y2 <= x2; a vertex on the diagonal
     ends the edge it closes.
     """
-    v = domain.vertices
-    j = bisect_left(v, True, key=lambda p: p[1] <= p[0])
-    return v[j - 1:j + 2]
+    xs, ys = domain._xs, domain._ys
+    return bisect_left(range(len(xs)), True, key=lambda i: ys[i] <= xs[i])
+
+
+def _crossing(domain: MomentDomain2D, j: int) -> Fraction:
+    """Where y = x meets the edge from vertex j - 1 to j, solved in lattice units."""
+    (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
+    return Fraction(x2 * y1 - x1 * y2, domain._denominator * (x2 - x1 + y1 - y2))
 
 
 def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
@@ -245,7 +263,7 @@ def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
 
     For an ellipsoid the closed form (sum 1/a_i)^(-1) is used, summed in
     integers over the lcm of the axis numerators; for a polygon it is the
-    crossing of y = x with the first edge of ``_near_diagonal``,
+    crossing of y = x with the edge that ends at ``_near_diagonal``,
     (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2).  The
     denominator is (y1 - x1) - (y2 - x2) > 0, and on a final vertical
     drop the formula gives x1.
@@ -253,22 +271,23 @@ def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
     if isinstance(domain, EllipsoidSpec):
         lcm = math.lcm(*(a.numerator for a in domain.axes))
         return Fraction(lcm, sum(a.denominator * (lcm // a.numerator) for a in domain.axes))
-    (x1, y1), (x2, y2) = _near_diagonal(domain)[:2]
-    return (x2 * y1 - x1 * y2) / (x2 - x1 + y1 - y2)
+    return _crossing(domain, _near_diagonal(domain))
 
 
 DirectionLike = Union[LatticeDirection, Sequence[RationalLike]]
 
 
-def _direction_components(v: DirectionLike) -> tuple[Fraction, Fraction]:
-    if isinstance(v, LatticeDirection):
-        return Fraction(v.l), Fraction(v.m)
-    vx, vy = as_rational(v[0]), as_rational(v[1])
-    if vx < 0 or vy < 0:
+def _direction(v: DirectionLike) -> tuple[int, int, int]:
+    """Integers (p, q, r) with r > 0 and v = (p/r, q/r)."""
+    p, q, r = (v.l, v.m, 1) if isinstance(v, LatticeDirection) else (v[0], v[1], 1)
+    if type(p) is not int or type(q) is not int:  # an int pair needs no Fraction
+        vx, vy = as_rational(p), as_rational(q)
+        p, q, r = vx.numerator * vy.denominator, vy.numerator * vx.denominator, vx.denominator * vy.denominator
+    if p < 0 or q < 0:
         raise ZeroDirection("direction components must be non-negative")
-    if vx == 0 and vy == 0:
+    if p == 0 and q == 0:
         raise ZeroDirection("direction must be nonzero")
-    return vx, vy
+    return p, q, r
 
 
 def support(domain: MomentDomain2D, v: DirectionLike) -> Fraction:
@@ -278,16 +297,16 @@ def support(domain: MomentDomain2D, v: DirectionLike) -> Fraction:
     dx*(vx + vy*s_i) for slope s_i; slopes fall strictly and vy >= 0, so
     "increment <= 0" holds from some edge on (a final vertical drop adds
     vy*dy <= 0), and bisection finds that edge, whose start is the maximum.
+    The test runs in lattice units, and only the result is a Fraction.
     """
-    vx, vy = _direction_components(v)
-    w = domain.vertices
+    p, q, r = _direction(v)
+    xs, ys = domain._xs, domain._ys
 
     def non_increasing(i: int) -> bool:
-        (x1, y1), (x2, y2) = w[i], w[i + 1]
-        return vx * (x2 - x1) <= vy * (y1 - y2)
+        return p * (xs[i + 1] - xs[i]) <= q * (ys[i] - ys[i + 1])
 
-    x, y = w[bisect_left(range(len(w) - 1), True, key=non_increasing)]
-    return vx * x + vy * y
+    i = bisect_left(range(len(xs) - 1), True, key=non_increasing)
+    return Fraction(p * xs[i] + q * ys[i], r * domain._denominator)
 
 
 def included_in_ellipsoid(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
@@ -334,10 +353,6 @@ class EnclosureSearch:
         return self.lower is not None
 
 
-def _touching(near: Sequence[Point], a: Fraction, b: Fraction) -> tuple[Point, ...]:
-    return tuple((x, y) for x, y in near if x / a + y / b == 1)
-
-
 def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSearch:
     """All ellipsoids E(a, b) with X_Omega inside E and equal diagonals.
 
@@ -346,7 +361,7 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     resolution is lost.  The line x/a + y/b = 1 passes through (d, d) on
     the boundary, so it supports the convex region iff it supports the
     region's tangent cone at (d, d), spanned by the edges there: the edge
-    j - 1 -> j of ``_near_diagonal``, and j -> j + 1 when (d, d) is vertex
+    j - 1 -> j, j from ``_near_diagonal``, and j -> j + 1 when (d, d) is vertex
     j.  Only those three vertices constrain a, and the face the line
     touches holds (d, d), so its vertices are among them: O(log V) work.
     The reported pairs are the interval's attained lower endpoint, its
@@ -356,13 +371,16 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     2d.  The symmetric branch (x-intercept exceeding y-intercept) is part
     of the same parameter interval.
     """
-    d = diagonal(domain)
-    near = _near_diagonal(domain)
-    # vertex (x, y) inside E(a, b(a))  <=>  a*(y - d) <= d*(y - x), for a > d
-    if any(y == d < x for x, y in near):
+    j = _near_diagonal(domain)
+    d = _crossing(domain, j)
+    dn, dd, scale = d.numerator, d.denominator, domain._denominator
+    # vertex (x, y) inside E(a, b(a)) <=> a*(y - d) <= d*(y - x), for a > d, and on its
+    # boundary iff equal; in lattice units a*s <= t, s = dd*y - dn*scale and t = dn*(y - x)
+    cuts = [(dd * y - dn * scale, dn * (y - x)) for x, y in zip(domain._xs[j - 1:j + 2], domain._ys[j - 1:j + 2])]
+    if any(s == 0 > t for s, t in cuts):
         return EnclosureSearch(d, None, None, False, ())
-    upper = min((d * (y - x) / (y - d) for x, y in near if y > d), default=None)
-    lo_eff = max([d, *(d * (y - x) / (y - d) for x, y in near if y < d)])  # the infimum
+    upper = min((Fraction(t, s) for s, t in cuts if s > 0), default=None)
+    lo_eff = max([d, *(Fraction(t, s) for s, t in cuts if s < 0)])  # the infimum
     lo = lo_eff if lo_eff > d else None  # None => infimum d, open
     if upper is not None and (upper <= d or upper < lo_eff):
         return EnclosureSearch(d, None, None, False, ())
@@ -370,10 +388,10 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     members = {m for m in (lo, upper) if m is not None}
     if lo_eff <= 2 * d and (upper is None or 2 * d <= upper):
         members.add(2 * d)  # the a = b member of the family
-    pairs = []
+    pairs, near = [], domain.vertices[j - 1:j + 2]
     for a in sorted(members):
-        b = a * d / (a - d)
-        pairs.append(EnclosingEllipsoid(a, b, _touching(near, a, b)))
+        touching = tuple(p for p, (s, t) in zip(near, cuts) if a.numerator * s == a.denominator * t)
+        pairs.append(EnclosingEllipsoid(a, a * d / (a - d), touching))
 
     return EnclosureSearch(
         diagonal=d,
@@ -401,7 +419,8 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
         raise PreconditionViolated("domain is not included in the ellipsoid")
     if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    return len(_touching(_near_diagonal(domain), *e.axes)) < 2
+    (a, b), j = e.axes, _near_diagonal(domain)
+    return sum(x / a + y / b == 1 for x, y in domain.vertices[j - 1:j + 2]) < 2
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,8 @@ def building_to_json(b: Building) -> str:
 
 
 def building_from_json(text: str) -> Building:
-    """The building a JSON text describes, in any whitespace."""
+    """The building a JSON text describes, in any whitespace; only an absent
+    or null ``paired_with`` is unpaired, and a non-array one is rejected."""
     payload = json.loads(text)
     parsed: dict[str, Fraction] = {}
 
@@ -503,7 +504,7 @@ def building_from_json(text: str) -> Building:
     for nd in payload["nodes"]:
         punctures = tuple(
             Puncture(cz=p["cz"], action=rational(p["action"]), sign=p["sign"],
-                     paired_with=tuple(p["paired_with"]) if p.get("paired_with") else None)
+                     paired_with=tuple(pair) if type(pair := p.get("paired_with")) is list else pair)
             for p in nd.get("punctures", [])
         )
         nodes.append(CurveNode(id=nd["id"], level=nd["level"], kind=nd["kind"], index=nd["index"],

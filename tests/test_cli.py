@@ -539,6 +539,35 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (2, "")
         assert err == f"error: malformed input: booleans are not accepted as rational numbers, got {value}\n"
 
+    @pytest.mark.parametrize("value", [False, 0, [], ""], ids=["false", "zero", "empty-array", "empty-string"])
+    def test_falsy_paired_with_is_input_error(self, capsys, tmp_path, value):
+        # these were once read as unpaired, so the building went on to validation and exit 1
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+        payload["nodes"][1]["punctures"][0]["paired_with"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: puncture paired_with must be None or a (node id, puncture index) pair, got ")
+        assert err.count("\n") == 1
+
+    def test_json_syntax_error_in_inline_polygon_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "diag", "--polygon", '{"type": "polygon"')
+        assert (code, out, err) == (2, "", "error: malformed JSON at line 1 column 19\n")
+
+    def test_json_syntax_error_in_truncated_building_is_named(self, capsys, tmp_path):
+        from toricap import canonical_ball_building
+        from toricap.sft_ledger import building_to_json
+
+        text = building_to_json(canonical_ball_building(2, "1/5"))
+        path = tmp_path / "truncated.json"
+        path.write_text("\n" + text[:-1])
+        code, out, err = run_cli(capsys, "ledger", "--building", str(path))
+        assert (code, out, err) == (2, "", f"error: malformed JSON at line 2 column {len(text)}\n")
+
     def test_fractional_index_and_cz_are_not_truncated(self, capsys, tmp_path):
         # int() once read these as 0 and 1, so the building passed every check
         from toricap import canonical_ball_building
@@ -661,6 +690,7 @@ class TestReadme:
 
 PYTHON_MESSAGES = (
     "Traceback", "invalid literal for int()", "Invalid literal for Fraction", "unsupported operand", "index out of range",
+    "Expecting", "Unterminated string", "Extra data",
 )
 FUZZ_FILES = {
     "square.json": SQUARE,
@@ -670,6 +700,9 @@ FUZZ_FILES = {
     "truncated.json": '{"type":"polygon","vertices":[["0","1"]',
     "float.json": '{"type":"polygon","vertices":[[0.0,1.0],[1.0,0.0]]}',
     "rising.json": '{"type":"polygon","vertices":[["0","1"],["1","1"],["2","2"],["3","0"]]}',
+    "falsy_pair_building.json": '{"nodes":[{"id":"bottom","level":0,"kind":"cotangent","index":0,"energy":"1",'
+                                '"punctures":[{"cz":1,"action":"1","sign":"positive","paired_with":false}]}],'
+                                '"energy_budget":"2"}',
 }
 
 
@@ -724,7 +757,8 @@ def fuzz_argv(draw, root):
         argv += maybe("--m", fuzz_ints) + maybe("--axes", fuzz_pairs) + maybe("--radii", fuzz_pairs)
         argv += maybe("--polygon", st.just(path(*polygons)))
     elif command == "ledger":
-        buildings = ("building.json", "invalid_building.json", "bool_building.json", "square.json")
+        buildings = ("building.json", "invalid_building.json", "bool_building.json", "falsy_pair_building.json",
+                     "square.json")
         scenarios = [["--building", path(*buildings)], ["--canonical-ball-building", draw(fuzz_ints)],
                      ["--min-punctures"], ["--counts"], ["--forced-morse"], ["--partition"]]
         for scenario in draw(st.lists(st.sampled_from(scenarios), min_size=1, max_size=2) | st.just([])):

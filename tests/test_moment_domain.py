@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_concave_polygon
+from test_capacities import toric_min_max
 from toricap import (
     BadEndpoints,
     EllipsoidSpec,
@@ -20,6 +21,7 @@ from toricap import (
     ZeroDirection,
     ball,
     diagonal,
+    gh_capacity_toric4,
     diagonal_intersection_isolated,
     equal_diagonal_enclosing_ellipsoids,
     included_in_ellipsoid,
@@ -143,8 +145,8 @@ def touching_by_vertex_scan(domain, a, b):
     return tuple((x, y) for x, y in domain.vertices if x / a + y / b == 1)
 
 
-class CountingVertices(tuple):
-    """A vertex tuple that counts the vertices read through it."""
+class CountingTuple(tuple):
+    """A tuple that counts the items read through it."""
 
     reads = 0
 
@@ -156,6 +158,15 @@ class CountingVertices(tuple):
     def __iter__(self):
         self.reads += len(self)
         return super().__iter__()
+
+
+def counting_copy(domain):
+    """A copy of ``domain`` whose vertices and integer lattice count the
+    reads made through them after construction."""
+    counted = MomentDomain2D(domain.vertices)
+    for name in ("vertices", "_xs", "_ys"):
+        object.__setattr__(counted, name, CountingTuple(getattr(counted, name)))
+    return counted
 
 
 @pytest.fixture(scope="module")
@@ -398,10 +409,12 @@ class TestScanOracles:
         ids=["support-diagonal", "support-steep", "support-axis", "inclusion", "enclosure"],
     )
     def test_searches_read_logarithmically_many_vertices(self, parabola, search):
-        counted = MomentDomain2D(CountingVertices(parabola.vertices))
+        counted = counting_copy(parabola)
         assert search(counted) == search(parabola)
-        size = len(parabola.vertices)
-        assert counted.vertices.reads <= 4 * math.ceil(math.log2(size)) + 4
+        steps = math.ceil(math.log2(len(parabola.vertices)))
+        lattice_reads = counted._xs.reads + counted._ys.reads
+        assert lattice_reads >= steps  # the bisection ran on the lattice
+        assert lattice_reads + counted.vertices.reads <= 4 * steps + 4
 
 
 class TestInclusion:
@@ -563,3 +576,195 @@ class TestInterchange:
     def test_format_rational(self):
         assert format_rational(Fraction(2)) == "2"
         assert format_rational(Fraction(2, 3)) == "2/3"
+
+
+def validate_with_fractions(vertices):
+    """Reference validator: the slope checks in Fraction arithmetic, with
+    the exception classes and messages that make_polygon_domain promises.
+    Returns the coerced vertices of a valid list."""
+    pts = [(Fraction(p[0]), Fraction(p[1])) for p in vertices]
+    if len(pts) < 2:
+        raise BadEndpoints("at least two vertices are required")
+    if pts[0][0] != 0:
+        raise BadEndpoints("first vertex must have x = 0")
+    if pts[-1][1] != 0:
+        raise BadEndpoints("last vertex must have y = 0")
+    if pts[0][1] <= 0:
+        raise BadEndpoints("height b = f(0) must be positive")
+    if pts[-1][0] <= 0:
+        raise BadEndpoints("width a must be positive")
+    prev_slope = None
+    n_edges = len(pts) - 1
+    for i, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:])):
+        dx, dy = x2 - x1, y2 - y1
+        if dx < 0:
+            raise NotMonotone("x-coordinates must be non-decreasing")
+        if dx == 0:
+            if dy == 0:
+                raise NotMonotone("zero-length edge")
+            if dy > 0:
+                raise NotMonotone("vertical edge must descend")
+            if i != n_edges - 1:
+                raise NotMonotone("a vertical edge is only allowed as the final drop to the x-axis")
+            continue
+        slope = dy / dx
+        if slope > 0:
+            raise NotMonotone(f"edge {i} has positive slope {format_rational(slope)}")
+        if prev_slope is not None and slope >= prev_slope:
+            raise NonConcave(
+                f"edge {i} slope {format_rational(slope)} does not strictly decrease "
+                f"from {format_rational(prev_slope)}"
+            )
+        prev_slope = slope
+    return tuple(pts)
+
+
+def outcome(validate, vertices):
+    """("ok", the vertices) or (the exception class, its message)."""
+    try:
+        result = validate(vertices)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return "ok", getattr(result, "vertices", result)
+
+
+F = Fraction
+INVALID_VERTEX_LISTS = {
+    "no-vertices": [],
+    "one-vertex": [(0, 1)],
+    "first-off-axis": [(1, 1), (2, 0)],
+    "last-off-axis": [(0, 1), (1, 1)],
+    "zero-height": [(0, 0), (1, 0)],
+    "negative-height": [(0, -1), (1, 0)],
+    "zero-width": [(0, 1), (0, 0)],
+    "negative-width": [(0, 1), (-1, 0)],
+    "decreasing-x": [(0, 2), (2, 1), (1, F(1, 2)), (3, 0)],
+    "zero-length-edge": [(0, 1), (1, F(1, 2)), (1, F(1, 2)), (2, 0)],
+    "ascending-vertical": [(0, 1), (1, F(1, 2)), (1, 1), (2, 0)],
+    "non-final-vertical": [(0, 2), (1, 1), (1, F(1, 2)), (2, 0)],
+    "positive-slope": [(0, 1), (1, 2), (2, 0)],
+    "positive-slope-later": [(0, 3), (1, 2), (2, F(5, 2)), (3, 0)],
+    "equal-slope": [(0, 2), (1, 1), (2, 0)],
+    "equal-horizontal-slope": [(0, 1), (1, 1), (2, 1), (3, 0)],
+    "convex-kink": [(0, 2), (1, F(1, 2)), (2, 0)],
+    "mixed-denominators-equal-slope": [("0", "7/3"), ("1/7", "16/7"), ("2/7", "47/21"), ("1", "0")],
+    "mixed-denominators-kink": [(0, "5/3"), ("2/11", "3/2"), ("3/5", "6/5"), ("7/9", "4/5"), ("13/6", 0)],
+    "mixed-denominators-rise": [(0, "1/3"), ("1/7", "3/10"), ("5/11", "9/22"), ("3/2", 0)],
+    "large-co-prime-denominators": [
+        (0, F(3, 1000000007)), (F(1, 999999937), F(2, 1000000009)), (F(2, 999999929), F(3, 1000000021)),
+        (F(5, 1000000033), 0),
+    ],
+}
+
+
+class TestValidationParity:
+    @pytest.mark.parametrize("vertices", INVALID_VERTEX_LISTS.values(), ids=INVALID_VERTEX_LISTS.keys())
+    def test_invalid_lists_raise_the_reference_error(self, vertices):
+        expected = outcome(validate_with_fractions, vertices)
+        assert expected[0] != "ok"
+        assert outcome(make_polygon_domain, vertices) == expected
+
+    def test_mutated_polygons_match_the_reference(self, concave_polygon):
+        # each mutation moves, repeats, splits or swaps vertices of a valid
+        # polygon, so the corpus holds valid lists and every kind of failure
+        rng, seen = random.Random(23), Counter()
+        for _ in range(600):
+            vertices = list(concave_polygon(rng).vertices)
+            i = rng.randrange(len(vertices))
+            kind = rng.choice(["keep", "nudge-x", "nudge-y", "repeat", "split", "swap", "lift"])
+            if kind == "nudge-x":
+                vertices[i] = (vertices[i][0] + F(rng.choice([-1, 1]), rng.randint(1, 9)), vertices[i][1])
+            elif kind == "nudge-y":
+                vertices[i] = (vertices[i][0], vertices[i][1] + F(rng.choice([-1, 1]), rng.randint(1, 9)))
+            elif kind == "repeat":
+                vertices.insert(i, vertices[i])
+            elif kind == "split" and i:  # the midpoint of an edge: two equal slopes
+                vertices.insert(i, tuple((a + b) / 2 for a, b in zip(vertices[i - 1], vertices[i])))
+            elif kind == "swap" and i:
+                vertices[i - 1], vertices[i] = vertices[i], vertices[i - 1]
+            elif kind == "lift":
+                vertices = [(x, y + F(1, 3)) for x, y in vertices]
+            expected = outcome(validate_with_fractions, vertices)
+            assert outcome(make_polygon_domain, vertices) == expected, vertices
+            seen[expected[0] if expected[0] == "ok" else expected[0].__name__] += 1
+        for case in ("ok", "BadEndpoints", "NotMonotone", "NonConcave"):
+            assert seen[case] >= 20, seen
+
+
+PRIMES_NEAR_1E9 = (999999929, 999999937, 1000000007, 1000000009, 1000000021, 1000000033, 1000000087, 1000000093)
+scales = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))  # from 1e-6 to 1e6
+
+
+@st.composite
+def lattice_polygons(draw):
+    """A concave moment polygon whose slopes, widths and lift have co-prime
+    denominators near 1e9, so its common denominator is a product of them,
+    scaled by a rational from 1e-6 to 1e6.  Every other one is lifted so
+    that a vertex sits on y = x; a graph that ends above the axis drops
+    vertically there."""
+    primes = draw(st.permutations(PRIMES_NEAR_1E9))
+    n = draw(st.integers(1, 4))
+    numerators = st.integers(0, 10**9)
+    slopes = sorted({F(-draw(numerators), p) for p in primes[:n]}, reverse=True)
+    graph = [(F(0), F(0))]
+    for slope, p in zip(slopes, primes[n:]):
+        dx = F(draw(numerators) + 1, p)
+        graph.append((graph[-1][0] + dx, graph[-1][1] + slope * dx))
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(graph))
+        lift = x - y
+    else:
+        lift = F(draw(numerators), primes[-1])
+    lift = max(lift, -graph[-1][1]) or F(1, primes[-1])
+    vertices = [(x, y + lift) for x, y in graph]
+    if vertices[-1][1] > 0:
+        vertices.append((vertices[-1][0], F(0)))
+    return make_polygon_domain(vertices).scaled(draw(scales))
+
+
+lattice_directions = st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(any)
+fraction_directions = st.tuples(
+    st.builds(F, st.integers(0, 10**12), st.sampled_from(PRIMES_NEAR_1E9)),
+    st.builds(F, st.integers(0, 10**12), st.sampled_from(PRIMES_NEAR_1E9)),
+).filter(any)
+
+
+class TestLatticeOracles:
+    """The integer-lattice kernels against the Fraction oracles, on
+    polygons whose common denominator runs to hundreds of digits."""
+
+    @settings(max_examples=150)
+    @given(lattice_polygons(), lattice_directions, fraction_directions)
+    def test_support_matches_vertex_enumeration(self, domain, pair, fractions):
+        for v in (LatticeDirection(*pair), pair, fractions):
+            expected = support_by_vertex_enumeration(domain, v.as_pair() if isinstance(v, LatticeDirection) else v)
+            assert support(domain, v) == expected
+
+    @settings(max_examples=150)
+    @given(lattice_polygons())
+    def test_diagonal_matches_edge_scan(self, domain):
+        assert diagonal(domain) == diagonal_by_edge_scan(domain)
+
+    @settings(max_examples=100)
+    @given(lattice_polygons(), st.integers(1, 40))
+    def test_toric_capacity_matches_min_max(self, domain, k):
+        report = gh_capacity_toric4(domain, k)
+        assert (report.value, report.minimizer.l) == toric_min_max(domain, k)
+
+    @settings(max_examples=150)
+    @given(lattice_polygons())
+    def test_enclosure_matches_vertex_scan(self, domain):
+        search = equal_diagonal_enclosing_ellipsoids(domain)
+        expected = enclosure_by_vertex_scan(domain)
+        if expected is None:
+            assert not search.feasible and search.pairs == ()
+            return
+        assert (search.lower, search.upper, search.lower_attained) == expected
+        for p in search.pairs:
+            assert p.touching_vertices == touching_by_vertex_scan(domain, p.x_axis, p.y_axis)
+
+    @settings(max_examples=150)
+    @given(lattice_polygons(), scales, lattice_directions, fraction_directions)
+    def test_support_scales_exactly(self, domain, c, pair, fractions):
+        for v in (pair, fractions):
+            assert support(domain.scaled(c), v) == c * support(domain, v)
