@@ -171,15 +171,15 @@ class OrbitSplit:
 def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
     """Supporting lines of the boundary graph, with shallow slopes tilted
     down to ``-slope_floor`` about the edge's left endpoint.  Each float is
-    one quotient of integers, which int true division rounds correctly, so
-    it equals the float of the Fraction bit for bit without normalising one."""
+    one quotient of the domain's lattice integers, which int true division
+    rounds correctly, so it equals the float of the Fraction bit for bit."""
     lines: list[_Line] = []
-    points = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in domain.vertices]
-    for ((x1n, x1d), (y1n, y1d)), ((x2n, x2d), (y2n, y2d)) in zip(points, points[1:]):
-        if x2n * x1d == x1n * x2d:
+    xs, ys, scale = domain._xs, domain._ys, domain._denominator
+    for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]):
+        if x1 == x2:
             continue  # final vertical drop, handled by the steep cap
-        s = min((y2n * y1d - y1n * y2d) * x1d * x2d / ((x2n * x1d - x1n * x2d) * y1d * y2d), -slope_floor)
-        lines.append(_Line(y1n / y1d - s * (x1n / x1d), s))
+        s = min((y2 - y1) / (x2 - x1), -slope_floor)
+        lines.append(_Line(y1 / scale - s * (x1 / scale), s))
     return lines
 
 
@@ -356,7 +356,10 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     Interior families are enumerated over integer pairs (l, m) with both
     components positive; the search box is finite because the action is
     at least l*x* + m*y* for any interior point (x*, y*), and each row of
-    fixed m stops at the first l whose action passes the cutoff.  Axis families
+    fixed m stops at the first l whose action passes the cutoff, without a
+    solve once a solved point bounds that action past it.  Gauss points are
+    solved for primitive directions only, and a multiple g*(l, m) shares
+    the point of (l, m), its underlying simple family.  Axis families
     (l, 0) and (0, m) carry actions l*x_max and m*g(0).  Sorted by action,
     ties by (l, m).  Raises TooManyFamilies before any solve when the box
     l_max * m_max holds more than FAMILY_LIMIT (100,000) directions.
@@ -390,29 +393,39 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     # The action is the support of the rounded domain in the direction
     # (l, m), non-decreasing in l as the domain lies in x >= 0.  So once the
     # computed action passes the cutoff by a relative 1e-9, far above its
-    # float noise, no larger l in the row comes back under it.
+    # float noise, no larger l in the row comes back under it.  A solved
+    # point (x, y) lies on the rounded boundary, so l*x + m*y bounds that
+    # support from below up to the same noise: once it passes stop at the
+    # row's last point (for its first candidate, at the first point of the
+    # nearest row above with one), a solve could keep nothing, and the row
+    # breaks without it.  (l, m) and its primitive direction share the
+    # correctly rounded -l/m, all that gauss_point reads, so each primitive
+    # direction is solved once and its multiples reuse the point.
     stop = keep * (1.0 + 1e-9)
+    points: dict[LatticeDirection, Optional[tuple[float, float]]] = {}
+    above = None
     for m in range(1, m_max + 1):
+        last = first = None
         for l in range(1, l_max + 1):
             if not -l / m < smooth._slope_start:
                 continue  # shallower than g'(0): no Gauss point yet
-            point = gauss_point(smooth, LatticeDirection(l, m))
+            if (near := last or above) and l * near[0] + m * near[1] > stop:
+                break
+            g = math.gcd(l, m)
+            simple = LatticeDirection(l // g, m // g)
+            if simple not in points:
+                points[simple] = gauss_point(smooth, simple)
+            point = points[simple]
             if point is None:  # -l/m is at or below g'(x_max), as for every larger l
                 break
+            last, first = point, first or point
             action = l * point[0] + m * point[1]
             if action > stop:
                 break
             if action <= keep:
-                g = math.gcd(l, m)
-                families.append(
-                    ReebOrbitFamily(
-                        direction=LatticeDirection(l, m),
-                        point=point,
-                        action=action,
-                        multiplicity=g,
-                        underlying_simple=LatticeDirection(l // g, m // g),
-                    )
-                )
+                families.append(ReebOrbitFamily(direction=LatticeDirection(l, m), point=point, action=action,
+                                                multiplicity=g, underlying_simple=simple))
+        above = first or above
     families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
     return families
 

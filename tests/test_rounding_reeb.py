@@ -40,8 +40,9 @@ V = 1.0 / 32.0
 # Oracles: the soft-min evaluation written out per call, the kink scan for
 # the shift, the Gauss point search with two independent bisections, the
 # root of the log-odds form in 80-digit decimal, the orbit-family scan that solves every direction of the search box, the
-# golden-section search for the support, and the 1,025-point sweep of
-# every boundary invariant with f read in exact Fractions.  The fast code
+# row scan with one Gauss solve per direction, the edge lines from integer
+# ratios, the golden-section search for the support, and the 1,025-point
+# sweep of every boundary invariant with f read in exact Fractions.  The fast code
 # must agree with them bit for bit, except that the shift may differ from
 # the scan's by float noise, the Newton orbit families from the
 # bisection's as assert_families_match allows, and the support from the
@@ -150,7 +151,7 @@ def exact_derivative(smooth, x):
     return sum(w * s for w, (_, s) in zip(weights, smooth.lines)) / sum(weights)
 
 
-def oracle_orbit_families(smooth, cutoff):
+def oracle_box_families(smooth, cutoff):
     """Every direction of the search box solved, the axis families added."""
     families = []
     a_ext, b_ext = smooth.x_max, oracle_value(smooth, 0.0)
@@ -174,6 +175,50 @@ def oracle_orbit_families(smooth, cutoff):
                 )
     families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
     return families
+
+
+def oracle_orbit_families(smooth, cutoff):
+    """The row scan with one gauss_point solve per direction (l, m), no
+    shared solves for multiples and no bound from earlier points: each row
+    breaks at its first solved action past the cutoff by a relative 1e-9."""
+    families = []
+    keep = cutoff * (1.0 + 1e-12)
+    for (dl, dm), length in (((1, 0), smooth.x_max), ((0, 1), smooth.value(0.0))):
+        j = 1
+        while j * length <= keep:
+            families.append(ReebOrbitFamily(LatticeDirection(j * dl, j * dm), None, j * length, j, LatticeDirection(dl, dm)))
+            j += 1
+    x_star = float(smooth.source.x_extent) / 2.0
+    l_max, m_max = int(cutoff / x_star) + 1, int(cutoff / smooth.value(x_star)) + 1
+    for m in range(1, m_max + 1):
+        for l in range(1, l_max + 1):
+            if not -l / m < smooth._slope_start:
+                continue
+            point = gauss_point(smooth, LatticeDirection(l, m))
+            if point is None:
+                break
+            action = l * point[0] + m * point[1]
+            if action > keep * (1.0 + 1e-9):
+                break
+            if action <= keep:
+                g = math.gcd(l, m)
+                families.append(ReebOrbitFamily(LatticeDirection(l, m), point, action, g, LatticeDirection(l // g, m // g)))
+    families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
+    return families
+
+
+def families_and_solves(smooth, cutoff):
+    """orbit_families and the directions it passed to gauss_point, in order."""
+    solved = []
+    real_gauss_point = toricap.rounding_reeb.gauss_point
+
+    def spying_gauss_point(smooth, d):
+        solved.append(d)
+        return real_gauss_point(smooth, d)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toricap.rounding_reeb, "gauss_point", spying_gauss_point)
+        return orbit_families(smooth, cutoff), solved
 
 
 def assert_families_match(smooth, families, oracle, cutoff):
@@ -283,6 +328,19 @@ def oracle_edge_lines(domain, slope_floor):
         if x2 != x1:
             s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
             lines.append(_Line(float(y1) - s * float(x1), s))
+    return lines
+
+
+def edge_lines_by_integer_ratios(domain, slope_floor):
+    """_edge_lines read from each vertex's two as_integer_ratio pairs, four
+    denominators cross-multiplied per edge, instead of from the lattice."""
+    lines = []
+    points = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in domain.vertices]
+    for ((x1n, x1d), (y1n, y1d)), ((x2n, x2d), (y2n, y2d)) in zip(points, points[1:]):
+        if x2n * x1d == x1n * x2d:
+            continue
+        s = min((y2n * y1d - y1n * y2d) * x1d * x2d / ((x2n * x1d - x1n * x2d) * y1d * y2d), -slope_floor)
+        lines.append(_Line(y1n / y1d - s * (x1n / x1d), s))
     return lines
 
 
@@ -516,6 +574,24 @@ class TestRounding:
                 ours = [(c.hex(), s.hex()) for c, s in _edge_lines(domain, slope_floor)]
                 assert ours == [(c.hex(), s.hex()) for c, s in oracle_edge_lines(domain, slope_floor)]
 
+    def test_rounding_from_the_lattice_is_the_rounding_from_integer_ratios(self):
+        def rounded(domain, tau):
+            try:
+                smooth = round_domain(domain, tau, V)
+            except SlopeConditionUnreachable as exc:
+                return str(exc), exc.check, exc.margin
+            return smooth.lines, smooth.shift, smooth.margins
+
+        rng = random.Random(73)
+        coprime = Fraction(10**9 + 7, 10**9 + 9)  # both prime
+        for i, scale in zip(range(120), itertools.cycle((Fraction(1),) + SCALES)):
+            domain = random_concave_polygon(rng).scaled(scale * coprime)
+            tau = (1e-2, 1e-3)[i % 2] * float(scale)
+            ours = rounded(domain, tau)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(toricap.rounding_reeb, "_edge_lines", edge_lines_by_integer_ratios)
+                assert ours == rounded(domain, tau), domain
+
     def test_vertex_containment_oracle_on_every_fixture_and_scale(self, rounded_tri11, rounded_tri12, rounded_pentagon):
         # every certified rounding has g >= f at every vertex exactly; lowered
         # by that least gap and a little more, the oracle rejects it, and so
@@ -643,7 +719,7 @@ class TestGaussPoint:
     def test_families_match_the_oracle_where_the_mean_slope_rounds_past_every_line(self):
         # the oracle once bracketed t by the float g'(0), so it solved (1, 5) here
         smooth = round_domain(make_polygon_domain([(0, Fraction(26, 5)), (1, 5), (3, 0)]), 0.05, 0.6)
-        oracle = oracle_orbit_families(smooth, 30.0)
+        oracle = oracle_box_families(smooth, 30.0)
         assert LatticeDirection(1, 5) not in {f.direction for f in oracle}
         assert_families_match(smooth, orbit_families(smooth, 30.0), oracle, 30.0)
 
@@ -731,7 +807,7 @@ class TestOrbitFamilies:
         cutoff = 3.0
         box = (int(cutoff / 0.5) + 1) * (int(cutoff / rounded_tri11.value(0.5)) + 1)
         monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box)
-        oracle = oracle_orbit_families(rounded_tri11, cutoff)
+        oracle = oracle_box_families(rounded_tri11, cutoff)
         assert_families_match(rounded_tri11, orbit_families(rounded_tri11, cutoff), oracle, cutoff)
         monkeypatch.setattr(toricap.rounding_reeb, "FAMILY_LIMIT", box - 1)
         with pytest.raises(TooManyFamilies):
@@ -868,7 +944,7 @@ class TestAgainstOracles:
         the oracle."""
         verdicts = assert_certificate_sound(smooth)
         if verdicts[0] is None:
-            assert_families_match(smooth, orbit_families(smooth, cutoff), oracle_orbit_families(smooth, cutoff), cutoff)
+            assert_families_match(smooth, orbit_families(smooth, cutoff), oracle_box_families(smooth, cutoff), cutoff)
             for k in ks:
                 assert capacity_via_spectrum(smooth, k) == min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)]))
         return verdicts
@@ -998,7 +1074,8 @@ class TestAgainstOracles:
         # bisecting g' took about 42 passes per solve, and a bisection of
         # the plateau where g' = -l/m in floats about 80.  Newton from the
         # two-line root takes one pass per solve on these fixtures, plateaus
-        # such as the pentagon's edge normals (1, 2) and (3, 2) included
+        # such as the pentagon's edge normals (1, 2) and (3, 2) included.
+        # Cutoff 52: orbit_families solves only simple directions, 2,783 here
         counts = {"passes": 0, "solves": 0}
         real_weights, real_gauss_point = SmoothDomain2D._weights, toricap.rounding_reeb.gauss_point
 
@@ -1013,7 +1090,7 @@ class TestAgainstOracles:
         monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
         monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", counting_gauss_point)
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
-            orbit_families(smooth, 40.0)
+            orbit_families(smooth, 52.0)
             counts["passes"] -= 2  # orbit_families evaluates g twice outside the solves
         assert counts["solves"] > 2500 and counts["passes"] <= 6 * counts["solves"]
 
@@ -1058,3 +1135,34 @@ class TestAgainstOracles:
         assert len(interior) > 1500
         # one solve per family kept, plus at most one past the cutoff per row
         assert calls <= len(interior) + m_max + 2
+
+    def test_rows_end_without_a_solve(self, rounded_tri11, rounded_tri12, rounded_pentagon):
+        # the row scan solved every direction it kept and one more per row;
+        # now the kept families' simple directions are nearly all it solves
+        for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
+            families, solved = families_and_solves(smooth, 40.0)
+            simple = {f.underlying_simple for f in families if f.point is not None}
+            rows = {f.direction.m for f in families if f.point is not None}
+            assert len(rows) > 15 and len(simple) > 200
+            assert len(solved) == len(set(solved)) <= len(simple) + 2
+
+    @settings(max_examples=100)
+    @given(st.randoms(use_true_random=False), st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+           st.sampled_from((1e-2, 1e-3)), st.floats(0.5, 40.0), st.data())
+    def test_families_are_the_row_scan(self, rng, scale, tau, reach, data):
+        # scales from 1e-6 to 1e6; half the cutoffs sit on or just past a
+        # family's action, so its row ends where the bound and the solve meet
+        domain = random_concave_polygon(rng).scaled(scale)
+        try:
+            smooth = round_domain(domain, tau * float(scale), V)
+        except SlopeConditionUnreachable:
+            reject()
+        x_star = float(domain.x_extent) / 2.0
+        cutoff = reach * math.sqrt(x_star * smooth.value(x_star))  # a box of about reach**2 directions
+        actions = [f.action for f in oracle_orbit_families(smooth, cutoff) if f.point is not None]
+        if actions and data.draw(st.booleans()):
+            nudge = data.draw(st.sampled_from((1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 2e-9)))
+            cutoff = data.draw(st.sampled_from(actions)) * nudge
+        families, solved = families_and_solves(smooth, cutoff)
+        assert families == oracle_orbit_families(smooth, cutoff)
+        assert all(d.coprime for d in solved) and len(solved) == len(set(solved))
