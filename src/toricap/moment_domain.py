@@ -129,9 +129,6 @@ class MomentDomain2D:
         """Vertical extent b = f(0)."""
         return self.vertices[0][1]
 
-    def edges(self) -> list[tuple[Point, Point]]:
-        return list(zip(self.vertices, self.vertices[1:]))
-
     def boundary_value(self, x: Fraction) -> Fraction:
         """Exact value of the upper boundary function f at x in [0, a],
         on the edge ending at the first vertex with x-coordinate >= x."""

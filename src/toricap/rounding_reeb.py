@@ -192,23 +192,26 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     Raises SlopeConditionUnreachable when the certificate of the boundary
     invariants fails, which happens when v is too small (or tau too large)
-    for the requested polygon.  Rounding c*Omega at c*tau gives c times
-    every length and action of rounding Omega at tau.
+    for the requested polygon, and ValueError when an extent, an edge slope
+    or the floor's L leaves the float range.  Rounding c*Omega at c*tau
+    gives c times every length and action of rounding Omega at tau.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
     if not (0.0 < v < 1.0):
         raise SlopeConditionUnreachable("v must lie strictly between 0 and 1")
 
-    a = float(domain.x_extent)
-    b = float(domain.y_extent)
+    a, b = _in_float_range(domain.x_extent, "x extent a"), _in_float_range(domain.y_extent, "y extent b")
     x_pen, y_pen = domain.vertices[-2]
     f_end = float(y_pen) if x_pen == domain.x_extent else 0.0  # > 0 iff vertical drop
 
     slope_floor = tau / a
     if slope_floor >= v / 2.0:
         raise SlopeConditionUnreachable("tau too large relative to v for a slope floor")
-    edge_lines = _edge_lines(domain, slope_floor)
+    try:
+        edge_lines = _edge_lines(domain, slope_floor)
+    except OverflowError:  # int true division past the largest float
+        raise ValueError("the polygon's size is outside the float range: an edge slope overflows a float") from None
 
     # slopes fall strictly and tilting sets a shallow prefix to exactly
     # -slope_floor, so the last line is the steepest
@@ -221,6 +224,7 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     x_max = a + (f_end + 2.0 * margin) / abs(s_cap1) if f_end > 0.0 else a
     cap1 = _Line(-margin + abs(s_cap1) * x_max, s_cap1)
+    _in_float_range(max(abs(c) + abs(s) * x_max for c, s in (*edge_lines, cap0, cap1)), "size (the resolution floor's L)")
 
     # largest dip y - (c + s*x) of any line below a vertex (x, y).  An
     # untilted edge line lies on or above the concave f.  Tilted edges, if
@@ -235,6 +239,14 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=(*edge_lines, cap0, cap1), shift=shift, x_max=x_max)
     _verify(smooth)
     return smooth
+
+
+def _in_float_range(value, name: str) -> float:
+    """value as a float, or a ValueError naming it when that is not positive and finite."""
+    x = float(value) if value <= sys.float_info.max else math.inf  # float() raises past the largest float
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"the polygon's {name} is outside the float range ({x!r} as a float)")
+    return x
 
 
 def _verify(smooth: SmoothDomain2D) -> None:

@@ -14,9 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as encode_string
 from typing import Optional, Sequence
 
 from .moment_domain import RationalLike, as_rational, format_rational
+
+_set = object.__setattr__  # stores a field of a frozen node type
 
 
 class NegativePunctureUnsupported(ValueError):
@@ -47,25 +50,27 @@ def cz_from_morse(morse: int) -> int:
     return morse
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Puncture:
     cz: int
     action: Fraction
     sign: str  # 'positive' | 'negative'
     paired_with: Optional[tuple[str, int]] = None  # (node id, puncture index)
 
-    def __post_init__(self):
-        if type(self.cz) is not int:
-            raise ValueError(f"puncture cz must be an integer, got {self.cz!r}")
-        if self.sign not in ("positive", "negative"):
+    def __init__(self, cz, action, sign, paired_with=None):
+        if type(cz) is not int:
+            raise ValueError(f"puncture cz must be an integer, got {cz!r}")
+        if sign not in ("positive", "negative"):
             raise ValueError("puncture sign must be 'positive' or 'negative'")
-        pair = self.paired_with
+        pair = paired_with
         if pair is not None and not (
             isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
         ):
             raise ValueError(f"puncture paired_with must be None or a (node id, puncture index) pair, got {pair!r}")
-        if type(self.action) is not Fraction:
-            object.__setattr__(self, "action", as_rational(self.action))
+        _set(self, "cz", cz)
+        _set(self, "action", action if type(action) is Fraction else as_rational(action))
+        _set(self, "sign", sign)
+        _set(self, "paired_with", pair)
 
 
 @dataclass(frozen=True)
@@ -215,7 +220,7 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
 # Holomorphic buildings
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CurveNode:
     id: str
     level: int
@@ -225,16 +230,22 @@ class CurveNode:
     punctures: tuple[Puncture, ...]
     divisor_hits: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ValueError(f"node id must be a string, got {self.id!r}")
-        if not (type(self.level) is int and type(self.index) is int and type(self.divisor_hits) is int):
-            name = next(name for name in ("level", "index", "divisor_hits") if type(getattr(self, name)) is not int)
-            raise ValueError(f"node {name} must be an integer, got {getattr(self, name)!r}")
-        if self.kind not in ("cotangent", "symplectization", "top"):
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if type(self.energy) is not Fraction:
-            object.__setattr__(self, "energy", as_rational(self.energy))
+    def __init__(self, id, level, kind, index, energy, punctures, divisor_hits=0):
+        if not isinstance(id, str):
+            raise ValueError(f"node id must be a string, got {id!r}")
+        if not (type(level) is int and type(index) is int and type(divisor_hits) is int):
+            name, value = next(item for item in (("level", level), ("index", index), ("divisor_hits", divisor_hits))
+                               if type(item[1]) is not int)
+            raise ValueError(f"node {name} must be an integer, got {value!r}")
+        if kind not in ("cotangent", "symplectization", "top"):
+            raise ValueError(f"unknown node kind {kind!r}")
+        _set(self, "id", id)
+        _set(self, "level", level)
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+        _set(self, "energy", energy if type(energy) is Fraction else as_rational(energy))
+        _set(self, "punctures", punctures)
+        _set(self, "divisor_hits", divisor_hits)
 
     def is_trivial_cylinder(self) -> bool:
         """Index 0, energy 0, one positive and one negative puncture on
@@ -308,6 +319,10 @@ def _pairing_failure(by_id: dict[str, CurveNode], gluings: list[tuple[str, str]]
             q = ends[j]
             if q.paired_with != (nd_id, i):
                 return f"{nd_id}[{i}] is not reciprocally paired"
+            if other_id in earlier:
+                # checked at q: every end of other passed, q's reciprocity made this end's paired_with
+                # q's nonnegative position (a negative index fails at q), and the other checks are symmetric
+                continue
             if q.sign == p.sign:
                 return f"{nd_id}[{i}] pairs equal signs"
             upper, lower = (nd, other) if p.sign == "negative" else (other, nd)
@@ -315,8 +330,7 @@ def _pairing_failure(by_id: dict[str, CurveNode], gluings: list[tuple[str, str]]
                 return f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})"
             if (q.cz, q.action) != (p.cz, p.action):
                 return f"{nd_id}[{i}] pairs mismatched orbit data"
-            if other_id not in earlier:
-                gluings.append((nd_id, other_id))
+            gluings.append((nd_id, other_id))
         earlier.add(nd_id)
     return ""
 
@@ -332,20 +346,20 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     rather than raising.
 
     Checks: (tree) the pairing graph is a connected tree: connected, with
-    gluings = nodes - 1, each gluing counted once, so two nodes glued
-    along two orbit pairs (genus one) fail; (pairing)
-    paired punctures are mutual, oppositely signed, one level apart, and
-    agree in CZ and action; (index-total) node indices sum to the
-    declared total; (energy-positivity) energies are non-negative and
-    positive except on trivial cylinders, which carry exactly zero;
-    (energy-budget) energies sum to at most the declared budget;
-    (divisor-budget) at most one divisor hit across top nodes;
-    (stability) no symplectization level is made of trivial cylinders
-    only; (levels) occupied levels are contiguous.  With
-    check_unpaired_parity, unpaired ends must carry odd CZ (elliptic
-    asymptotics).  One id -> node map makes the whole run linear; paired
-    ends compare (cz, action) as tuples, which test identity before ==,
-    so the actions a loaded or built building shares skip Fraction.__eq__.
+    gluings = nodes - 1, each gluing counted once, so two nodes glued along two
+    orbit pairs (genus one) fail; (pairing) paired punctures are mutual,
+    oppositely signed, one level apart, and agree in CZ and action, each gluing
+    checked in full at its first end and for reciprocity at its second;
+    (index-total) node indices sum to the declared total; (energy-positivity)
+    energies are non-negative and positive except on trivial cylinders, which
+    carry exactly zero; (energy-budget) energies sum to at most the declared
+    budget; (divisor-budget) at most one divisor hit across top nodes;
+    (stability) no symplectization level is made of trivial cylinders only;
+    (levels) occupied levels are contiguous.  With check_unpaired_parity,
+    unpaired ends must carry odd CZ (elliptic asymptotics).  One id -> node map
+    makes the whole run linear; paired ends compare (cz, action) as tuples,
+    which test identity before ==, so the actions a loaded or built building
+    shares skip Fraction.__eq__.
     """
     results: list[CheckResult] = []
 
@@ -441,26 +455,10 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
     bottom_punctures = []
     planes = []
     for i, (plane_id, action, energy, hits) in enumerate(top):
-        bottom_punctures.append(Puncture(cz=cz, action=action, sign="positive", paired_with=(plane_id, 0)))
-        planes.append(
-            CurveNode(
-                id=plane_id,
-                level=1,
-                kind="top",
-                index=0,
-                energy=energy,
-                punctures=(Puncture(cz=cz, action=action, sign="negative", paired_with=("bottom", i)),),
-                divisor_hits=hits,
-            )
-        )
-    bottom = CurveNode(
-        id="bottom",
-        level=0,
-        kind="cotangent",
-        index=0,
-        energy=Fraction(1) + share * n,  # sum of its positive-end actions
-        punctures=tuple(bottom_punctures),
-    )
+        bottom_punctures.append(Puncture(cz, action, "positive", (plane_id, 0)))
+        planes.append(CurveNode(plane_id, 1, "top", 0, energy, (Puncture(cz, action, "negative", ("bottom", i)),), hits))
+    # the bottom's energy is the sum of its positive-end actions
+    bottom = CurveNode("bottom", 0, "cotangent", 0, Fraction(1) + share * n, tuple(bottom_punctures))
     nodes = (bottom, *planes)
     return Building(nodes=nodes, total_index=0, energy_budget=_exact_sum([nd.energy for nd in nodes]))
 
@@ -470,18 +468,23 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
 
 
 def building_to_json(b: Building) -> str:
-    """Compact one-line JSON.  Any indent sends json to its pure-Python
-    encoder; every rational field holds a Fraction, whose str is
-    format_rational's lowest-terms form; paired_with tuples go out as arrays."""
-    nodes = [
-        {"id": nd.id, "level": nd.level, "kind": nd.kind, "index": nd.index, "energy": str(nd.energy),
-         "punctures": [{"cz": p.cz, "action": str(p.action), "sign": p.sign,
-                        "paired_with": p.paired_with} for p in nd.punctures],
-         "divisor_hits": nd.divisor_hits}
-        for nd in b.nodes
-    ]
-    budget = None if b.energy_budget is None else str(b.energy_budget)
-    return json.dumps({"nodes": nodes, "total_index": b.total_index, "energy_budget": budget})
+    """Compact one-line JSON, the bytes json.dumps writes for the fields: ids through its ensure_ascii
+    encoder, kind and sign checked ASCII words, exact ints, each rational field a Fraction, whose str
+    is format_rational's lowest-terms form, and paired_with an array."""
+    quoted: dict[int, str] = {}  # keyed by id, as Fraction.__hash__ runs in Python
+
+    def rational(x: Fraction) -> str:  # each distinct Fraction object is quoted once
+        return quoted.get(id(x)) or quoted.setdefault(id(x), f'"{x}"')
+
+    nodes = []
+    for nd in b.nodes:
+        ends = ", ".join([f'{{"cz": {p.cz}, "action": {rational(p.action)}, "sign": "{p.sign}", "paired_with": '
+                          + ("null}" if (pair := p.paired_with) is None else f"[{encode_string(pair[0])}, {pair[1]}]}}")
+                          for p in nd.punctures])
+        nodes.append(f'{{"id": {encode_string(nd.id)}, "level": {nd.level}, "kind": "{nd.kind}", "index": {nd.index}, '
+                     f'"energy": {rational(nd.energy)}, "punctures": [{ends}], "divisor_hits": {nd.divisor_hits}}}')
+    budget = "null" if b.energy_budget is None else rational(b.energy_budget)
+    return f'{{"nodes": [{", ".join(nodes)}], "total_index": {b.total_index}, "energy_budget": {budget}}}'
 
 
 def building_from_json(text: str) -> Building:
@@ -502,13 +505,13 @@ def building_from_json(text: str) -> Building:
 
     nodes = []
     for nd in payload["nodes"]:
-        punctures = tuple(
-            Puncture(cz=p["cz"], action=rational(p["action"]), sign=p["sign"],
-                     paired_with=tuple(pair) if type(pair := p.get("paired_with")) is list else pair)
+        punctures = tuple([
+            Puncture(p["cz"], rational(p["action"]), p["sign"],
+                     tuple(pair) if type(pair := p.get("paired_with")) is list else pair)
             for p in nd.get("punctures", [])
-        )
-        nodes.append(CurveNode(id=nd["id"], level=nd["level"], kind=nd["kind"], index=nd["index"],
-                               energy=rational(nd["energy"]), punctures=punctures, divisor_hits=nd.get("divisor_hits", 0)))
+        ])
+        nodes.append(CurveNode(nd["id"], nd["level"], nd["kind"], nd["index"], rational(nd["energy"]), punctures,
+                               nd.get("divisor_hits", 0)))
     return Building(
         nodes=tuple(nodes),
         total_index=payload.get("total_index", 0),

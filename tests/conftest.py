@@ -12,6 +12,11 @@ settings.register_profile("toricap", derandomize=True, database=None, deadline=N
 settings.load_profile("toricap")
 
 
+def edges(domain):
+    """The polygon's edges as (start, end) vertex pairs, left to right."""
+    return list(zip(domain.vertices, domain.vertices[1:]))
+
+
 def random_polygon_near_diagonal(rng):
     """A random concave polygon lifted so that a chosen vertex sits on,
     just above or just below y = x.  When the lifted graph ends above the

@@ -150,6 +150,30 @@ class TestGh:
         assert "ellipsoid" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["round", "--tau", "1"], "x extent a is outside the float range (inf as a float)"),
+        (["spectrum", "--K", "1"], "x extent a is outside the float range (inf as a float)"),
+    ],
+)
+def test_polygons_past_the_float_range_exit_2(capsys, argv, message):
+    huge = '{"type":"polygon","vertices":[["0","1e400"],["1e400","0"]]}'
+    assert run_cli(capsys, *argv, "--polygon", huge) == (2, "", f"error: the polygon's {message}\n")
+
+
+@pytest.mark.parametrize(
+    "vertex, tau, message",
+    [
+        ("1e-400", "1e-300", "x extent a is outside the float range (0.0 as a float)"),
+        ("1e307", "1e304", "size (the resolution floor's L) is outside the float range (inf as a float)"),
+    ],
+)
+def test_round_names_the_extent_outside_the_float_range(capsys, vertex, tau, message):
+    polygon = json.dumps({"type": "polygon", "vertices": [["0", vertex], [vertex, "0"]]})
+    assert run_cli(capsys, "round", "--polygon", polygon, "--tau", tau) == (2, "", f"error: the polygon's {message}\n")
+
+
 class TestSpectrum:
     def test_round_ball_rows(self, capsys, tri11_json):
         code, out, _ = run_cli(
@@ -724,8 +748,10 @@ def fuzz_dir(tmp_path_factory):
 
 
 # each pool lists well-formed values first and malformed ones after
-fuzz_rationals = st.fractions(0, 5, max_denominator=12).map(str) | st.sampled_from(
-    ["0.25", " 2 ", "-1", "1/0", "x", "", "nan"]
+fuzz_rationals = (
+    st.fractions(0, 5, max_denominator=12).map(str)
+    | st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 400))  # past both ends of the float range
+    | st.sampled_from(["0.25", " 2 ", "-1", "1/0", "x", "", "nan"])
 )
 fuzz_taus = st.floats(1e-4, 0.1).map(repr) | st.sampled_from(["0", "-1", "5", "nan", "inf", "x"])
 fuzz_vs = st.floats(0.01, 0.99).map(repr) | st.sampled_from(["0", "1", "nan", "x"])
@@ -766,9 +792,11 @@ def fuzz_argv(draw, root):
         argv += maybe("--epsilon", fuzz_rationals) + maybe("--n", fuzz_ints) + maybe("--k", fuzz_ints)
         argv += maybe("--areas", fuzz_pairs) + (["--check-parity"] if draw(st.booleans()) else [])
     else:
+        side = draw(fuzz_rationals)  # an inline triangle, on either side of the float range too
+        triangle = json.dumps({"type": "polygon", "vertices": [["0", side], [side, "0"]]})
         argv += draw(st.sampled_from([
             ["--polygon", path(*polygons)], ["--polygon", path(*polygons)], ["--ellipsoid", draw(fuzz_pairs)],
-            ["--polygon", SQUARE], [],
+            ["--polygon", SQUARE], ["--polygon", triangle], [],
         ]))
         if command == "support":
             argv += ["--direction", draw(fuzz_pairs)]

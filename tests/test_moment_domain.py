@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_concave_polygon
+from conftest import edges, random_concave_polygon
 from test_capacities import toric_min_max
 from toricap import (
     BadEndpoints,
@@ -76,7 +76,7 @@ def random_polygon_with_diagonal_vertex(rng):
 
 def diagonal_by_edge_scan(domain):
     """Oracle: solve each edge's crossing with y = x in turn."""
-    for (x1, y1), (x2, y2) in domain.edges():
+    for (x1, y1), (x2, y2) in edges(domain):
         if x1 == x2:
             if y2 <= x1 <= y1:
                 return x1
@@ -90,7 +90,7 @@ def diagonal_by_edge_scan(domain):
 
 def boundary_value_by_scan(domain, x):
     """Oracle: interpolate on the first non-vertical edge spanning x."""
-    for (x1, y1), (x2, y2) in domain.edges():
+    for (x1, y1), (x2, y2) in edges(domain):
         if x1 <= x <= x2 and x2 > x1:
             return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
     raise AssertionError("no edge spans x")
@@ -100,7 +100,7 @@ def contact_by_cross_products(domain, e):
     """Oracle: isolated unless an edge containing (d, d), found by a cross
     product and a bounding box, lies in the line x/a + y/b = 1."""
     (a, b), d = e.axes, diagonal(domain)
-    for (x1, y1), (x2, y2) in domain.edges():
+    for (x1, y1), (x2, y2) in edges(domain):
         cross = (x2 - x1) * (d - y1) - (y2 - y1) * (d - x1)
         on_edge = cross == 0 and min(x1, x2) <= d <= max(x1, x2) and min(y1, y2) <= d <= max(y1, y2)
         if on_edge and b * (x2 - x1) + a * (y2 - y1) == 0 and b * x1 + a * y1 == a * b:

@@ -30,7 +30,7 @@ from toricap import (
     support_smooth,
 )
 import toricap.rounding_reeb
-from conftest import random_concave_polygon
+from conftest import edges, random_concave_polygon
 from toricap.rounding_reeb import AxisPoint, Margins, _edge_lines, _Line, _verify, boundary_polyline
 
 TAU = 1e-3
@@ -324,7 +324,7 @@ def oracle_vertex_gap(smooth):
 def oracle_edge_lines(domain, slope_floor):
     """_edge_lines by Fraction arithmetic, each float rounded from its Fraction."""
     lines = []
-    for (x1, y1), (x2, y2) in domain.edges():
+    for (x1, y1), (x2, y2) in edges(domain):
         if x2 != x1:
             s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
             lines.append(_Line(float(y1) - s * float(x1), s))
@@ -645,6 +645,27 @@ class TestRounding:
         found = re.fullmatch(r"tau = (\S+) is below the float resolution floor (\S+) of this polygon", str(info.value))
         assert found and float(found[1]) == tau
         assert tau < float(found[2]) < 1e-12 * size  # a few ulps of the steep cap's span
+
+    @pytest.mark.parametrize(
+        "vertices, tau, message",
+        [
+            # float(a) once overflowed, and a = 0.0 once divided tau / a
+            ([(0, "1e400"), ("1e400", 0)], 1.0, "x extent a is outside the float range (inf as a float)"),
+            ([(0, "1e-400"), ("1e-400", 0)], 1e-300, "x extent a is outside the float range (0.0 as a float)"),
+            # b = 0.0 once failed the g'(x_max) check, which blamed v
+            ([(0, "1e-400"), (1, 0)], 1e-3, "y extent b is outside the float range (0.0 as a float)"),
+            # the floor's L once overflowed, reported as "resolution floor inf"
+            ([(0, "1e307"), ("1e307", 0)], 1e304, "size (the resolution floor's L) is outside the float range (inf as a float)"),
+            # an edge slope past the largest float once overflowed in _edge_lines
+            ([(0, "1e300"), (1, "1e299"), ("1.000000000000000000000000000000000001", 0)], 1e-3,
+             "size is outside the float range: an edge slope overflows a float"),
+        ],
+    )
+    def test_extents_outside_the_float_range_are_named(self, vertices, tau, message):
+        domain = make_polygon_domain(vertices)
+        with pytest.raises(ValueError) as info:
+            round_domain(domain, tau, V)
+        assert str(info.value) == f"the polygon's {message}"
 
     def test_concavity_of_derivative_samples(self, rounded_pentagon):
         xs = [rounded_pentagon.x_max * i / 512 for i in range(513)]

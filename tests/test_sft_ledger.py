@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -726,6 +726,44 @@ class TestBuildingValidation:
             ]
             assert report_to_json(building_validate(b)) == report_to_json(expected)
 
+    @pytest.mark.parametrize("nodes, detail", [
+        pytest.param((
+            CurveNode("a", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("b", 0)), Puncture(1, 1, "positive", ("b", 0)))),
+            CurveNode("b", 1, "top", 0, 1, (Puncture(1, 1, "negative", ("a", 0)),)),
+        ), "a[1] is not reciprocally paired", id="two ends of a node at one partner end"),
+        pytest.param((
+            CurveNode("a", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("a", 1)), Puncture(1, 1, "negative", ("a", 0)))),
+            CurveNode("b", 1, "top", 0, 1, ()),
+        ), "a (level 0) must pair one level below a (level 0)", id="an end glued to an earlier end of its node"),
+        pytest.param((
+            CurveNode("a", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("a", 1)), Puncture(1, 1, "positive", ("a", 0)))),
+        ), "a[0] pairs equal signs", id="an end glued to an earlier end of its node, equal signs"),
+        pytest.param((
+            CurveNode("a", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive"), Puncture(1, 1, "negative", ("a", 0)))),
+        ), "a[1] is not reciprocally paired", id="an end at an earlier, unpaired end of its node"),
+        pytest.param((
+            CurveNode("bottom", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("plane", -1)),)),
+            CurveNode("plane", 1, "top", 0, 1, (Puncture(1, 1, "negative", ("bottom", 0)),)),
+        ), "plane[0] is not reciprocally paired", id="a negative index on the first end"),
+        pytest.param((
+            CurveNode("bottom", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("plane", 0)),)),
+            CurveNode("plane", 1, "top", 0, 1, (Puncture(1, 1, "negative", ("bottom", -1)),)),
+        ), "bottom[0] is not reciprocally paired", id="a negative index on the second end"),
+        pytest.param((
+            CurveNode("bottom", 0, "cotangent", 0, 1, (Puncture(1, 1, "positive", ("plane", -1)),)),
+            CurveNode("plane", 1, "top", 0, 1, (Puncture(1, 1, "negative", ("bottom", -1)),)),
+        ), "bottom[0] is not reciprocally paired", id="negative indices on both ends"),
+        pytest.param(genus_one_building().nodes, "", id="the genus-one two-gluing building"),
+    ])
+    def test_each_gluing_is_checked_at_its_first_end_as_the_oracle_checks_every_end(self, nodes, detail):
+        b = Building(nodes)
+        assert [r.detail for r in building_validate(b).results if r.check == "pairing"] == [detail]
+        for order in (nodes, nodes[::-1]):
+            for budget in (None, 3):
+                b = Building(order, energy_budget=budget)
+                for parity in (False, True):
+                    assert building_validate(b, parity) == oracle_validate(b, parity)
+
     def test_json_bytes_match_the_list_based_writer(self):
         corpus = [canonical_ball_building(n, Fraction(1, n + 1)) for n in (2, 29, 960)] + seeded_corpus()
         for b in corpus:
@@ -790,8 +828,95 @@ def test_building_json_is_one_line():
     assert "\n" not in building_to_json(canonical_ball_building(3, "1/10"))
 
 
+# each bad value of each checked field, the exception it raises and its message in full
+PUNCTURE_FIELDS = dict(cz=1, action=Fraction(1, 2), sign="positive", paired_with=("a", 0))
+NODE_FIELDS = dict(id="a", level=0, kind="top", index=0, energy=Fraction(1, 3), punctures=(), divisor_hits=0)
+PAIR_MESSAGE = "puncture paired_with must be None or a (node id, puncture index) pair, got {}"
+BAD_FIELDS = [
+    (Puncture, "cz", 1.0, ValueError, "puncture cz must be an integer, got 1.0"),
+    (Puncture, "cz", True, ValueError, "puncture cz must be an integer, got True"),
+    (Puncture, "cz", "1", ValueError, "puncture cz must be an integer, got '1'"),
+    (Puncture, "action", 0.5, TypeError, "floats are not accepted in exact-arithmetic inputs; pass a string or Fraction"),
+    (Puncture, "action", False, TypeError, "booleans are not accepted as rational numbers, got False"),
+    (Puncture, "action", "1/0", ValueError, "zero denominator in '1/0'"),
+    (Puncture, "action", "x", ValueError, "not a rational number: 'x'"),
+    (Puncture, "action", None, TypeError, "cannot interpret None as a rational number"),
+    (Puncture, "sign", "up", ValueError, "puncture sign must be 'positive' or 'negative'"),
+    (Puncture, "sign", None, ValueError, "puncture sign must be 'positive' or 'negative'"),
+    (Puncture, "paired_with", ["a", 0], ValueError, PAIR_MESSAGE.format("['a', 0]")),
+    (Puncture, "paired_with", ("a", True), ValueError, PAIR_MESSAGE.format("('a', True)")),
+    (Puncture, "paired_with", ("a",), ValueError, PAIR_MESSAGE.format("('a',)")),
+    (Puncture, "paired_with", (0, 0), ValueError, PAIR_MESSAGE.format("(0, 0)")),
+    (CurveNode, "id", 7, ValueError, "node id must be a string, got 7"),
+    (CurveNode, "id", None, ValueError, "node id must be a string, got None"),
+    (CurveNode, "level", 0.0, ValueError, "node level must be an integer, got 0.0"),
+    (CurveNode, "kind", "bottom", ValueError, "unknown node kind 'bottom'"),
+    (CurveNode, "index", True, ValueError, "node index must be an integer, got True"),
+    (CurveNode, "energy", 1.5, TypeError, "floats are not accepted in exact-arithmetic inputs; pass a string or Fraction"),
+    (CurveNode, "energy", "1/0", ValueError, "zero denominator in '1/0'"),
+    (CurveNode, "divisor_hits", "0", ValueError, "node divisor_hits must be an integer, got '0'"),
+]
+
+
+def raised(call, *args, **kwargs):
+    """The class and message of what call raised."""
+    with pytest.raises(Exception) as info:
+        call(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+class TestNodeConstructors:
+    @pytest.mark.parametrize("cls, field, value, error, message", BAD_FIELDS)
+    def test_each_bad_field_raises_its_message_by_every_call(self, cls, field, value, error, message):
+        good = PUNCTURE_FIELDS if cls is Puncture else NODE_FIELDS
+        bad = {**good, field: value}
+        assert raised(cls, **bad) == (error, message)
+        assert raised(cls, *bad.values()) == (error, message)
+        assert raised(replace, cls(**good), **{field: value}) == (error, message)
+
+    def test_the_first_bad_field_in_check_order_is_named(self):
+        # Puncture checks cz, sign, paired_with, then action; CurveNode id,
+        # the int fields, kind, then energy
+        assert raised(Puncture, 1.0, "x", "up", ["a"]) == (ValueError, "puncture cz must be an integer, got 1.0")
+        assert raised(Puncture, 1, "x", "up", ["a"]) == (ValueError, "puncture sign must be 'positive' or 'negative'")
+        assert raised(Puncture, 1, "x", "positive", ["a"]) == (ValueError, PAIR_MESSAGE.format("['a']"))
+        assert raised(CurveNode, 7, 0.0, "x", 0, "x", ()) == (ValueError, "node id must be a string, got 7")
+        assert raised(CurveNode, "a", 0, "x", True, "x", (), "0") == (ValueError, "node index must be an integer, got True")
+        assert raised(CurveNode, "a", 0, "x", 0, "x", ()) == (ValueError, "unknown node kind 'x'")
+        assert raised(CurveNode, "a", 0, "top", 0, "x", ()) == (ValueError, "not a rational number: 'x'")
+
+    def test_good_values_give_equal_hashable_frozen_nodes(self):
+        end = Puncture(1, Fraction(1, 2), "positive", ("a", 0))
+        for same in (Puncture(cz=1, action="1/2", sign="positive", paired_with=("a", 0)), replace(end, action="2/4")):
+            assert same == end and hash(same) == hash(end) and type(same.action) is Fraction
+        assert repr(end) == "Puncture(cz=1, action=Fraction(1, 2), sign='positive', paired_with=('a', 0))"
+        assert Puncture(1, 1, "negative").paired_with is None
+        node = CurveNode("a", 0, "top", 0, "1/3", (end,))
+        for same in (CurveNode(id="a", level=0, kind="top", index=0, energy=Fraction(1, 3), punctures=(end,), divisor_hits=0),
+                     replace(node)):
+            assert same == node and hash(same) == hash(node) and same.divisor_hits == 0
+        assert replace(node, divisor_hits=1) != node
+        for obj, cls in ((end, Puncture), (node, CurveNode)):
+            assert cls.__match_args__ == tuple(f.name for f in fields(cls)) == tuple(cls.__slots__)
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, fields(cls)[0].name, 2)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, fields(cls)[-1].name)
+        match node:
+            case CurveNode("a", 0, "top", 0, energy, (Puncture(1, action, "positive", ("a", 0)),), 0):
+                assert (energy, action) == (Fraction(1, 3), Fraction(1, 2))
+            case _:
+                pytest.fail("the positional pattern did not match")
+
+
 properties = settings(max_examples=60)
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=24)
+# the writer's inputs at their edges: ids with quotes, backslashes, control,
+# non-ASCII, lone surrogate and astral characters, and ints past 2**63
+odd_ids = st.text(st.sampled_from('a"\\/\x00\x1f\n\x7f\xe9\u20ac\u2028\ud800\U0001d11e') | st.characters(), max_size=6)
+wide_ints = st.integers(-3, 3) | st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
+wide_rationals = st.fractions(max_denominator=10**20) | wide_ints.map(Fraction)
 
 
 @st.composite
@@ -825,6 +950,28 @@ def mutated_buildings(draw):
     return Building(nodes=tuple(nodes), total_index=b.total_index, energy_budget=budget)
 
 
+@st.composite
+def odd_buildings(draw):
+    """Buildings, valid or not, over the writer's edge inputs: odd ids, wide
+    ints, unpaired ends, negative pair indices, shared and distinct Fraction
+    objects, and a missing budget."""
+    ids = draw(st.lists(odd_ids, min_size=1, max_size=3))
+    shared = draw(wide_rationals)
+    rationals = st.just(shared) | wide_rationals
+
+    def end():
+        pair = draw(st.none() | st.tuples(st.sampled_from(ids) | odd_ids, wide_ints))
+        return Puncture(draw(wide_ints), draw(rationals), draw(st.sampled_from(["positive", "negative"])), pair)
+
+    kinds = st.sampled_from(["cotangent", "symplectization", "top"])
+    nodes = tuple(
+        CurveNode(node_id, draw(wide_ints), draw(kinds), draw(wide_ints), draw(rationals),
+                  tuple(end() for _ in range(draw(st.integers(0, 3)))), draw(wide_ints))
+        for node_id in ids
+    )
+    return Building(nodes, draw(wide_ints), draw(st.none() | rationals))
+
+
 def spellings(x):
     """Strings that spell the rational x: lowest terms, unreduced, padded,
     and as a decimal when one terminates."""
@@ -845,6 +992,11 @@ class TestBuildingJsonProperties:
         assert again == b
         for parity in (False, True):
             assert report_to_json(building_validate(again, parity)) == report_to_json(building_validate(b, parity))
+
+    @properties
+    @given(odd_buildings())
+    def test_written_bytes_are_json_dumps_of_the_fields(self, b):
+        assert building_to_json(b) == list_based_building_to_json(b)
 
     def test_equal_values_spelled_differently_load_equal(self):
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/10")))
