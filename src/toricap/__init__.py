@@ -57,9 +57,7 @@ from .sft_ledger import (
     CurveNode,
     EpsilonTooLarge,
     IndexBoundUnreachable,
-    NegativePunctureUnsupported,
     Puncture,
-    PuncturedSphereData,
     TooManyPartitions,
     building_validate,
     canonical_ball_building,
@@ -69,7 +67,6 @@ from .sft_ledger import (
     forced_morse_indices,
     min_positive_punctures,
     punctured_sphere_index,
-    sphere_data,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ class AxisMultiple:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    k: int
     value: Fraction
     minimizer: Union[LatticeDirection, AxisMultiple]
 
@@ -69,7 +68,7 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
     value, l = min((support(domain, (l, k - l)), l) for l in range(floor, min(floor + 2, k + 1)))
-    return CapacityReport(k, value, LatticeDirection(l, k - l))
+    return CapacityReport(value, LatticeDirection(l, k - l))
 
 
 def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
@@ -101,7 +100,7 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
         minimizer = AxisMultiple(axis=0, multiple=lo // big_a)
     else:
         minimizer = AxisMultiple(axis=1, multiple=lo // big_b)
-    return CapacityReport(k=k, value=value, minimizer=minimizer)
+    return CapacityReport(value=value, minimizer=minimizer)
 
 
 def find_k_equal_diagonal(e: EllipsoidSpec) -> int:

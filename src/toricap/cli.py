@@ -26,7 +26,7 @@ from .moment_domain import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
-_BALL_N_LIMIT = 10**6  # ball(c, n) builds and compares n Fraction axes in Python
+_SIZE_LIMIT = 10**6  # the ball's Fraction axes, the forced Morse list and a --k range are built in full
 _BUILDING_N_LIMIT = 10**5  # the canonical building holds n + 2 nodes, about 1 kB each
 
 
@@ -89,12 +89,14 @@ def _require_polygon(domain) -> MomentDomain2D:
 def _parse_k_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        ks = list(range(int(lo), int(hi if sep else lo) + 1))
+        ks = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
-        ks = []
-    if not ks or any(k < 1 for k in ks):
+        ks = range(0)
+    if not ks or ks[0] < 1:
         raise InputError(f"bad k range {text!r}")
-    return ks
+    if ks.stop - ks.start > _SIZE_LIMIT:  # len() overflows past sys.maxsize
+        raise InputError(f"k range {text!r} holds {ks.stop - ks.start} values: the limit is {_SIZE_LIMIT}")
+    return list(ks)
 
 
 def _emit(args, text: str) -> None:
@@ -267,8 +269,8 @@ def cmd_lagcap(args) -> int:
 def _shape_from_args(args) -> capacities.Shape:
     kind = args.shape
     if kind == "ball":
-        if args.n > _BALL_N_LIMIT:
-            raise InputError(f"--n {args.n} is too large for a ball: the limit is {_BALL_N_LIMIT}")
+        if args.n > _SIZE_LIMIT:
+            raise InputError(f"--n {args.n} is too large for a ball: the limit is {_SIZE_LIMIT}")
         return moment_domain.ball(args.capacity, args.n)
     if kind == "projective":
         return capacities.ProjectiveSpace(n=args.n)
@@ -303,16 +305,16 @@ def cmd_ledger(args) -> int:
         _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
     if args.forced_morse:
+        if args.n > _SIZE_LIMIT:
+            raise InputError(f"--n {args.n} is too large for the forced Morse indices: the limit is {_SIZE_LIMIT}")
         _emit(args, json.dumps(sft_ledger.forced_morse_indices(args.n)))
         return EXIT_OK
     if args.partition:
         eps = as_rational(args.epsilon)
         if args.areas:
-            report = sft_ledger.energy_partition_check(
-                args.n, eps, [as_rational(x) for x in args.areas.split(",")]
-            )
-            _emit(args, json.dumps({"valid": report.valid, "violations": list(report.violations)}, indent=2))
-            return EXIT_OK if report.valid else EXIT_VALIDATION
+            violations = sft_ledger.energy_partition_check(args.n, eps, [as_rational(x) for x in args.areas.split(",")])
+            _emit(args, json.dumps({"valid": not violations, "violations": list(violations)}, indent=2))
+            return EXIT_VALIDATION if violations else EXIT_OK
         solutions = sft_ledger.energy_partition_solve(args.n, eps)
         payload = [[format_rational(x) for x in sol] for sol in solutions]
         _emit(args, json.dumps(payload, indent=2))

@@ -3,8 +3,12 @@
 A 4-dimensional convex toric domain is described by its moment polygon:
 the region under the graph of a piecewise-linear, concave, non-increasing
 function f on [0, a] with f(0) = b and final height 0.  All arithmetic in
-this module is exact: polygon predicates run in integers over one common
-denominator and return ``fractions.Fraction``; no floats enter.
+this module is exact, in integers and ``fractions.Fraction``; no floats enter.
+Validation, ``support`` (and so ``included_in_ellipsoid``), the diagonal
+and the enclosure search run in integers over one common denominator, as
+does the toric capacity's floor in ``capacities``; ``boundary_value``,
+``contains_point``, ``includes_domain`` and the contact query's vertex
+count read the ``Fraction`` vertices.
 
 Everything here is an immutable value; all operations are pure functions
 and safe to call concurrently.
@@ -86,10 +90,6 @@ class LatticeDirection:
             raise ZeroDirection("lattice direction components must be non-negative")
         if self.l == 0 and self.m == 0:
             raise ZeroDirection("lattice direction must be nonzero")
-
-    @property
-    def coprime(self) -> bool:
-        return math.gcd(self.l, self.m) == 1
 
     def as_pair(self) -> tuple[int, int]:
         return (self.l, self.m)

@@ -127,12 +127,6 @@ class SmoothDomain2D:
         """The reported Hausdorff bound: the shift plus the extension x_max - a."""
         return self.shift + (self.x_max - float(self.source.x_extent))
 
-    def _weights(self, x: float) -> tuple[float, list[float]]:
-        """The lowest line at x and each line's soft-min weight there."""
-        vals = [c + s * x for c, s in self.lines]
-        lowest = min(vals)
-        return lowest, [math.exp(-(val - lowest) / self.tau) for val in vals]
-
     def value(self, x: float) -> float:
         """g(x), evaluated with a stabilized log-sum-exp."""
         return self._evaluate(x)[0]
@@ -142,8 +136,11 @@ class SmoothDomain2D:
         return self._evaluate(x)[1]
 
     def _evaluate(self, x: float) -> tuple[float, float, list[float]]:
-        """g(x) by the float operations of value, g'(x) and the weights, in one pass."""
-        lowest, weights = self._weights(x)
+        """g(x), g'(x) and each line's soft-min weight, taken relative to the
+        lowest line at x, in one pass."""
+        vals = [c + s * x for c, s in self.lines]
+        lowest = min(vals)
+        weights = [math.exp(-(val - lowest) / self.tau) for val in vals]
         total = sum(weights)
         slope = sum(map(operator.mul, weights, self._slopes)) / total
         return self.shift + lowest - self.tau * math.log(total), slope, weights
@@ -333,9 +330,9 @@ def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[f
     x, y = float(w[0]), float(w[1])
     if x <= 0.0 or y <= 0.0:
         raise AxisPoint("rotation rates need both moment coordinates positive")
-    if abs(y - smooth.value(x)) > 1e-9 * (1.0 + abs(y)):
+    g, slope, _ = smooth._evaluate(x)
+    if abs(y - g) > 1e-9 * (1.0 + abs(y)):
         raise ValueError("w does not lie on the rounded boundary graph")
-    slope = smooth.derivative(x)
     norm = math.hypot(slope, 1.0)
     nx, ny = -slope / norm, 1.0 / norm  # the unit outward normal
     factor = 2.0 * math.pi / (nx * x + ny * y)

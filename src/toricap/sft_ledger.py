@@ -22,10 +22,6 @@ from .moment_domain import RationalLike, as_rational, format_rational
 _set = object.__setattr__  # stores a field of a frozen node type
 
 
-class NegativePunctureUnsupported(ValueError):
-    """The closed-form index is implemented for all-positive punctures only."""
-
-
 class EpsilonTooLarge(ValueError):
     """The partition conclusion requires epsilon < 1/n."""
 
@@ -73,42 +69,18 @@ class Puncture:
         _set(self, "paired_with", pair)
 
 
-@dataclass(frozen=True)
-class PuncturedSphereData:
-    """A punctured sphere in the cotangent level with a point constraint
-    of contact order tangency_order + 1."""
-
-    n: int
-    punctures: tuple[Puncture, ...]
-    tangency_order: int = 0
-
-    def __post_init__(self):
-        if not self.punctures:
-            raise ValueError("nonconstant curves carry at least one puncture")
-        if self.tangency_order < 0:
-            raise ValueError("tangency order must be non-negative")
-
-
-def sphere_data(n: int, cz_list: Sequence[int], tangency_order: int = 0) -> PuncturedSphereData:
-    """Convenience constructor: all-positive punctures with the given CZ values."""
-    return PuncturedSphereData(
-        n=n,
-        punctures=tuple(Puncture(cz=c, action=Fraction(1), sign="positive") for c in cz_list),
-        tangency_order=tangency_order,
-    )
-
-
-def punctured_sphere_index(data: PuncturedSphereData) -> int:
-    """Fredholm index of a genus-zero curve with l positive punctures and
-    a point constraint of contact order k = tangency_order + 1:
+def punctured_sphere_index(n: int, cz_list: Sequence[int], tangency_order: int = 0) -> int:
+    """Fredholm index of a genus-zero curve with l positive punctures of
+    the given CZ values and a point constraint of contact order
+    k = tangency_order + 1:
 
         (n - 3)(2 - l) + sum CZ - 2n + 2 - 2 * tangency_order
     """
-    if any(p.sign == "negative" for p in data.punctures):
-        raise NegativePunctureUnsupported("this closed form covers positive punctures only")
-    l = len(data.punctures)
-    cz_sum = sum(p.cz for p in data.punctures)
-    return (data.n - 3) * (2 - l) + cz_sum - 2 * data.n + 2 - 2 * data.tangency_order
+    if not cz_list:
+        raise ValueError("nonconstant curves carry at least one puncture")
+    if tangency_order < 0:
+        raise ValueError("tangency order must be non-negative")
+    return (n - 3) * (2 - len(cz_list)) + sum(cz_list) - 2 * n + 2 - 2 * tangency_order
 
 
 def min_positive_punctures(n: int, tangency_order: int, morse_bound: int) -> int:
@@ -138,17 +110,10 @@ def forced_morse_indices(n: int) -> list[int]:
     return [n - 1] * (n + 1)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def energy_partition_check(
-    n: int, epsilon: RationalLike, areas: Sequence[RationalLike]
-) -> PartitionReport:
-    """Check the forced partition: first n areas equal 1/n, last equals
-    epsilon.  Requires epsilon < 1/n (EpsilonTooLarge otherwise)."""
+def energy_partition_check(n: int, epsilon: RationalLike, areas: Sequence[RationalLike]) -> tuple[str, ...]:
+    """Violations of the forced partition (the first n areas equal 1/n, the
+    last equals epsilon) in the order they are checked; empty when it
+    holds.  Requires epsilon < 1/n (EpsilonTooLarge otherwise)."""
     if n < 1:
         raise ValueError("n must be positive")
     eps = as_rational(epsilon)
@@ -157,10 +122,9 @@ def energy_partition_check(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     vals = [as_rational(x) for x in areas]
-    violations: list[str] = []
     if len(vals) != n + 1:
-        violations.append(f"expected {n + 1} areas, got {len(vals)}")
-        return PartitionReport(False, tuple(violations))
+        return (f"expected {n + 1} areas, got {len(vals)}",)
+    violations: list[str] = []
     for i, x in enumerate(vals):
         if x <= 0:
             violations.append(f"area {i} is not positive ({format_rational(x)})")
@@ -172,7 +136,7 @@ def energy_partition_check(
         violations.append(
             f"final area is {format_rational(vals[-1])}, expected epsilon = {format_rational(eps)}"
         )
-    return PartitionReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction, ...]]:

@@ -30,7 +30,6 @@ from toricap import (
     orbit_families,
     round_domain,
     split_family,
-    sphere_data,
     punctured_sphere_index,
     support,
     support_smooth,
@@ -135,7 +134,7 @@ def test_criterion_7_gauss_support_consistency():
         coprime = [
             fam
             for fam in orbit_families(smooth, 10.0)
-            if fam.point is not None and fam.direction.coprime
+            if fam.point is not None and fam.multiplicity == 1
         ]
         assert coprime
         for _ in range(167):
@@ -154,8 +153,7 @@ def test_criterion_8_ledger_forced_structure():
         assert min_positive_punctures(n, n - 1, n - 1) == n + 1
         assert forced_morse_indices(n) == [n - 1] * (n + 1)
     for n in range(2, 11):
-        data = sphere_data(n, [n - 1] * (n + 1), tangency_order=n - 1)
-        assert punctured_sphere_index(data) == 0
+        assert punctured_sphere_index(n, [n - 1] * (n + 1), tangency_order=n - 1) == 0
     report(8, "min punctures n+1, forced Morse all n-1 (n <= 8), zero index (n <= 10)")
 
 

@@ -300,7 +300,7 @@ class TestLagcap:
         code, out, err = run_cli(capsys, "lagcap", "--shape", "ball", "--n", "1000001")
         assert (code, out) == (2, "")
         assert err == "error: --n 1000001 is too large for a ball: the limit is 1000000\n"
-        monkeypatch.setattr("toricap.cli._BALL_N_LIMIT", 5)  # the limit itself is accepted
+        monkeypatch.setattr("toricap.cli._SIZE_LIMIT", 5)  # the limit itself is accepted
         assert run_cli(capsys, "lagcap", "--shape", "ball", "--n", "5")[:2] == (0, "1/5\n")
         assert run_cli(capsys, "lagcap", "--shape", "ball", "--n", "6")[0] == 2
 
@@ -403,6 +403,17 @@ class TestLedger:
     def test_forced_morse(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--forced-morse", "--n", "3")
         assert code == 0 and json.loads(out) == [2, 2, 2, 2]
+
+    def test_forced_morse_size_is_capped(self, capsys, monkeypatch):
+        # checked before the list of n + 1 indices is built
+        code, out, err = run_cli(capsys, "ledger", "--forced-morse", "--n", "1000000000000")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 1000000000000 is too large for the forced Morse indices: the limit is 1000000\n"
+        monkeypatch.setattr("toricap.cli._SIZE_LIMIT", 5)  # the limit itself is accepted
+        assert run_cli(capsys, "ledger", "--forced-morse", "--n", "5")[:2] == (0, "[4, 4, 4, 4, 4, 4]\n")
+        code, out, err = run_cli(capsys, "ledger", "--forced-morse", "--n", "6")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 6 is too large for the forced Morse indices: the limit is 5\n"
 
     def test_partition_check_valid(self, capsys):
         code, out, _ = run_cli(
@@ -661,6 +672,19 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", k)
         assert code == 2 and out == ""
         assert err.splitlines() == [f"error: bad k range {k!r}"]
+
+    def test_k_range_size_is_capped(self, capsys, monkeypatch):
+        # the count is read off the range, so no list of k is built
+        for k, count in (("1..1000000000000", 10**12), ("1.." + "9" * 40, 10**40 - 1)):
+            code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", k)
+            assert (code, out) == (2, "")
+            assert err == f"error: k range {k!r} holds {count} values: the limit is 1000000\n"
+        monkeypatch.setattr("toricap.cli._SIZE_LIMIT", 5)  # the limit itself is accepted
+        for k in ("1..5", "3..7", "4"):
+            assert run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", k)[0] == 0
+        code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "3..8")
+        assert (code, out) == (2, "")
+        assert err == "error: k range '3..8' holds 6 values: the limit is 5\n"
 
     @pytest.mark.parametrize("cutoff", ["inf", "nan"])
     def test_non_finite_cutoff_is_input_error(self, capsys, tri11_json, cutoff):

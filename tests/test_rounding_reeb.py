@@ -547,17 +547,17 @@ class TestRounding:
             round_domain(domain, TAU, V)
             assert calls == 2
 
-    def test_two_weights_passes_per_rounding(self, monkeypatch):
+    def test_two_evaluate_passes_per_rounding(self, monkeypatch):
         # g and g' at x = 0 and at x_max; the certificate evaluates no vertex
         passes = 0
-        real_weights = SmoothDomain2D._weights
+        real_evaluate = SmoothDomain2D._evaluate
 
-        def counting_weights(smooth, x):
+        def counting_evaluate(smooth, x):
             nonlocal passes
             passes += 1
-            return real_weights(smooth, x)
+            return real_evaluate(smooth, x)
 
-        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
         rng = random.Random(67)
         for edges in (1, 10, 100, 200):
             passes = 0
@@ -782,6 +782,32 @@ class TestReebRates:
         action = point[0] + point[1]
         assert r1 == pytest.approx(2 * math.pi / action, rel=1e-12)
         assert abs(r1 - 2 * math.pi) <= 4 * math.pi * rounded_tri11.hausdorff_bound
+
+    def test_one_evaluate_pass_per_call(self, monkeypatch, rounded_tri11, rounded_pentagon):
+        # g and g' come from one soft-min pass, with the floats of value and derivative
+        passes = 0
+        real_evaluate = SmoothDomain2D._evaluate
+
+        def counting_evaluate(smooth, x):
+            nonlocal passes
+            passes += 1
+            return real_evaluate(smooth, x)
+
+        for smooth in (rounded_tri11, rounded_pentagon):
+            for direction in (LatticeDirection(1, 1), LatticeDirection(1, 2), LatticeDirection(3, 2)):
+                x, y = gauss_point(smooth, direction)
+                slope = smooth.derivative(x)
+                norm = math.hypot(slope, 1.0)
+                nx, ny = -slope / norm, 1.0 / norm
+                factor = 2.0 * math.pi / (nx * x + ny * y)
+                monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
+                passes = 0
+                assert reeb_angular_velocity(smooth, (x, y)) == (factor * nx, factor * ny)
+                assert passes == 1
+                with pytest.raises(ValueError, match="does not lie on the rounded boundary"):
+                    reeb_angular_velocity(smooth, (x, y * 1.01))
+                assert passes == 2
+                monkeypatch.undo()
 
     def test_axis_point_rejected(self, rounded_tri11):
         with pytest.raises(AxisPoint):
@@ -1091,24 +1117,24 @@ class TestAgainstOracles:
                 scan = min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)]))
                 assert capacity_via_spectrum(smooth, k) == scan, (domain, k)
 
-    def test_weights_passes_per_gauss_solve(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
+    def test_evaluate_passes_per_gauss_solve(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
         # bisecting g' took about 42 passes per solve, and a bisection of
         # the plateau where g' = -l/m in floats about 80.  Newton from the
         # two-line root takes one pass per solve on these fixtures, plateaus
         # such as the pentagon's edge normals (1, 2) and (3, 2) included.
         # Cutoff 52: orbit_families solves only simple directions, 2,783 here
         counts = {"passes": 0, "solves": 0}
-        real_weights, real_gauss_point = SmoothDomain2D._weights, toricap.rounding_reeb.gauss_point
+        real_evaluate, real_gauss_point = SmoothDomain2D._evaluate, toricap.rounding_reeb.gauss_point
 
-        def counting_weights(smooth, x):
+        def counting_evaluate(smooth, x):
             counts["passes"] += 1
-            return real_weights(smooth, x)
+            return real_evaluate(smooth, x)
 
         def counting_gauss_point(smooth, d):
             counts["solves"] += 1
             return real_gauss_point(smooth, d)
 
-        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
         monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", counting_gauss_point)
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
             orbit_families(smooth, 52.0)
@@ -1122,18 +1148,18 @@ class TestAgainstOracles:
                 for tau in (1e-2, 1e-3):
                     supports_matching_oracle(round_domain(domain.scaled(scale), float(scale) * tau, V), directions)
 
-    def test_weights_passes_per_support_call(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
+    def test_evaluate_passes_per_support_call(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
         # golden-section took about 50 passes per call, and the plateau
         # bisection about 80; every support is now one Newton solve
         passes = 0
-        real_weights = SmoothDomain2D._weights
+        real_evaluate = SmoothDomain2D._evaluate
 
-        def counting_weights(smooth, x):
+        def counting_evaluate(smooth, x):
             nonlocal passes
             passes += 1
-            return real_weights(smooth, x)
+            return real_evaluate(smooth, x)
 
-        monkeypatch.setattr(SmoothDomain2D, "_weights", counting_weights)
+        monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
             for l, m in itertools.product(range(1, 41), repeat=2):
                 passes = 0
@@ -1186,4 +1212,4 @@ class TestAgainstOracles:
             cutoff = data.draw(st.sampled_from(actions)) * nudge
         families, solved = families_and_solves(smooth, cutoff)
         assert families == oracle_orbit_families(smooth, cutoff)
-        assert all(d.coprime for d in solved) and len(solved) == len(set(solved))
+        assert all(math.gcd(d.l, d.m) == 1 for d in solved) and len(solved) == len(set(solved))

@@ -15,7 +15,6 @@ from toricap import (
     CurveNode,
     EpsilonTooLarge,
     IndexBoundUnreachable,
-    NegativePunctureUnsupported,
     Puncture,
     TooManyPartitions,
     building_validate,
@@ -26,12 +25,10 @@ from toricap import (
     forced_morse_indices,
     min_positive_punctures,
     punctured_sphere_index,
-    sphere_data,
 )
 from toricap.sft_ledger import (
     PARTITION_LIMIT,
     CheckResult,
-    PuncturedSphereData,
     ValidationReport,
     building_from_json,
     building_to_json,
@@ -59,7 +56,7 @@ def min_punctures_by_index_loop(n, tangency_order, morse_bound, l_cap=60):
     """Oracle: add punctures with CZ = Morse bound until the index is
     non-negative; None when no l up to l_cap works."""
     for l in range(1, l_cap + 1):
-        if punctured_sphere_index(sphere_data(n, [morse_bound] * l, tangency_order)) >= 0:
+        if punctured_sphere_index(n, [morse_bound] * l, tangency_order) >= 0:
             return l
     return None
 
@@ -82,18 +79,16 @@ class TestCzFromMorse:
 class TestSphereIndex:
     def test_collapses_to_zero_at_forced_data(self):
         for n in range(2, 11):
-            data = sphere_data(n, [n - 1] * (n + 1), tangency_order=n - 1)
-            assert punctured_sphere_index(data) == 0
+            assert punctured_sphere_index(n, [n - 1] * (n + 1), tangency_order=n - 1) == 0
 
     def test_two_plane_case(self):
-        assert punctured_sphere_index(sphere_data(2, [1, 1], 0)) == 0
+        assert punctured_sphere_index(2, [1, 1], 0) == 0
 
     def test_toric_case_matches_rearranged_identity(self):
         # with n = 2, l = k + 1 punctures of CZ 1 and tangency order k - 1
         # the index vanishes exactly when the CZ values sum to k + 1
         for k in range(1, 9):
-            data = sphere_data(2, [1] * (k + 1), tangency_order=k - 1)
-            assert punctured_sphere_index(data) == 0
+            assert punctured_sphere_index(2, [1] * (k + 1), tangency_order=k - 1) == 0
 
     def test_linearity_in_cz_and_tangency(self):
         rng = random.Random(43)
@@ -102,24 +97,23 @@ class TestSphereIndex:
             l = rng.randint(1, 6)
             czs = [rng.randint(0, 2 * n) for _ in range(l)]
             t = rng.randint(0, 5)
-            base = punctured_sphere_index(sphere_data(n, czs, t))
+            base = punctured_sphere_index(n, czs, t)
             bumped = list(czs)
             slot = rng.randrange(l)
             bumped[slot] += 1
-            assert punctured_sphere_index(sphere_data(n, bumped, t)) == base + 1
-            assert punctured_sphere_index(sphere_data(n, czs, t + 1)) == base - 2
+            assert punctured_sphere_index(n, bumped, t) == base + 1
+            assert punctured_sphere_index(n, czs, t + 1) == base - 2
             assert base == index_oracle(n, czs, t)
 
-    def test_negative_punctures_rejected(self):
-        data = PuncturedSphereData(
-            n=2,
-            punctures=(
-                Puncture(cz=1, action=Fraction(1), sign="positive"),
-                Puncture(cz=1, action=Fraction(1), sign="negative"),
-            ),
-        )
-        with pytest.raises(NegativePunctureUnsupported):
-            punctured_sphere_index(data)
+    def test_no_punctures_rejected(self):
+        for empty in ([], ()):
+            with pytest.raises(ValueError, match="^nonconstant curves carry at least one puncture$"):
+                punctured_sphere_index(3, empty)
+
+    def test_negative_tangency_rejected(self):
+        with pytest.raises(ValueError, match="^tangency order must be non-negative$"):
+            punctured_sphere_index(2, [1, 1], -1)
+        assert punctured_sphere_index(2, [1, 1]) == punctured_sphere_index(2, [1, 1], 0) == 0
 
 
 class TestMinPositivePunctures:
@@ -195,19 +189,33 @@ class TestForcedMorse:
 
 class TestEnergyPartition:
     def test_valid_partition(self):
-        report = energy_partition_check(
-            3, Fraction(1, 10), [Fraction(1, 3)] * 3 + [Fraction(1, 10)]
-        )
-        assert report.valid
+        assert energy_partition_check(3, Fraction(1, 10), [Fraction(1, 3)] * 3 + [Fraction(1, 10)]) == ()
+        for n in range(1, 8):
+            assert energy_partition_check(n, Fraction(1, n + 1), [Fraction(1, n)] * n + [Fraction(1, n + 1)]) == ()
 
     def test_negative_area_flagged(self):
-        report = energy_partition_check(
+        violations = energy_partition_check(
             3,
             Fraction(1, 10),
             [Fraction(2, 3), Fraction(1, 3), Fraction(1, 3), Fraction(-7, 30)],
         )
-        assert not report.valid
-        assert any("not positive" in v for v in report.violations)
+        assert violations == (
+            "area 3 is not positive (-7/30)",
+            "area 0 is 2/3, expected 1/3",
+            "final area is -7/30, expected epsilon = 1/10",
+        )
+
+    def test_violations_in_order(self):
+        # positivity first, then the shares in area order, then the final area
+        violations = energy_partition_check(2, "1/5", ["0", "-1", "1/2"])
+        assert violations == (
+            "area 0 is not positive (0)",
+            "area 1 is not positive (-1)",
+            "area 0 is 0, expected 1/2",
+            "area 1 is -1, expected 1/2",
+            "final area is 1/2, expected epsilon = 1/5",
+        )
+        assert energy_partition_check(2, "1/5", ["1/2", "1/2"]) == ("expected 3 areas, got 2",)
 
     def test_epsilon_cap(self):
         with pytest.raises(EpsilonTooLarge):
@@ -1089,6 +1097,6 @@ class TestSolverProperties:
                 assert all(x >= Fraction(1, n) and (x * n).denominator == 1 for x in candidate[:-1])
             assert (len(solved) == 1) if eps < Fraction(1, n) else len(solved) >= 1
         for trial in (areas, [Fraction(1, max(n, 1))] * max(n, 0) + [eps]):
-            report = outcome(energy_partition_check, n, eps, trial)
-            if not isinstance(report, ValueError):
-                assert report.valid == (list(trial) == [Fraction(1, n)] * n + [eps])
+            violations = outcome(energy_partition_check, n, eps, trial)
+            if not isinstance(violations, ValueError):
+                assert (violations == ()) == (list(trial) == [Fraction(1, n)] * n + [eps])
