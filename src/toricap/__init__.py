@@ -4,69 +4,20 @@ Exact diagonals and support functions, Gutt-Hutchings capacities along
 two independent routes, Reeb orbit spectra on rounded boundaries with
 Conley-Zehnder indices, and the integer/rational bookkeeping of punctured
 curves and holomorphic buildings.
-"""
 
-from .moment_domain import (
-    BadEndpoints,
-    EllipsoidSpec,
-    LatticeDirection,
-    MomentDomain2D,
-    NonConcave,
-    NotMonotone,
-    PreconditionViolated,
-    ZeroDirection,
-    ball,
-    diagonal,
-    diagonal_intersection_isolated,
-    equal_diagonal_enclosing_ellipsoids,
-    included_in_ellipsoid,
-    make_polygon_domain,
-    support,
-)
-from .capacities import (
-    CapacityReport,
-    Cylinder,
-    LowerBound,
-    Polydisk,
-    ProjectiveSpace,
-    UnsupportedShape,
-    find_k_equal_diagonal,
-    gh_capacity_toric4,
-    gh_spectrum_ellipsoid,
-    gw_tangency_count,
-    lagrangian_capacity,
-    torus_descendant,
-)
-from .rounding_reeb import (
-    AxisPoint,
-    OrbitSplit,
-    ReebOrbitFamily,
-    SlopeConditionUnreachable,
-    SmoothDomain2D,
-    TooManyFamilies,
-    capacity_via_spectrum,
-    gauss_point,
-    orbit_families,
-    reeb_angular_velocity,
-    round_domain,
-    split_family,
-    support_smooth,
-)
-from .sft_ledger import (
-    Building,
-    CurveNode,
-    EpsilonTooLarge,
-    IndexBoundUnreachable,
-    Puncture,
-    TooManyPartitions,
-    building_validate,
-    canonical_ball_building,
-    cz_from_morse,
-    energy_partition_check,
-    energy_partition_solve,
-    forced_morse_indices,
-    min_positive_punctures,
-    punctured_sphere_index,
-)
+Import each name from its module, as in ``from toricap.moment_domain import
+make_polygon_domain``.  ``import toricap`` loads none of the four modules;
+``toricap.capacities`` and the like load theirs the first time they are
+read, under the interpreter's import lock, so every function stays safe
+to call concurrently.
+"""
+import importlib
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import moment_domain, capacities, rounding_reeb or sft_ledger on first access (PEP 562)."""
+    if name in ("moment_domain", "capacities", "rounding_reeb", "sft_ledger"):
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,7 @@ from .moment_domain import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
-_SIZE_LIMIT = 10**6  # the ball's Fraction axes, the forced Morse list and a --k range are built in full
+_SIZE_LIMIT = 10**6  # the ball's Fraction axes, the forced Morse list, a --k range and the --samples points are built in full
 _BUILDING_N_LIMIT = 10**5  # the canonical building holds n + 2 nodes, about 1 kB each
 
 
@@ -39,14 +39,16 @@ def _fmt_float(x: float) -> str:
 
 
 def _parse_payload(parse, text: str):
-    """Run a JSON parser; a JSON syntax error, and the TypeError,
-    IndexError, AttributeError or KeyError a malformed payload raises (a
-    float coordinate, a list where an object belongs, a vertex missing a
-    coordinate, a missing field), becomes an InputError."""
+    """Run a JSON parser; a JSON syntax error, JSON nested too deeply, and
+    the TypeError, IndexError, AttributeError or KeyError a malformed payload
+    raises (a float coordinate, a list where an object belongs, a vertex
+    missing a coordinate, a missing field), becomes an InputError."""
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON at line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise InputError("malformed JSON: nested too deeply") from exc
     except KeyError as exc:
         raise InputError(f"malformed input: missing field {exc}") from exc
     except (TypeError, IndexError, AttributeError) as exc:
@@ -206,6 +208,8 @@ def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
     before any other output: a bad --samples or path then prints nothing."""
     if not args.boundary_out:
         return
+    if args.samples > _SIZE_LIMIT:
+        raise InputError(f"--samples {args.samples} is too large: the limit is {_SIZE_LIMIT}")
     points = rounding_reeb.boundary_polyline(smooth, args.samples)
     with open(args.boundary_out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -31,10 +31,11 @@ class IndexBoundUnreachable(ValueError):
 
 
 PARTITION_LIMIT = 10_000
+PARTITION_AREA_LIMIT = 10**6
 
 
 class TooManyPartitions(ValueError):
-    """energy_partition_solve would list more candidates than PARTITION_LIMIT."""
+    """energy_partition_solve would list over PARTITION_LIMIT candidates or PARTITION_AREA_LIMIT areas."""
 
 
 def cz_from_morse(morse: int) -> int:
@@ -147,7 +148,8 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     final area.  Exactly one candidate exists when epsilon < 1/n; larger
     epsilon may admit more, which is the point of the hypothesis, so no
     epsilon cap is imposed here.  The candidates are listed lazily, and
-    the 10,001st raises TooManyPartitions (PARTITION_LIMIT is 10,000).
+    the 10,001st raises TooManyPartitions (PARTITION_LIMIT is 10,000), as
+    do over 10**6 areas in all (PARTITION_AREA_LIMIT), before any is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -173,6 +175,8 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     listed = list(itertools.islice(every, PARTITION_LIMIT + 1))
     if len(listed) > PARTITION_LIMIT:
         raise TooManyPartitions(f"at least {PARTITION_LIMIT + 1} candidate partitions, above the limit of {PARTITION_LIMIT}")
+    if len(listed) * (n + 1) > PARTITION_AREA_LIMIT:
+        raise TooManyPartitions(f"the candidate partitions hold {len(listed) * (n + 1)} areas, above the limit of {PARTITION_AREA_LIMIT}")
     return sorted(
         tuple(Fraction(1 + e, n) for e in excess) + (Fraction(1, n),) * (n - len(excess))
         + (eps - Fraction(sum(excess), n),)  # the final area, 1 + eps less the n areas

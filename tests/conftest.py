@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from toricap import EllipsoidSpec, make_polygon_domain
+from toricap.moment_domain import EllipsoidSpec, make_polygon_domain
 
 # every property suite replays the same examples on every run, keeps no
 # example database and has no per-example deadline; a suite sets only its

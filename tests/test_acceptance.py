@@ -9,33 +9,39 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from toricap import (
+from toricap.moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
-    ReebOrbitFamily,
     ball,
-    building_validate,
-    canonical_ball_building,
-    capacity_via_spectrum,
     diagonal,
-    energy_partition_solve,
+    make_polygon_domain,
+    support,
+)
+from toricap.capacities import (
     find_k_equal_diagonal,
-    forced_morse_indices,
-    gauss_point,
     gh_capacity_toric4,
     gh_spectrum_ellipsoid,
     gw_tangency_count,
-    make_polygon_domain,
-    min_positive_punctures,
+    torus_descendant,
+)
+from toricap.rounding_reeb import (
+    ReebOrbitFamily,
+    capacity_via_spectrum,
+    gauss_point,
     orbit_families,
     round_domain,
     split_family,
-    punctured_sphere_index,
-    support,
     support_smooth,
-    torus_descendant,
 )
-from toricap.sft_ledger import Building
+from toricap.sft_ledger import (
+    Building,
+    building_validate,
+    canonical_ball_building,
+    energy_partition_solve,
+    forced_morse_indices,
+    min_positive_punctures,
+    punctured_sphere_index,
+)
 
 
 def report(criterion, text):

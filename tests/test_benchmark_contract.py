@@ -40,7 +40,7 @@ def test_tracer_wraps_and_restores_every_recorded_name():
         tracer.install(toricap)
         for name, original in zip(names, originals):
             assert lookup(*name).__wrapped__ is original, name
-        tri = toricap.make_polygon_domain([(0, 1), (1, 0)])
+        tri = toricap.moment_domain.make_polygon_domain([(0, 1), (1, 0)])
         toricap.capacities.gh_capacity_toric4(tri, 3)
         assert tracer.metrics()["capacities.gh_capacity_toric4.calls"] == (1, "count")
     finally:

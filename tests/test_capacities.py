@@ -7,29 +7,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricap import (
+from toricap.moment_domain import EllipsoidSpec, ball, diagonal, make_polygon_domain, support
+from toricap.capacities import (
+    AxisMultiple,
     Cylinder,
-    EllipsoidSpec,
+    LengthMismatch,
     LowerBound,
     Polydisk,
     ProjectiveSpace,
     UnsupportedShape,
-    ball,
-    capacity_via_spectrum,
-    diagonal,
     find_k_equal_diagonal,
     gh_capacity_toric4,
     gh_spectrum_ellipsoid,
     gw_tangency_count,
     lagrangian_capacity,
-    make_polygon_domain,
-    round_domain,
-    support,
-    support_smooth,
     torus_descendant,
 )
+from toricap.rounding_reeb import capacity_via_spectrum, round_domain, support_smooth
 import toricap.capacities
-from toricap.capacities import AxisMultiple, LengthMismatch
 
 
 def merged_multiples(a, b, count):

@@ -3,9 +3,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import resource
 import shlex
+import subprocess
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -21,6 +24,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(cwd, *argv):
+    """Run the CLI in a fresh process under a 1.5 GB address-space cap, so
+    that a size check gone missing ends in a MemoryError, not in a machine
+    out of memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "toricap.cli", *argv], cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=cap, capture_output=True, text=True, timeout=60)
 
 
 needs_digit_limit = pytest.mark.skipif(
@@ -227,6 +242,21 @@ class TestSpectrum:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
 
     @pytest.mark.parametrize("argv", BOUNDARY_COMMANDS)
+    def test_samples_size_is_capped(self, capsys, tri11_json, tmp_path, monkeypatch, argv):
+        # checked before the list of points is built, so no file is written
+        monkeypatch.chdir(tmp_path)
+        options = ["--polygon", tri11_json, "--boundary-out", "rim.csv", "--samples"]
+        done = run_capped(tmp_path, *argv, *options, "100000000")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: --samples 100000000 is too large: the limit is 1000000\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tri11.json"]
+        monkeypatch.setattr("toricap.cli._SIZE_LIMIT", 5)  # the limit itself is accepted
+        code, out, err = run_cli(capsys, *argv, *options, "6")
+        assert (code, out, err) == (2, "", "error: --samples 6 is too large: the limit is 5\n")
+        assert run_cli(capsys, *argv, *options, "5")[0] == 0
+        assert len((tmp_path / "rim.csv").read_text().splitlines()) == 6  # the header and 5 points
+
+    @pytest.mark.parametrize("argv", BOUNDARY_COMMANDS)
     def test_unopenable_boundary_out_writes_nothing(self, capsys, tri11_json, tmp_path, monkeypatch, argv):
         # the boundary file is opened before the table or JSON is printed
         monkeypatch.chdir(tmp_path)
@@ -400,6 +430,15 @@ class TestLedger:
         assert code == 2 and out == ""
         assert err.startswith("error: at least ") and "candidate partitions" in err
 
+    @pytest.mark.parametrize("n, epsilon, areas", [
+        ("100000", "1/5000", 2087 * 100001), ("1000000000", "1/10000000000", 1000000001),
+    ])
+    def test_partition_area_count_is_capped(self, tmp_path, n, epsilon, areas):
+        # checked on the candidates' excesses, before any area is built
+        done = run_capped(tmp_path, "ledger", "--partition", "--n", n, "--epsilon", epsilon)
+        message = f"error: the candidate partitions hold {areas} areas, above the limit of 1000000\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
     def test_forced_morse(self, capsys):
         code, out, _ = run_cli(capsys, "ledger", "--forced-morse", "--n", "3")
         assert code == 0 and json.loads(out) == [2, 2, 2, 2]
@@ -438,8 +477,7 @@ class TestLedger:
         assert json.loads(out) == [["1/2", "1/2", "1/5"]]
 
     def test_building_file_round_trip(self, capsys, tmp_path):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         path = tmp_path / "building.json"
         path.write_text(building_to_json(canonical_ball_building(2, "1/5")))
@@ -448,8 +486,7 @@ class TestLedger:
         assert all(item["status"] == "pass" for item in json.loads(out))
 
     def test_mutated_building_fails_with_exit_one(self, capsys, tmp_path):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         payload["nodes"][1]["index"] = 1
@@ -497,8 +534,7 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("field", ["nodes", "id", "energy", "cz"])
     def test_building_file_missing_field_is_named(self, capsys, tmp_path, field):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         if field == "nodes":
@@ -518,8 +554,7 @@ class TestErrorsAndDeterminism:
         ["array", "nodes-string", "float-energy", "list-id", "string-index", "float-index", "one-element-pair"],
     )
     def test_malformed_building_file_is_input_error(self, capsys, tmp_path, mutate):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         bottom_end = payload["nodes"][0]["punctures"][0]
@@ -546,8 +581,7 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
     @pytest.mark.parametrize("field", ["cz", "level", "index", "divisor_hits", "total_index"])
     def test_non_integer_building_field_is_input_error(self, capsys, tmp_path, field, value):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         owner = {"cz": payload["nodes"][0]["punctures"][0], "total_index": payload}.get(field, payload["nodes"][1])
@@ -562,8 +596,7 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("field", ["energy", "action", "energy_budget"])
     def test_boolean_rational_in_building_is_input_error(self, capsys, tmp_path, field, value):
         # true was once read as 1, so the building went on to validation and exit 1
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         owner = {"action": payload["nodes"][1]["punctures"][0], "energy_budget": payload}.get(field, payload["nodes"][1])
@@ -577,8 +610,7 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("value", [False, 0, [], ""], ids=["false", "zero", "empty-array", "empty-string"])
     def test_falsy_paired_with_is_input_error(self, capsys, tmp_path, value):
         # these were once read as unpaired, so the building went on to validation and exit 1
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         payload["nodes"][1]["punctures"][0]["paired_with"] = value
@@ -593,9 +625,16 @@ class TestErrorsAndDeterminism:
         code, out, err = run_cli(capsys, "diag", "--polygon", '{"type": "polygon"')
         assert (code, out, err) == (2, "", "error: malformed JSON at line 1 column 19\n")
 
+    @pytest.mark.parametrize("argv, key", [(["diag", "--polygon"], "type"), (["ledger", "--building"], "nodes")])
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path, argv, key):
+        # json.loads raises RecursionError past the interpreter's recursion limit
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"{key}": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out, err) == (2, "", "error: malformed JSON: nested too deeply\n")
+
     def test_json_syntax_error_in_truncated_building_is_named(self, capsys, tmp_path):
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         text = building_to_json(canonical_ball_building(2, "1/5"))
         path = tmp_path / "truncated.json"
@@ -605,8 +644,7 @@ class TestErrorsAndDeterminism:
 
     def test_fractional_index_and_cz_are_not_truncated(self, capsys, tmp_path):
         # int() once read these as 0 and 1, so the building passed every check
-        from toricap import canonical_ball_building
-        from toricap.sft_ledger import building_to_json
+        from toricap.sft_ledger import building_to_json, canonical_ball_building
 
         payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
         payload["nodes"][1]["index"] = 0.9
@@ -756,8 +794,7 @@ FUZZ_FILES = {
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    from toricap import canonical_ball_building
-    from toricap.sft_ledger import building_to_json
+    from toricap.sft_ledger import building_to_json, canonical_ball_building
 
     root = tmp_path_factory.mktemp("fuzz")
     for name, text in FUZZ_FILES.items():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import edges, random_concave_polygon
 from test_capacities import toric_min_max
-from toricap import (
+from toricap.moment_domain import (
     BadEndpoints,
     EllipsoidSpec,
     LatticeDirection,
@@ -21,18 +21,16 @@ from toricap import (
     ZeroDirection,
     ball,
     diagonal,
-    gh_capacity_toric4,
     diagonal_intersection_isolated,
+    domain_from_json,
+    domain_to_json,
     equal_diagonal_enclosing_ellipsoids,
+    format_rational,
     included_in_ellipsoid,
     make_polygon_domain,
     support,
 )
-from toricap.moment_domain import (
-    domain_from_json,
-    domain_to_json,
-    format_rational,
-)
+from toricap.capacities import gh_capacity_toric4
 
 
 def diagonal_by_scan(domain, steps=200000):

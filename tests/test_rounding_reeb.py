@@ -12,26 +12,29 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from toricap import (
-    LatticeDirection,
+from toricap.moment_domain import LatticeDirection, make_polygon_domain, support
+from toricap.capacities import gh_capacity_toric4
+from toricap.rounding_reeb import (
+    AxisPoint,
+    Margins,
     ReebOrbitFamily,
     SlopeConditionUnreachable,
     SmoothDomain2D,
     TooManyFamilies,
+    _edge_lines,
+    _Line,
+    _verify,
+    boundary_polyline,
     capacity_via_spectrum,
     gauss_point,
-    gh_capacity_toric4,
-    make_polygon_domain,
     orbit_families,
     reeb_angular_velocity,
     round_domain,
     split_family,
-    support,
     support_smooth,
 )
 import toricap.rounding_reeb
 from conftest import edges, random_concave_polygon
-from toricap.rounding_reeb import AxisPoint, Margins, _edge_lines, _Line, _verify, boundary_polyline
 
 TAU = 1e-3
 V = 1.0 / 32.0

@@ -10,13 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricap import (
+from toricap.sft_ledger import (
+    PARTITION_AREA_LIMIT,
+    PARTITION_LIMIT,
     Building,
+    CheckResult,
     CurveNode,
     EpsilonTooLarge,
     IndexBoundUnreachable,
     Puncture,
     TooManyPartitions,
+    ValidationReport,
+    building_from_json,
+    building_to_json,
     building_validate,
     canonical_ball_building,
     cz_from_morse,
@@ -25,13 +31,6 @@ from toricap import (
     forced_morse_indices,
     min_positive_punctures,
     punctured_sphere_index,
-)
-from toricap.sft_ledger import (
-    PARTITION_LIMIT,
-    CheckResult,
-    ValidationReport,
-    building_from_json,
-    building_to_json,
     report_to_json,
 )
 from toricap.moment_domain import as_rational, format_rational
@@ -296,6 +295,27 @@ class TestEnergyPartition:
     def test_too_many_candidates_raise_at_once(self, n, eps):
         with pytest.raises(TooManyPartitions, match=f"above the limit of {PARTITION_LIMIT}"):
             energy_partition_solve(n, eps)
+
+    @pytest.mark.parametrize("n, eps, areas", [
+        (1000, Fraction(1, 50), 2087 * 1001),  # 2,087 candidates (excesses up to 19), each of n + 1 areas
+        (10**6, Fraction(1, 10**7), 10**6 + 1),  # one candidate
+    ])
+    def test_too_many_areas_raise_before_any_is_built(self, n, eps, areas):
+        message = f"the candidate partitions hold {areas} areas, above the limit of {PARTITION_AREA_LIMIT}"
+        with pytest.raises(TooManyPartitions, match=f"^{message}$"):
+            energy_partition_solve(n, eps)
+
+    def test_exactly_the_area_limit_is_listed(self, monkeypatch):
+        n = PARTITION_AREA_LIMIT - 1  # one candidate of n + 1 areas
+        (sol,) = energy_partition_solve(n, Fraction(1, 10**7))
+        assert len(sol) == PARTITION_AREA_LIMIT
+        assert sol[0] == sol[-2] == Fraction(1, n) and sol[-1] == Fraction(1, 10**7)
+        # the 10,000 candidates of test_exactly_the_limit_is_listed hold 3 areas each
+        monkeypatch.setattr("toricap.sft_ledger.PARTITION_AREA_LIMIT", 30_000)
+        assert len(energy_partition_solve(2, Fraction(199, 2))) == PARTITION_LIMIT
+        monkeypatch.setattr("toricap.sft_ledger.PARTITION_AREA_LIMIT", 29_999)
+        with pytest.raises(TooManyPartitions, match="^the candidate partitions hold 30000 areas, above the limit of 29999$"):
+            energy_partition_solve(2, Fraction(199, 2))
 
 
 def oracle_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:

@@ -1,7 +1,11 @@
-"""The package imports the standard library only and declares no dependency."""
+"""The package imports the standard library only, declares no dependency
+and loads each of its modules on first use."""
 import ast
+import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -25,3 +29,28 @@ def test_every_absolute_import_is_stdlib():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.M)
+
+
+LOADER_PROBE = """
+import json, sys
+import toricap.moment_domain
+loaded = sorted(name for name in sys.modules if name.startswith("toricap"))
+import toricap
+modules = [getattr(toricap, name).__name__ for name in ("moment_domain", "capacities", "rounding_reeb", "sft_ledger")]
+try:
+    toricap.support
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([loaded, modules, missing]))
+"""
+
+
+def test_package_loads_each_module_on_first_use():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", LOADER_PROBE], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, modules, missing = json.loads(done.stdout)
+    assert loaded == ["toricap", "toricap.moment_domain"]
+    assert modules == ["toricap.moment_domain", "toricap.capacities", "toricap.rounding_reeb", "toricap.sft_ledger"]
+    assert missing == "module 'toricap' has no attribute 'support'"
