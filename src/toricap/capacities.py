@@ -2,9 +2,10 @@
 
 The toric path minimizes the support function over non-negative lattice
 pairs summing to k in closed form, from the edge where the boundary meets
-the diagonal; the ellipsoid path reads the k-th entry of the merged
-sequence of axis multiples.  Both are exact on rational data and must
-agree on simplices, which the test suite enforces.
+the diagonal, comparing its two candidate supports as lattice integers
+and building one Fraction for the value; the ellipsoid path reads the
+k-th entry of the merged sequence of axis multiples.  Both are exact on
+rational data and must agree on simplices, which the test suite enforces.
 """
 from __future__ import annotations
 
@@ -17,10 +18,11 @@ from .moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
+    _lattice_support,
     _near_diagonal,
     as_rational,
     diagonal,
-    support,
+    support,  # noqa: F401 -- still a name of this module: the benchmark tracer wraps it
 )
 
 
@@ -59,16 +61,17 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     support is at or before (x1, y1), where the slope is negative; above
     it, at or after (x2, y2), where it is >= 0.  So l* is the smallest
     real minimizer, and the smallest integer one is floor(l*) or
-    floor(l*) + 1 <= k: two support evaluations, O(log V) exact work, ties
-    going to the lexicographically smallest pair.
+    floor(l*) + 1 <= k: two lattice supports over the one common
+    denominator, compared as integers, O(log V) exact work, ties going to
+    the lexicographically smallest pair.  Only the value is a Fraction.
     """
     if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
     j = _near_diagonal(domain)  # the floor is scale-free, so it reads the lattice without its denominator
     (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
-    value, l = min((support(domain, (l, k - l)), l) for l in range(floor, min(floor + 2, k + 1)))
-    return CapacityReport(value, LatticeDirection(l, k - l))
+    h, l = min((_lattice_support(domain, l, k - l), l) for l in range(floor, min(floor + 2, k + 1)))
+    return CapacityReport(Fraction(h, domain._denominator), LatticeDirection(l, k - l))
 
 
 def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
@@ -114,8 +117,8 @@ def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
     if e.dim != 2:
         raise ValueError("defined for 4-dimensional ellipsoids")
     a, b = e.axes
-    ratio = b / a
-    return ratio.numerator + ratio.denominator
+    n, m = b.numerator * a.denominator, b.denominator * a.numerator  # b/a = n/m
+    return (n + m) // math.gcd(n, m)  # p + q, as p = n/g and q = m/g for g = gcd(n, m)
 
 
 # ---------------------------------------------------------------------------

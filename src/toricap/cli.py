@@ -3,7 +3,7 @@
 One subcommand per concept: diag, support, gh, spectrum, round, enclose,
 lagcap, ledger.  Rationals render in lowest terms ('2', '1/3'),
 floats with 12 significant digits.  Exit codes: 0 ok, 1 a validation
-check failed, 2 input error.
+check failed, 2 input error, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -26,6 +27,7 @@ from .moment_domain import (
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that signal ended
 _SIZE_LIMIT = 10**6  # the ball's Fraction axes, the forced Morse list, a --k range and the --samples points are built in full
 _BUILDING_N_LIMIT = 10**5  # the canonical building holds n + 2 nodes, about 1 kB each
 
@@ -106,9 +108,8 @@ def _emit(args, text: str) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()  # a reader gone before the flush raises here, inside main, not at exit
 
 
 def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
@@ -436,6 +437,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout now writes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

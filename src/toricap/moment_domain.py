@@ -6,9 +6,11 @@ function f on [0, a] with f(0) = b and final height 0.  All arithmetic in
 this module is exact, in integers and ``fractions.Fraction``; no floats enter.
 Validation, ``support`` (and so ``included_in_ellipsoid``), the diagonal
 and the enclosure search run in integers over one common denominator, as
-does the toric capacity's floor in ``capacities``; ``boundary_value``,
-``contains_point``, ``includes_domain`` and the contact query's vertex
-count read the ``Fraction`` vertices.
+does the toric capacity in ``capacities``, which compares two lattice
+supports as integers; the enclosure compares its bounds by
+cross-multiplying.  Each builds one ``Fraction`` per value it reports.
+``boundary_value``, ``contains_point``, ``includes_domain`` and the
+contact query's vertex count read the ``Fraction`` vertices.
 
 Everything here is an immutable value; all operations are pure functions
 and safe to call concurrently.
@@ -287,23 +289,27 @@ def _direction(v: DirectionLike) -> tuple[int, int, int]:
     return p, q, r
 
 
-def support(domain: MomentDomain2D, v: DirectionLike) -> Fraction:
-    """Exact maximum of <v, w> over the moment region, in O(log V).
+def _lattice_support(domain: MomentDomain2D, p: int, q: int) -> int:
+    """max p*X + q*Y over the lattice vertices (X, Y), for ints p, q >= 0 not both 0.
 
-    The maximum is at a vertex.  Edge i changes <v, w> by vx*dx + vy*dy,
-    dx*(vx + vy*s_i) for slope s_i; slopes fall strictly and vy >= 0, so
+    The maximum is at a vertex.  Edge i changes p*X + q*Y by p*dX + q*dY,
+    dX*(p + q*s_i) for slope s_i; slopes fall strictly and q >= 0, so
     "increment <= 0" holds from some edge on (a final vertical drop adds
-    vy*dy <= 0), and bisection finds that edge, whose start is the maximum.
-    The test runs in lattice units, and only the result is a Fraction.
+    q*dY <= 0), and bisection finds that edge, whose start is the maximum.
     """
-    p, q, r = _direction(v)
     xs, ys = domain._xs, domain._ys
 
     def non_increasing(i: int) -> bool:
         return p * (xs[i + 1] - xs[i]) <= q * (ys[i] - ys[i + 1])
 
     i = bisect_left(range(len(xs) - 1), True, key=non_increasing)
-    return Fraction(p * xs[i] + q * ys[i], r * domain._denominator)
+    return p * xs[i] + q * ys[i]
+
+
+def support(domain: MomentDomain2D, v: DirectionLike) -> Fraction:
+    """Exact maximum of <v, w> over the moment region, in O(log V); only the result is a Fraction."""
+    p, q, r = _direction(v)
+    return Fraction(_lattice_support(domain, p, q), r * domain._denominator)
 
 
 def included_in_ellipsoid(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
@@ -366,7 +372,8 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     interval; each is feasible by construction, and a feasible interval
     always has one of them: without either end it is (d, oo), which holds
     2d.  The symmetric branch (x-intercept exceeding y-intercept) is part
-    of the same parameter interval.
+    of the same parameter interval.  The bounds are int pairs compared by
+    cross-multiplying, and each reported value is built as one Fraction.
     """
     j = _near_diagonal(domain)
     d = _crossing(domain, j)
@@ -374,29 +381,28 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     # vertex (x, y) inside E(a, b(a)) <=> a*(y - d) <= d*(y - x), for a > d, and on its
     # boundary iff equal; in lattice units a*s <= t, s = dd*y - dn*scale and t = dn*(y - x)
     cuts = [(dd * y - dn * scale, dn * (y - x)) for x, y in zip(domain._xs[j - 1:j + 2], domain._ys[j - 1:j + 2])]
-    if any(s == 0 > t for s, t in cuts):
-        return EnclosureSearch(d, None, None, False, ())
-    upper = min((Fraction(t, s) for s, t in cuts if s > 0), default=None)
-    lo_eff = max([d, *(Fraction(t, s) for s, t in cuts if s < 0)])  # the infimum
-    lo = lo_eff if lo_eff > d else None  # None => infimum d, open
-    if upper is not None and (upper <= d or upper < lo_eff):
+    lower, upper = (dn, dd), None  # bounds u/w on a as int pairs with w > 0; None is +infinity
+    for s, t in cuts:
+        if s > 0 and (upper is None or t * upper[1] < upper[0] * s):
+            upper = (t, s)
+        elif s < 0 and t * lower[1] < lower[0] * s:  # t/s > lower, as s < 0
+            lower = (-t, -s)
+        elif s == 0 > t:
+            return EnclosureSearch(d, None, None, False, ())
+    attained = lower[0] * dd > dn * lower[1]  # the infimum exceeds d; otherwise it is d, open
+    if upper is not None and (upper[0] * dd <= dn * upper[1] or upper[0] * lower[1] < lower[0] * upper[1]):
         return EnclosureSearch(d, None, None, False, ())
 
-    members = {m for m in (lo, upper) if m is not None}
-    if lo_eff <= 2 * d and (upper is None or 2 * d <= upper):
-        members.add(2 * d)  # the a = b member of the family
+    # the members, ascending with equal ones adjacent: the attained lower end, a = b = 2d, the upper end
+    middle = lower[0] * dd <= 2 * dn * lower[1] and (upper is None or 2 * dn * upper[1] <= upper[0] * dd)
+    ends = [e for e, kept in ((lower, attained), ((2 * dn, dd), middle), (upper, upper is not None)) if kept]
+    members = [Fraction(u, w) for i, (u, w) in enumerate(ends) if not i or u * ends[i - 1][1] != ends[i - 1][0] * w]
     pairs, near = [], domain.vertices[j - 1:j + 2]
-    for a in sorted(members):
-        touching = tuple(p for p, (s, t) in zip(near, cuts) if a.numerator * s == a.denominator * t)
-        pairs.append(EnclosingEllipsoid(a, a * d / (a - d), touching))
-
-    return EnclosureSearch(
-        diagonal=d,
-        lower=lo_eff,
-        upper=upper,
-        lower_attained=lo is not None,
-        pairs=tuple(pairs),
-    )
+    for a in members:
+        u, w = a.numerator, a.denominator
+        touching = tuple(p for p, (s, t) in zip(near, cuts) if u * s == w * t)
+        pairs.append(EnclosingEllipsoid(a, Fraction(u * dn, u * dd - dn * w), touching))  # b = a*d/(a - d)
+    return EnclosureSearch(d, members[0] if attained else d, members[-1] if upper else None, attained, tuple(pairs))
 
 
 def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:

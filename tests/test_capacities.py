@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toricap.moment_domain import EllipsoidSpec, ball, diagonal, make_polygon_domain, support
+from toricap.moment_domain import EllipsoidSpec, _lattice_support, ball, diagonal, make_polygon_domain
 from toricap.capacities import (
     AxisMultiple,
     Cylinder,
@@ -118,12 +118,12 @@ class TestToricPath:
     def test_support_calls_are_logarithmic_in_k(self, monkeypatch, tri11, pentagon, square):
         calls = 0
 
-        def counting_support(domain, v):
+        def counting_support(domain, p, q):
             nonlocal calls
             calls += 1
-            return support(domain, v)
+            return _lattice_support(domain, p, q)
 
-        monkeypatch.setattr(toricap.capacities, "support", counting_support)
+        monkeypatch.setattr(toricap.capacities, "_lattice_support", counting_support)
         for domain in (tri11, pentagon, square):
             for k in (1, 2, 3, 7, 1000, 10**5, 10**9):  # logarithmic at worst, two at most
                 calls = 0

@@ -734,6 +734,18 @@ class TestErrorsAndDeterminism:
         code, _, _ = run_cli(capsys, "diag")
         assert code == 2
 
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        """A reader that stops after one line is no input error: exit 128 + SIGPIPE, nothing on stderr."""
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        argv = [sys.executable, "-m", "toricap.cli", "gh", "--ellipsoid", "1,2", "--k", "1..100000"]  # 5.6 MB
+        # buffered, as by default: unbuffered, the one write the pipe cuts short returns a count and raises nothing
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": ""}
+        with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().split() == [b"k", b"value", b"minimizer", b"path"]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+
     def test_outputs_are_deterministic(self, capsys, tri12_json):
         argv = ["spectrum", "--polygon", tri12_json, "--K", "3.0", "--format", "csv"]
         _, first, _ = run_cli(capsys, *argv)

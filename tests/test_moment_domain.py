@@ -13,6 +13,7 @@ from test_capacities import toric_min_max
 from toricap.moment_domain import (
     BadEndpoints,
     EllipsoidSpec,
+    EnclosingEllipsoid,
     LatticeDirection,
     MomentDomain2D,
     NonConcave,
@@ -766,3 +767,21 @@ class TestLatticeOracles:
     def test_support_scales_exactly(self, domain, c, pair, fractions):
         for v in (pair, fractions):
             assert support(domain.scaled(c), v) == c * support(domain, v)
+
+    @settings(max_examples=100)
+    @given(lattice_polygons(), scales, st.integers(1, 10**9))
+    def test_toric_capacity_scales_exactly(self, domain, c, k):
+        report, scaled = gh_capacity_toric4(domain, k), gh_capacity_toric4(domain.scaled(c), k)
+        assert (scaled.value, scaled.minimizer) == (c * report.value, report.minimizer)
+
+    @settings(max_examples=150)
+    @given(lattice_polygons(), scales)
+    def test_enclosure_scales_exactly(self, domain, c):
+        search, scaled = equal_diagonal_enclosing_ellipsoids(domain), equal_diagonal_enclosing_ellipsoids(domain.scaled(c))
+        times_c = (lambda value: None if value is None else c * value)
+        assert (scaled.diagonal, scaled.lower, scaled.upper, scaled.lower_attained) == (
+            c * search.diagonal, times_c(search.lower), times_c(search.upper), search.lower_attained)
+        assert scaled.pairs == tuple(
+            EnclosingEllipsoid(c * p.x_axis, c * p.y_axis, tuple((c * x, c * y) for x, y in p.touching_vertices))
+            for p in search.pairs
+        )
