@@ -14,15 +14,18 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from . import capacities, moment_domain, rounding_reeb, sft_ledger
+from . import moment_domain
 from .moment_domain import (
     EllipsoidSpec,
     MomentDomain2D,
     as_rational,
     format_rational,
 )
+
+if TYPE_CHECKING:  # each command imports the modules it runs, so diag never loads the float layer
+    from . import capacities, rounding_reeb
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -107,9 +110,17 @@ def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()  # a reader gone before the flush raises here, inside main, not at exit
+        return
+    text = text if text.endswith("\n") else text + "\n"
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text stream, such as io.StringIO under contextlib.redirect_stdout
+        sys.stdout.write(text)
+        return
+    # all bytes, flushed: a closed pipe raises inside main, even where an unbuffered raw write stops short
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
+    buffer.flush()
 
 
 def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
@@ -118,15 +129,11 @@ def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
         _emit(args, json.dumps(payload, indent=2))
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(buf).writerows([header, *rows])
         _emit(args, buf.getvalue())
     else:
         widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(header)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [header, *rows]]
         _emit(args, "\n".join(lines))
 
 
@@ -154,6 +161,7 @@ def cmd_support(args) -> int:
 
 
 def cmd_gh(args) -> int:
+    from . import capacities
     domain = _load_domain(args)
     ks = _parse_k_range(args.k)
     via = args.via
@@ -191,6 +199,7 @@ def cmd_gh(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import rounding_reeb
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
     families = rounding_reeb.orbit_families(smooth, args.cutoff)
@@ -209,6 +218,7 @@ def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
     before any other output: a bad --samples or path then prints nothing."""
     if not args.boundary_out:
         return
+    from . import rounding_reeb
     if args.samples > _SIZE_LIMIT:
         raise InputError(f"--samples {args.samples} is too large: the limit is {_SIZE_LIMIT}")
     points = rounding_reeb.boundary_polyline(smooth, args.samples)
@@ -220,6 +230,7 @@ def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
 
 
 def cmd_round(args) -> int:
+    from . import rounding_reeb
     domain = _require_polygon(_load_domain(args))
     smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
     _write_polyline(args, smooth)
@@ -262,6 +273,7 @@ def cmd_enclose(args) -> int:
 
 
 def cmd_lagcap(args) -> int:
+    from . import capacities
     shape = _shape_from_args(args)
     value = capacities.lagrangian_capacity(shape)
     if isinstance(value, capacities.LowerBound):
@@ -272,6 +284,7 @@ def cmd_lagcap(args) -> int:
 
 
 def _shape_from_args(args) -> capacities.Shape:
+    from . import capacities
     kind = args.shape
     if kind == "ball":
         if args.n > _SIZE_LIMIT:
@@ -289,6 +302,7 @@ def _shape_from_args(args) -> capacities.Shape:
 
 
 def cmd_ledger(args) -> int:
+    from . import sft_ledger
     if args.min_punctures:
         value = sft_ledger.min_positive_punctures(args.n, args.k - 1, args.n - 1)
         _emit(args, str(value))
@@ -301,6 +315,7 @@ def cmd_ledger(args) -> int:
             n_max += 1
         if digits and args.n > n_max:
             raise InputError(f"--n {args.n} is too large: the counts (n-1)! print in full only for n <= {n_max}")
+        from . import capacities
         payload = {
             "gw_tangency_count": capacities.gw_tangency_count(args.n),
             "torus_descendant_zero_sum": capacities.torus_descendant(
@@ -430,12 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports its own message
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse reports its own message; --help is flushed in reach of the handler below
+            sys.stdout.flush()
+            return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
         return args.func(args)
     except BrokenPipeError:  # stdout now writes to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

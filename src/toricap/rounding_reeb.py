@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .moment_domain import LatticeDirection, MomentDomain2D, support
+from .moment_domain import LatticeDirection, MomentDomain2D, diagonal, support
 
 _X_BISECT_TOL = 1e-12
 FAMILY_LIMIT = 100_000
@@ -90,9 +90,10 @@ class SmoothDomain2D:
     shift: float
     x_max: float
     margins: Margins = field(init=False, repr=False, compare=False)
-    # the line slopes, the lines by ascending (slope, constant), g'(0) and
-    # g'(x_max) clamped to the slope range, and the largest l + m for which
-    # l*x and m*g(x) are finite floats on [0, x_max], fixed at construction
+    # the lines as plain (c, s) tuples, their slopes, the lines by ascending (slope, constant),
+    # g'(0) and g'(x_max) clamped to the slope range, and the largest l + m for which l*x and
+    # m*g(x) are finite floats on [0, x_max], fixed at construction
+    _pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _by_slope: tuple[_Line, ...] = field(init=False, repr=False, compare=False)
     _slope_start: float = field(init=False, repr=False, compare=False)
@@ -100,7 +101,11 @@ class SmoothDomain2D:
     _order_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_slopes", tuple(s for _, s in self.lines))
+        slopes = tuple(s for _, s in self.lines)
+        if not (len(slopes) > 2 and all(map(operator.ge, slopes, slopes[1:-2])) and slopes[-2] >= slopes[0] and slopes[-3] > slopes[-1]):
+            raise ValueError("line order, as gauss_point reads it: edges by non-increasing slope, cap0 no steeper, cap1 steepest")
+        object.__setattr__(self, "_pairs", tuple(map(tuple, self.lines)))
+        object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
         (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(self.x_max)
         # a float mean of the slopes can round one ulp past all of them; clamped,
@@ -129,21 +134,26 @@ class SmoothDomain2D:
 
     def value(self, x: float) -> float:
         """g(x), evaluated with a stabilized log-sum-exp."""
-        return self._evaluate(x)[0]
+        return self._soft_min(x)[0]
 
     def derivative(self, x: float) -> float:
         """g'(x), a weighted average of the line slopes."""
         return self._evaluate(x)[1]
 
-    def _evaluate(self, x: float) -> tuple[float, float, list[float]]:
-        """g(x), g'(x) and each line's soft-min weight, taken relative to the
-        lowest line at x, in one pass."""
-        vals = [c + s * x for c, s in self.lines]
+    def _soft_min(self, x: float) -> tuple[float, float, list[float]]:
+        """g(x), the weights' total and each line's soft-min weight, taken relative to the
+        lowest line at x, in one pass; (lowest - val) / tau is -(val - lowest) / tau bit for bit."""
+        exp, tau = math.exp, self.tau
+        vals = [c + s * x for c, s in self._pairs]
         lowest = min(vals)
-        weights = [math.exp(-(val - lowest) / self.tau) for val in vals]
+        weights = [exp((lowest - val) / tau) for val in vals]
         total = sum(weights)
-        slope = sum(map(operator.mul, weights, self._slopes)) / total
-        return self.shift + lowest - self.tau * math.log(total), slope, weights
+        return self.shift + lowest - tau * math.log(total), total, weights
+
+    def _evaluate(self, x: float) -> tuple[float, float, list[float]]:
+        """g(x), g'(x) and each line's soft-min weight, from one soft-min pass."""
+        g, total, weights = self._soft_min(x)
+        return g, sum(map(operator.mul, weights, self._slopes)) / total, weights
 
 
 @dataclass(frozen=True)
@@ -294,31 +304,35 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[f
     root of the log-odds form u = log A - log B, A and B the sums of
     w_i*|s_i - t| over the line slopes s_i above and below t.  Safeguarded
     Newton solves u = 0, started at the root of u for the two lines that
-    bracket t in slope order (see the README).  Returns None for axis
-    directions (l = 0 or m = 0, whose families live over the boundary axes)
-    and when -l/m falls outside (g'(x_max), g'(0)), each end clamped to the
-    line slopes, which cannot happen for directions with v < l/m < 1/v.
+    bracket t in slope order (see the README).  Each sum reads its side
+    only, an edge prefix and cap0 or an edge suffix and cap1, in line order.
+    Returns None for axis directions (l = 0 or m = 0, whose families live
+    over the boundary axes) and when -l/m falls outside (g'(x_max), g'(0)),
+    each end clamped to the line slopes, which cannot happen for directions
+    with v < l/m < 1/v.
     """
     if d.l == 0 or d.m == 0:
         return None
     target = -d.l / d.m
     if not (smooth._slope_end < target < smooth._slope_start):
         return None
-    up = [s - target if s > target else 0.0 for s in smooth._slopes]
-    down = [target - s if s < target else 0.0 for s in smooth._slopes]
+    # the clamped slope range leaves a line steeper than t and one shallower
+    ordered, key, slopes = smooth._by_slope, operator.itemgetter(1), smooth._slopes
+    i, j = bisect_left(ordered, target, key=key), bisect_right(ordered, target, key=key)
+    prefix, suffix = len(slopes) - j - 1, len(slopes) - i - 1  # len - j lines lie above t and i below, one cap each
+    up = [s - target for s in (*slopes[:prefix], slopes[-2])]
+    down = [target - s for s in (*slopes[suffix:-2], slopes[-1])]
     up2, down2 = list(map(operator.mul, up, up)), list(map(operator.mul, down, down))
 
     def log_odds(x: float):  # u and u' = -(sum w*(s - t)^2 / A + sum w*(t - s)^2 / B) / tau
-        g, _, weights = smooth._evaluate(x)
-        above, below = sum(map(operator.mul, weights, up)), sum(map(operator.mul, weights, down))
+        g, _, weights = smooth._soft_min(x)
+        w_up, w_down = [*weights[:prefix], weights[-2]], [*weights[suffix:-2], weights[-1]]
+        above, below = sum(map(operator.mul, w_up, up)), sum(map(operator.mul, w_down, down))
         if not (above and below):  # one side's weights underflow: only the sign of u is known
             return above - below, 0.0, g
-        spread = sum(map(operator.mul, weights, up2)) / above + sum(map(operator.mul, weights, down2)) / below
+        spread = sum(map(operator.mul, w_up, up2)) / above + sum(map(operator.mul, w_down, down2)) / below
         return math.log(above) - math.log(below), -spread / smooth.tau, g
 
-    # the clamped slope range leaves a line steeper than t and one shallower
-    ordered, key = smooth._by_slope, operator.itemgetter(1)
-    i, j = bisect_left(ordered, target, key=key), bisect_right(ordered, target, key=key)
     (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
     x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
     return _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
@@ -411,7 +425,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     # correctly rounded -l/m, all that gauss_point reads, so each primitive
     # direction is solved once and its multiples reuse the point.
     stop = keep * (1.0 + 1e-9)
-    points: dict[LatticeDirection, Optional[tuple[float, float]]] = {}
+    points: dict[tuple[int, int], tuple[LatticeDirection, Optional[tuple[float, float]]]] = {}
     above = None
     for m in range(1, m_max + 1):
         last = first = None
@@ -421,10 +435,11 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
             if (near := last or above) and l * near[0] + m * near[1] > stop:
                 break
             g = math.gcd(l, m)
-            simple = LatticeDirection(l // g, m // g)
-            if simple not in points:
-                points[simple] = gauss_point(smooth, simple)
-            point = points[simple]
+            key = (l // g, m // g)
+            if key not in points:
+                simple = LatticeDirection(*key)
+                points[key] = simple, gauss_point(smooth, simple)
+            simple, point = points[key]
             if point is None:  # -l/m is at or below g'(x_max), as for every larger l
                 break
             last, first = point, first or point
@@ -432,7 +447,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
             if action > stop:
                 break
             if action <= keep:
-                families.append(ReebOrbitFamily(direction=LatticeDirection(l, m), point=point, action=action,
+                families.append(ReebOrbitFamily(direction=simple if g == 1 else LatticeDirection(l, m), point=point, action=action,
                                                 multiplicity=g, underlying_simple=simple))
         above = first or above
     families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
@@ -454,9 +469,9 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
     of the k-th capacity on the rounded domain.  h(l) = support_smooth(l,
     k - l) is convex, least at l* = k*(-g'(x_d))/(1 - g'(x_d)) where
     g(x_d) = x_d (see the README), so the minimum over l = 0..k takes one
-    Newton solve for x_d and two support_smooth calls, at floor(l*) and
-    floor(l*) + 1, each at most one Gauss solve.  Raises ValueError unless
-    k is a positive integer."""
+    Newton solve for x_d, from the polygon's diagonal clamped to x_max, and
+    two support_smooth calls, at floor(l*) and floor(l*) + 1, each at most
+    one Gauss solve.  Raises ValueError unless k is a positive integer."""
     if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
     if k > smooth._order_limit:
@@ -466,7 +481,7 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
         g, slope, _ = smooth._evaluate(x)
         return g - x, slope - 1.0, slope
 
-    slope = _newton(excess, 0.0, smooth.x_max, 0.5 * smooth.x_max, _X_BISECT_TOL * smooth.x_max)[1]
+    slope = _newton(excess, 0.0, smooth.x_max, min(float(diagonal(smooth.source)), smooth.x_max), _X_BISECT_TOL * smooth.x_max)[1]
     low = math.floor(k * (-slope / (1.0 - slope)))
     return min(support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
 

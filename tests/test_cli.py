@@ -148,14 +148,14 @@ class TestGh:
         assert "minimizer" in item
 
     def test_both_paths_disagreeing_exits_one_at_that_k(self, capsys, monkeypatch):
-        import toricap.cli
+        import toricap.capacities
         from toricap.capacities import gh_spectrum_ellipsoid
 
         def off_at_three(e, k):
             report = gh_spectrum_ellipsoid(e, k)
             return replace(report, value=report.value + 1) if k == 3 else report
 
-        monkeypatch.setattr(toricap.cli.capacities, "gh_spectrum_ellipsoid", off_at_three)
+        monkeypatch.setattr(toricap.capacities, "gh_spectrum_ellipsoid", off_at_three)
         code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "1..6", "--via", "both")
         assert (code, out, err) == (1, "", "path disagreement at k=3\n")
 
@@ -738,13 +738,28 @@ class TestErrorsAndDeterminism:
         """A reader that stops after one line is no input error: exit 128 + SIGPIPE, nothing on stderr."""
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         argv = [sys.executable, "-m", "toricap.cli", "gh", "--ellipsoid", "1,2", "--k", "1..100000"]  # 5.6 MB
-        # buffered, as by default: unbuffered, the one write the pipe cuts short returns a count and raises nothing
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": ""}
-        with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-            assert proc.stdout.readline().split() == [b"k", b"value", b"minimizer", b"path"]
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == 141
-            assert proc.stderr.read() == b""
+        # buffered, as by default, and unbuffered, where a raw write that the closed pipe cuts short returns its count
+        for unbuffered in ("", "1"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+            with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                assert proc.stdout.readline().split() == [b"k", b"value", b"minimizer", b"path"]
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 141, unbuffered
+                assert proc.stderr.read() == b"", unbuffered
+
+    def test_help_to_a_closed_pipe_exits_141_silently(self, tmp_path):
+        """argparse writes the help into stdout's buffer; main flushes it, so the closed pipe
+        raises inside main, not in the flush at exit."""
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts, so its first write fails
+        try:
+            done = subprocess.run([sys.executable, "-m", "toricap.cli", "--help"], cwd=tmp_path, stdout=write_end,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": ""},
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_outputs_are_deterministic(self, capsys, tri12_json):
         argv = ["spectrum", "--polygon", tri12_json, "--K", "3.0", "--format", "csv"]

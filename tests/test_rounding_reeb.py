@@ -4,6 +4,7 @@ import dataclasses
 import decimal
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -23,6 +24,8 @@ from toricap.rounding_reeb import (
     TooManyFamilies,
     _edge_lines,
     _Line,
+    _X_BISECT_TOL,
+    _newton,
     _verify,
     boundary_polyline,
     capacity_via_spectrum,
@@ -35,6 +38,7 @@ from toricap.rounding_reeb import (
 )
 import toricap.rounding_reeb
 from conftest import edges, random_concave_polygon
+from test_moment_domain import lattice_polygons
 
 TAU = 1e-3
 V = 1.0 / 32.0
@@ -44,8 +48,9 @@ V = 1.0 / 32.0
 # the shift, the Gauss point search with two independent bisections, the
 # root of the log-odds form in 80-digit decimal, the orbit-family scan that solves every direction of the search box, the
 # row scan with one Gauss solve per direction, the edge lines from integer
-# ratios, the golden-section search for the support, and the 1,025-point
-# sweep of every boundary invariant with f read in exact Fractions.  The fast code
+# ratios, the golden-section search for the support, the full-list log-odds
+# solve, and the 1,025-point sweep of every boundary invariant with f read in
+# exact Fractions.  The fast code
 # must agree with them bit for bit, except that the shift may differ from
 # the scan's by float noise, the Newton orbit families from the
 # bisection's as assert_families_match allows, and the support from the
@@ -409,6 +414,95 @@ def supports_matching_oracle(smooth, directions):
         assert abs(value - oracle) <= 8 * math.ulp(oracle), (smooth.source, l, m)
         values.append(value)
     return values
+
+
+# The full-list solve: every log-odds sum runs over all the lines, those on
+# the other side of t adding exact zeros, each weight is exp(-(val - lowest)
+# / tau), and the capacity's Newton solve for g(x) = x starts at x_max / 2.
+# The one-sided sums and the diagonal start must give its floats bit for bit.
+
+
+def full_list_pass(smooth, x):
+    """g(x), g'(x) and every line's soft-min weight over the full line list."""
+    vals = [c + s * x for c, s in smooth.lines]
+    lowest = min(vals)
+    weights = [math.exp(-(val - lowest) / smooth.tau) for val in vals]
+    total = sum(weights)
+    slope = sum(map(operator.mul, weights, [s for _, s in smooth.lines])) / total
+    return smooth.shift + lowest - smooth.tau * math.log(total), slope, weights
+
+
+def full_list_slope_range(smooth):
+    """g'(x_max) and g'(0), each clamped to the line slopes."""
+    slopes = [s for _, s in smooth.lines]
+    return max(full_list_pass(smooth, smooth.x_max)[1], min(slopes)), min(full_list_pass(smooth, 0.0)[1], max(slopes))
+
+
+def full_list_gauss_point(smooth, d):
+    if d.l == 0 or d.m == 0:
+        return None
+    target = -d.l / d.m
+    end, start = full_list_slope_range(smooth)
+    if not end < target < start:
+        return None
+    slopes = [s for _, s in smooth.lines]
+    up = [s - target if s > target else 0.0 for s in slopes]
+    down = [target - s if s < target else 0.0 for s in slopes]
+    up2, down2 = [u * u for u in up], [u * u for u in down]
+
+    def log_odds(x):
+        g, _, weights = full_list_pass(smooth, x)
+        above, below = sum(map(operator.mul, weights, up)), sum(map(operator.mul, weights, down))
+        if not (above and below):
+            return above - below, 0.0, g
+        spread = sum(map(operator.mul, weights, up2)) / above + sum(map(operator.mul, weights, down2)) / below
+        return math.log(above) - math.log(below), -spread / smooth.tau, g
+
+    ordered, key = sorted(smooth.lines, key=operator.itemgetter(1, 0)), operator.itemgetter(1)
+    i, j = bisect.bisect_left(ordered, target, key=key), bisect.bisect_right(ordered, target, key=key)
+    (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
+    x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
+    return _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
+
+
+def full_list_support_smooth(smooth, l, m):
+    if m == 0:
+        return l * smooth.x_max
+    point = full_list_gauss_point(smooth, LatticeDirection(l, m))
+    if point is None:
+        x = 0.0 if -l / m >= full_list_slope_range(smooth)[1] else smooth.x_max
+        point = (x, full_list_pass(smooth, x)[0])
+    return l * point[0] + m * point[1]
+
+
+def full_list_capacity(smooth, k):
+    def excess(x):
+        g, slope, _ = full_list_pass(smooth, x)
+        return g - x, slope - 1.0, slope
+
+    slope = _newton(excess, 0.0, smooth.x_max, 0.5 * smooth.x_max, _X_BISECT_TOL * smooth.x_max)[1]
+    low = math.floor(k * (-slope / (1.0 - slope)))
+    return min(full_list_support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
+
+
+def full_list_orbit_families(smooth, cutoff):
+    """orbit_families with the full-list Gauss solve and g."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toricap.rounding_reeb, "gauss_point", full_list_gauss_point)
+        patch.setattr(SmoothDomain2D, "value", lambda smooth, x: full_list_pass(smooth, x)[0])
+        return orbit_families(smooth, cutoff)
+
+
+def assert_full_list_solves(smooth, directions, cutoff, ks):
+    """gauss_point, support_smooth, orbit_families and capacity_via_spectrum
+    give the full-list solve's floats, compared with ==."""
+    for l, m in directions:
+        d = LatticeDirection(l, m)
+        assert gauss_point(smooth, d) == full_list_gauss_point(smooth, d), (smooth.source, l, m)
+        assert support_smooth(smooth, l, m) == full_list_support_smooth(smooth, l, m), (smooth.source, l, m)
+    assert orbit_families(smooth, cutoff) == full_list_orbit_families(smooth, cutoff), smooth.source
+    for k in ks:
+        assert capacity_via_spectrum(smooth, k) == full_list_capacity(smooth, k), (smooth.source, k)
 
 
 def random_unit_polygon(rng, edges):
@@ -1125,19 +1219,20 @@ class TestAgainstOracles:
         # the plateau where g' = -l/m in floats about 80.  Newton from the
         # two-line root takes one pass per solve on these fixtures, plateaus
         # such as the pentagon's edge normals (1, 2) and (3, 2) included.
-        # Cutoff 52: orbit_families solves only simple directions, 2,783 here
+        # Cutoff 52: orbit_families solves only simple directions, 2,783 here.
+        # Every pass, with or without g', is one call of _soft_min
         counts = {"passes": 0, "solves": 0}
-        real_evaluate, real_gauss_point = SmoothDomain2D._evaluate, toricap.rounding_reeb.gauss_point
+        real_soft_min, real_gauss_point = SmoothDomain2D._soft_min, toricap.rounding_reeb.gauss_point
 
-        def counting_evaluate(smooth, x):
+        def counting_soft_min(smooth, x):
             counts["passes"] += 1
-            return real_evaluate(smooth, x)
+            return real_soft_min(smooth, x)
 
         def counting_gauss_point(smooth, d):
             counts["solves"] += 1
             return real_gauss_point(smooth, d)
 
-        monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(SmoothDomain2D, "_soft_min", counting_soft_min)
         monkeypatch.setattr(toricap.rounding_reeb, "gauss_point", counting_gauss_point)
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
             orbit_families(smooth, 52.0)
@@ -1153,16 +1248,17 @@ class TestAgainstOracles:
 
     def test_evaluate_passes_per_support_call(self, monkeypatch, rounded_tri11, rounded_tri12, rounded_pentagon):
         # golden-section took about 50 passes per call, and the plateau
-        # bisection about 80; every support is now one Newton solve
+        # bisection about 80; every support is now one Newton solve.  Every
+        # pass, with or without g', is one call of _soft_min
         passes = 0
-        real_evaluate = SmoothDomain2D._evaluate
+        real_soft_min = SmoothDomain2D._soft_min
 
-        def counting_evaluate(smooth, x):
+        def counting_soft_min(smooth, x):
             nonlocal passes
             passes += 1
-            return real_evaluate(smooth, x)
+            return real_soft_min(smooth, x)
 
-        monkeypatch.setattr(SmoothDomain2D, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(SmoothDomain2D, "_soft_min", counting_soft_min)
         for smooth in (rounded_tri11, rounded_tri12, rounded_pentagon):
             for l, m in itertools.product(range(1, 41), repeat=2):
                 passes = 0
@@ -1216,3 +1312,53 @@ class TestAgainstOracles:
         families, solved = families_and_solves(smooth, cutoff)
         assert families == oracle_orbit_families(smooth, cutoff)
         assert all(math.gcd(d.l, d.m) == 1 for d in solved) and len(solved) == len(set(solved))
+
+
+class TestOneSidedSums:
+    """The soft-min pass reads plain (c, s) tuples, each log-odds sum reads
+    one side of t, and the capacity starts at the diagonal: every float is
+    the full-list solve's."""
+
+    DIRECTIONS = [(l, m) for l, m in itertools.product(range(9), repeat=2) if l or m] + [(1, 40), (40, 1), (97, 89)]
+
+    def test_lines_out_of_order_are_rejected(self, rounded_pentagon):
+        # two edges, cap0 and cap1 with four distinct slopes: one order of 24 is valid
+        lines = rounded_pentagon.lines
+        assert len({s for _, s in lines}) == len(lines) == 4
+        assert dataclasses.replace(rounded_pentagon, lines=lines) == rounded_pentagon
+        for shuffled in itertools.permutations(lines):
+            if shuffled != lines:
+                with pytest.raises(ValueError, match=r"^line order, as gauss_point reads it: "):
+                    dataclasses.replace(rounded_pentagon, lines=shuffled)
+
+    def test_ties_in_line_order_are_accepted(self):
+        # a tilted prefix shares the slope -tau/a, and cap0 takes it too
+        smooth = round_domain(make_polygon_domain([(0, 1), (1, 1), (2, Fraction(99999, 100000)), (3, 0)]), TAU, V)
+        slopes = [s for _, s in smooth.lines]
+        assert slopes[0] == slopes[1] == slopes[-2] == -TAU / 3
+        assert_full_list_solves(smooth, self.DIRECTIONS, 8.0, (1, 2, 5))
+
+    def test_tie_heavy_shapes(self, tri11, square, tri12, pentagon):
+        for domain in (tri11, square, tri12, pentagon):
+            for tau in (1e-2, 1e-3):
+                assert_full_list_solves(round_domain(domain, tau, V), self.DIRECTIONS, 12.0, range(1, 41))
+
+    def test_many_edges_at_every_scale(self):
+        # with several lines active the order of a sum's terms shows in its float
+        for domain in scaled_polygons():
+            for scale, tau in itertools.product((Fraction(1),) + SCALES, (1e-2, 1e-3)):
+                smooth = round_domain(domain.scaled(scale), tau * float(scale), V)
+                assert_full_list_solves(smooth, self.DIRECTIONS, 10.0 * float(scale), (1, 5, 24))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_polygons(), st.sampled_from((1e-2, 1e-3)), st.sampled_from((Fraction(1),) + SCALES),
+           st.sampled_from((1, 2, 3, 7, 24, 1000)))
+    def test_lattice_polygons_at_every_scale(self, domain, tau, scale, k):
+        domain = domain.scaled(scale / domain.x_extent)  # x extent the suite's scale
+        try:
+            smooth = round_domain(domain, tau * float(scale), V)
+        except SlopeConditionUnreachable:
+            reject()
+        x_star = float(domain.x_extent) / 2.0
+        cutoff = 6.0 * math.sqrt(x_star * smooth.value(x_star))  # a box of about 36 directions
+        assert_full_list_solves(smooth, self.DIRECTIONS, cutoff, (k,))

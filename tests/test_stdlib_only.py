@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -54,3 +56,36 @@ def test_package_loads_each_module_on_first_use():
     assert loaded == ["toricap", "toricap.moment_domain"]
     assert modules == ["toricap.moment_domain", "toricap.capacities", "toricap.rounding_reeb", "toricap.sft_ledger"]
     assert missing == "module 'toricap' has no attribute 'support'"
+
+
+COMMAND_PROBE = """
+import json, sys
+from toricap.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("toricap"))]))
+"""
+TRIANGLE = '{"type":"polygon","vertices":[["0","1"],["1","0"]]}'
+
+
+# each command line, and the modules besides cli and moment_domain that it loads
+COMMANDS = {
+    "diag": (["diag", "--ellipsoid", "3,6"], []),
+    "support": (["support", "--polygon", TRIANGLE, "--direction", "1,2"], []),
+    "enclose": (["enclose", "--polygon", TRIANGLE], []),
+    "gh": (["gh", "--ellipsoid", "1,2", "--k", "1..3"], ["capacities"]),
+    "lagcap": (["lagcap", "--shape", "ball", "--n", "2"], ["capacities"]),
+    "round": (["round", "--polygon", TRIANGLE], ["rounding_reeb"]),
+    "ledger": (["ledger", "--forced-morse", "--n", "3"], ["sft_ledger"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_its_modules(command):
+    argv, loads = COMMANDS[command]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", COMMAND_PROBE, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(["toricap", "toricap.cli", "toricap.moment_domain"] + [f"toricap.{name}" for name in loads])
