@@ -10,14 +10,14 @@ rational data and must agree on simplices, which the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .moment_domain import (
     EllipsoidSpec,
     LatticeDirection,
     MomentDomain2D,
+    _Frozen,
     _lattice_support,
     _near_diagonal,
     as_rational,
@@ -34,18 +34,18 @@ class LengthMismatch(ValueError):
     """Descendant input classes do not match the stated arity."""
 
 
-@dataclass(frozen=True)
-class AxisMultiple:
+class AxisMultiple(_Frozen):
     """Minimizer descriptor on the ellipsoid path: the multiple i*axes[axis]."""
 
+    __slots__ = __match_args__ = ("axis", "multiple")
     axis: int
     multiple: int
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(_Frozen):
+    __slots__ = __match_args__ = ("value", "minimizer")
     value: Fraction
-    minimizer: Union[LatticeDirection, AxisMultiple]
+    minimizer: LatticeDirection | AxisMultiple
 
 
 def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
@@ -125,37 +125,37 @@ def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
 # Lagrangian capacity of the shapes with a known value
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(_Frozen):
+    __slots__ = __match_args__ = ("n",)
     n: int
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Frozen):
     """Unit ball factor B^{2k}(1) times C^m."""
 
+    __slots__ = __match_args__ = ("k", "m")
     k: int
     m: int
 
 
-@dataclass(frozen=True)
-class Polydisk:
+class Polydisk(_Frozen):
     """B^2(1) x B^2(r_1) x ... x B^2(r_m) with every r_i >= 1."""
 
+    __slots__ = __match_args__ = ("radii",)
     radii: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(_Frozen):
     """A certified lower bound; equality is not claimed."""
 
+    __slots__ = __match_args__ = ("value",)
     value: Fraction
 
 
-Shape = Union[ProjectiveSpace, EllipsoidSpec, Cylinder, Polydisk, MomentDomain2D]
+Shape = ProjectiveSpace | EllipsoidSpec | Cylinder | Polydisk | MomentDomain2D
 
 
-def lagrangian_capacity(shape: Shape) -> Union[Fraction, LowerBound]:
+def lagrangian_capacity(shape: Shape) -> Fraction | LowerBound:
     """Lagrangian capacity for the shapes where it is known exactly.
 
     An ellipsoid answers with its diagonal when it is 4-dimensional or a

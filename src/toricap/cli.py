@@ -13,8 +13,8 @@ import io
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import moment_domain
 from .moment_domain import (
@@ -24,6 +24,7 @@ from .moment_domain import (
     format_rational,
 )
 
+TYPE_CHECKING = False  # the name type checkers read as true, without importing typing
 if TYPE_CHECKING:  # each command imports the modules it runs, so diag never loads the float layer
     from . import capacities, rounding_reeb
 
@@ -60,7 +61,7 @@ def _parse_payload(parse, text: str):
         raise InputError(f"malformed input: {exc}") from exc
 
 
-def _load_domain(args) -> Union[MomentDomain2D, EllipsoidSpec]:
+def _load_domain(args) -> MomentDomain2D | EllipsoidSpec:
     if getattr(args, "ellipsoid", None):
         axes = tuple(as_rational(part) for part in args.ellipsoid.split(","))
         return EllipsoidSpec(axes)
@@ -110,13 +111,16 @@ def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        return
-    text = text if text.endswith("\n") else text + "\n"
+    else:
+        _write(text if text.endswith("\n") else text + "\n")
+
+
+def _write(text: str) -> None:
+    """All of text's bytes to stdout, flushed: a closed pipe raises in main, even where an unbuffered write stops short."""
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text stream, such as io.StringIO under contextlib.redirect_stdout
         sys.stdout.write(text)
         return
-    # all bytes, flushed: a closed pipe raises inside main, even where an unbuffered raw write stops short
     data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while data:
         data = data[buffer.write(data):]
@@ -374,8 +378,16 @@ def _add_rounding_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=512)
 
 
+class _Parser(argparse.ArgumentParser):  # the subcommands' parsers are of the same class
+    def print_help(self, file=None):
+        """Help for stdout goes through _write, as argparse's own write drops a closed pipe's error."""
+        if file is not None:
+            return super().print_help(file)
+        _write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="toricap", description=__doc__)
+    parser = _Parser(prog="toricap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diag", help="diagonal of a domain")
@@ -444,12 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse reports its own message; --help is flushed in reach of the handler below
-            sys.stdout.flush()
+        except SystemExit as exc:  # argparse reports its own message, and _write has flushed the help
             return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
         return args.func(args)
     except BrokenPipeError:  # stdout now writes to devnull, so the flush at exit cannot raise again

@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = int | str | Fraction
+_set = object.__setattr__  # stores a field or cache of a frozen value
 
 
 class DomainValidationError(ValueError):
@@ -78,27 +78,64 @@ def format_rational(value: Fraction) -> str:
 Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class LatticeDirection:
+class _Frozen:
+    """Base of the immutable value types.  ``__match_args__`` names the fields, which alone are
+    compared (within one exact type), hashed and shown, as a frozen dataclass's are; ``__slots__``
+    adds the caches built from them.  Setting or deleting any attribute raises AttributeError, and
+    copy, deepcopy and pickle rebuild a value through its __init__."""
+
+    __slots__ = __match_args__ = ()
+
+    def __init_subclass__(cls):
+        """Give a subclass without an __init__ one that stores its fields, compiled as dataclasses does."""
+        if "__init__" not in vars(cls):
+            body, namespace = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls.__match_args__), {}
+            exec(f"def __init__(self, {', '.join(cls.__match_args__)}):{body}", {"_set": _set}, namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__match_args__)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class LatticeDirection(_Frozen):
     """Non-negative integer direction (l, m), not both zero."""
 
-    l: int
-    m: int
+    __slots__ = __match_args__ = ("l", "m")
 
-    def __post_init__(self):
-        if type(self.l) is not int or type(self.m) is not int:
+    def __init__(self, l: int, m: int):
+        if type(l) is not int or type(m) is not int:
             raise TypeError("lattice components must be integers")
-        if self.l < 0 or self.m < 0:
+        if l < 0 or m < 0:
             raise ZeroDirection("lattice direction components must be non-negative")
-        if self.l == 0 and self.m == 0:
+        if l == 0 and m == 0:
             raise ZeroDirection("lattice direction must be nonzero")
+        _set(self, "l", l)
+        _set(self, "m", m)
 
     def as_pair(self) -> tuple[int, int]:
         return (self.l, self.m)
 
 
-@dataclass(frozen=True)
-class MomentDomain2D:
+class MomentDomain2D(_Frozen):
     """Moment polygon of a compact convex 4-dimensional toric domain.
 
     ``vertices`` lists the boundary graph from (0, b) to the x-axis.  The
@@ -108,18 +145,17 @@ class MomentDomain2D:
     {(x, y) : 0 <= x <= a, 0 <= y <= f(x)}.
     """
 
-    vertices: tuple[Point, ...]
+    __match_args__ = ("vertices",)
     # the vertices on one integer lattice, fixed at construction: vertex i
     # is (_xs[i], _ys[i]) / _denominator, the lcm of the vertex denominators
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _xs: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _ys: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = (*__match_args__, "_denominator", "_xs", "_ys")
 
-    def __post_init__(self):
-        scale = math.lcm(*(c.denominator for p in self.vertices for c in p))
-        object.__setattr__(self, "_denominator", scale)
-        object.__setattr__(self, "_xs", tuple(x.numerator * (scale // x.denominator) for x, _ in self.vertices))
-        object.__setattr__(self, "_ys", tuple(y.numerator * (scale // y.denominator) for _, y in self.vertices))
+    def __init__(self, vertices: tuple[Point, ...]):
+        scale = math.lcm(*(c.denominator for p in vertices for c in p))
+        _set(self, "vertices", vertices)
+        _set(self, "_denominator", scale)
+        _set(self, "_xs", tuple(x.numerator * (scale // x.denominator) for x, _ in vertices))
+        _set(self, "_ys", tuple(y.numerator * (scale // y.denominator) for _, y in vertices))
 
     @property
     def x_extent(self) -> Fraction:
@@ -158,15 +194,14 @@ class MomentDomain2D:
         return all(self.contains_point(p) for p in other.vertices)
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
+class EllipsoidSpec(_Frozen):
     """Ellipsoid with positive rational semi-axes a_1 <= ... <= a_n (capacity units)."""
 
-    axes: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("axes",)
 
-    def __post_init__(self):
-        axes = tuple(as_rational(a) for a in self.axes)
-        object.__setattr__(self, "axes", axes)
+    def __init__(self, axes: tuple[RationalLike, ...]):
+        axes = tuple(as_rational(a) for a in axes)
+        _set(self, "axes", axes)
         if not axes:
             raise ValueError("ellipsoid needs at least one axis")
         if any(a <= 0 for a in axes):
@@ -257,7 +292,7 @@ def _crossing(domain: MomentDomain2D, j: int) -> Fraction:
     return Fraction(x2 * y1 - x1 * y2, domain._denominator * (x2 - x1 + y1 - y2))
 
 
-def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
+def diagonal(domain: MomentDomain2D | EllipsoidSpec) -> Fraction:
     """sup{t > 0 : (t, ..., t) lies in the moment region}.
 
     For an ellipsoid the closed form (sum 1/a_i)^(-1) is used, summed in
@@ -273,7 +308,7 @@ def diagonal(domain: Union[MomentDomain2D, EllipsoidSpec]) -> Fraction:
     return _crossing(domain, _near_diagonal(domain))
 
 
-DirectionLike = Union[LatticeDirection, Sequence[RationalLike]]
+DirectionLike = LatticeDirection | Sequence[RationalLike]
 
 
 def _direction(v: DirectionLike) -> tuple[int, int, int]:
@@ -324,17 +359,16 @@ def included_in_ellipsoid(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
     return support(domain, (1 / a, 1 / b)) <= 1
 
 
-@dataclass(frozen=True)
-class EnclosingEllipsoid:
+class EnclosingEllipsoid(_Frozen):
     """One equal-diagonal enclosing ellipsoid, with the vertices that touch it."""
 
+    __slots__ = __match_args__ = ("x_axis", "y_axis", "touching_vertices")
     x_axis: Fraction
     y_axis: Fraction
     touching_vertices: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class EnclosureSearch:
+class EnclosureSearch(_Frozen):
     """Feasible x-intercepts a for equal-diagonal enclosing ellipsoids E(a, b(a)).
 
     The family is one-parameter: b(a) = a*d/(a - d) keeps the diagonal
@@ -345,9 +379,10 @@ class EnclosureSearch:
     search is infeasible.
     """
 
+    __slots__ = __match_args__ = ("diagonal", "lower", "upper", "lower_attained", "pairs")
     diagonal: Fraction
-    lower: Optional[Fraction]         # None when infeasible
-    upper: Optional[Fraction]         # None means unbounded above
+    lower: Fraction | None         # None when infeasible
+    upper: Fraction | None         # None means unbounded above
     lower_attained: bool
     pairs: tuple[EnclosingEllipsoid, ...]
 
@@ -430,7 +465,7 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
 # JSON interchange
 
 
-def domain_to_json(domain: Union[MomentDomain2D, EllipsoidSpec]) -> str:
+def domain_to_json(domain: MomentDomain2D | EllipsoidSpec) -> str:
     if isinstance(domain, MomentDomain2D):
         payload = {
             "type": "polygon",
@@ -441,7 +476,7 @@ def domain_to_json(domain: Union[MomentDomain2D, EllipsoidSpec]) -> str:
     return json.dumps(payload)
 
 
-def domain_from_json(text: str) -> Union[MomentDomain2D, EllipsoidSpec]:
+def domain_from_json(text: str) -> MomentDomain2D | EllipsoidSpec:
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"domain JSON must be an object, not {type(payload).__name__}")

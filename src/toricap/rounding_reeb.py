@@ -33,11 +33,11 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
 
-from .moment_domain import LatticeDirection, MomentDomain2D, diagonal, support
+from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, _set, diagonal, support
 
 _X_BISECT_TOL = 1e-12
 FAMILY_LIMIT = 100_000
@@ -51,7 +51,7 @@ class SlopeConditionUnreachable(ValueError):
     """The requested (tau, v) cannot produce a valid rounded boundary.  When a
     check of _verify fails, check names its Margins field and margin its slack."""
 
-    def __init__(self, message: str, check: Optional[str] = None, margin: Optional[float] = None):
+    def __init__(self, message: str, check: str | None = None, margin: float | None = None):
         super().__init__(message)
         self.check, self.margin = check, margin
 
@@ -60,68 +60,52 @@ class AxisPoint(ValueError):
     """Rotation rates are undefined where a moment coordinate vanishes."""
 
 
-class _Line(NamedTuple):
-    """Affine function c + s*x."""
+_Line = namedtuple("_Line", ("c", "s"))  # the affine function c + s*x
 
-    c: float
-    s: float
-
-
-class Margins(NamedTuple):
-    """Slack of each check of _verify, in order: negative fails, and so does 0 where strict."""
-
-    resolution: float  # tau - the resolution floor 2*gamma_2*L/log(2), see _verify
-    slope_start_low: float  # g'(0) + v
-    slope_start_high: float  # -g'(0), strict
-    slope_end: float  # -1/v - g'(x_max), strict
-    g_start: float  # (1 + 1e-9) * hausdorff_bound - |g(0) - b|
-    g_end: float  # how far g(x_max) lies inside [-1e-9, (1 + 1e-9) * hausdorff_bound]
-    containment: float  # shift - tau*log(N) - cap0's dip + 4*gamma_2*L, see _verify
+# slack of each check of _verify, in order: negative fails, and so does 0 where strict
+Margins = namedtuple("Margins", (
+    "resolution",  # tau - the resolution floor 2*gamma_2*L/log(2), see _verify
+    "slope_start_low",  # g'(0) + v
+    "slope_start_high",  # -g'(0), strict
+    "slope_end",  # -1/v - g'(x_max), strict
+    "g_start",  # (1 + 1e-9) * hausdorff_bound - |g(0) - b|
+    "g_end",  # how far g(x_max) lies inside [-1e-9, (1 + 1e-9) * hausdorff_bound]
+    "containment",  # shift - tau*log(N) - cap0's dip + 4*gamma_2*L, see _verify
+))
 
 
-@dataclass(frozen=True)
-class SmoothDomain2D:
+class SmoothDomain2D(_Frozen):
     """Rounded domain with evaluable boundary function and derivative."""
 
-    source: MomentDomain2D
-    tau: float
-    v: float
-    lines: tuple[_Line, ...]
-    shift: float
-    x_max: float
-    margins: Margins = field(init=False, repr=False, compare=False)
-    # the lines as plain (c, s) tuples, their slopes, the lines by ascending (slope, constant),
-    # g'(0) and g'(x_max) clamped to the slope range, and the largest l + m for which l*x and
-    # m*g(x) are finite floats on [0, x_max], fixed at construction
-    _pairs: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
-    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _by_slope: tuple[_Line, ...] = field(init=False, repr=False, compare=False)
-    _slope_start: float = field(init=False, repr=False, compare=False)
-    _slope_end: float = field(init=False, repr=False, compare=False)
-    _order_limit: int = field(init=False, repr=False, compare=False)
+    __match_args__ = ("source", "tau", "v", "lines", "shift", "x_max")
+    # the slack of each check (Margins), the lines as plain (c, s) tuples, their slopes, the lines by
+    # ascending (slope, constant), g'(0) and g'(x_max) clamped to the slope range, and the largest
+    # l + m for which l*x and m*g(x) are finite floats on [0, x_max], fixed at construction
+    __slots__ = (*__match_args__, "margins", "_pairs", "_slopes", "_by_slope", "_slope_start", "_slope_end", "_order_limit")
 
-    def __post_init__(self):
-        slopes = tuple(s for _, s in self.lines)
+    def __init__(self, source: MomentDomain2D, tau: float, v: float, lines: tuple[_Line, ...], shift: float, x_max: float):
+        slopes = tuple(s for _, s in lines)
         if not (len(slopes) > 2 and all(map(operator.ge, slopes, slopes[1:-2])) and slopes[-2] >= slopes[0] and slopes[-3] > slopes[-1]):
             raise ValueError("line order, as gauss_point reads it: edges by non-increasing slope, cap0 no steeper, cap1 steepest")
-        object.__setattr__(self, "_pairs", tuple(map(tuple, self.lines)))
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_by_slope", tuple(sorted(self.lines, key=operator.itemgetter(1, 0))))
-        (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(self.x_max)
+        for name, value in zip(self.__match_args__, (source, tau, v, lines, shift, x_max)):
+            _set(self, name, value)
+        _set(self, "_pairs", tuple(map(tuple, lines)))
+        _set(self, "_slopes", slopes)
+        _set(self, "_by_slope", tuple(sorted(lines, key=operator.itemgetter(1, 0))))
+        (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(x_max)
         # a float mean of the slopes can round one ulp past all of them; clamped,
         # slope_end < t < slope_start leaves a line slope on each side of t
-        object.__setattr__(self, "_slope_start", min(slope_start, self._by_slope[-1].s))
-        object.__setattr__(self, "_slope_end", max(slope_end, self._by_slope[0].s))
+        _set(self, "_slope_start", min(slope_start, self._by_slope[-1].s))
+        _set(self, "_slope_end", max(slope_end, self._by_slope[0].s))
         # 1 - 2**-52 absorbs the quotient's rounding; the 1 keeps l + m a finite float
-        limit = math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, self.x_max, g_start))
-        object.__setattr__(self, "_order_limit", limit)
+        _set(self, "_order_limit", math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, x_max, g_start)))
         # in floats each line value c + s*x on [0, x_max] is off by at most
         # gamma_2*L, L the largest |c| + |s|*x_max and gamma_2 = eps/(1 - eps)
         # (Higham 2002, Lemma 3.1 and eq. 3.4); cap0 is the last line but one
-        eps, scale = sys.float_info.epsilon, max(abs(c) + abs(s) * self.x_max for c, s in self.lines)
-        dip = float(support(self.source, (Fraction(-self.lines[-2].s), 1))) - self.lines[-2].c
+        eps, scale = sys.float_info.epsilon, max(abs(c) + abs(s) * x_max for c, s in lines)
+        dip = float(support(source, (Fraction(-lines[-2].s), 1))) - lines[-2].c
         bound = self.hausdorff_bound * (1.0 + 1e-9)
-        object.__setattr__(self, "margins", Margins(
+        _set(self, "margins", Margins(
             self.tau - 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * scale,
             slope_start + self.v, -slope_start, -1.0 / self.v - slope_end,
             bound - abs(g_start - float(self.source.y_extent)), min(g_end + 1e-9, bound - g_end),
@@ -156,21 +140,21 @@ class SmoothDomain2D:
         return g, sum(map(operator.mul, weights, self._slopes)) / total, weights
 
 
-@dataclass(frozen=True)
-class ReebOrbitFamily:
+class ReebOrbitFamily(_Frozen):
     """One S^1-family of closed orbits over the torus fiber at ``point``."""
 
+    __slots__ = __match_args__ = ("direction", "point", "action", "multiplicity", "underlying_simple")
     direction: LatticeDirection
-    point: Optional[tuple[float, float]]  # None for axis families
+    point: tuple[float, float] | None  # None for axis families
     action: float
     multiplicity: int
     underlying_simple: LatticeDirection
 
 
-@dataclass(frozen=True)
-class OrbitSplit:
+class OrbitSplit(_Frozen):
     """The elliptic/hyperbolic pair a family resolves into."""
 
+    __slots__ = __match_args__ = ("elliptic_cz", "hyperbolic_cz")
     elliptic_cz: int
     hyperbolic_cz: int
 
@@ -297,7 +281,7 @@ def _newton(f, lo: float, hi: float, x: float, tol: float):
         x = new
 
 
-def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> Optional[tuple[float, float]]:
+def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> tuple[float, float] | None:
     """Boundary point whose outward normal is parallel to (l, m).
 
     g is strictly concave, so g'(x) = t = -l/m has one root, and it is the
@@ -425,7 +409,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     # correctly rounded -l/m, all that gauss_point reads, so each primitive
     # direction is solved once and its multiples reuse the point.
     stop = keep * (1.0 + 1e-9)
-    points: dict[tuple[int, int], tuple[LatticeDirection, Optional[tuple[float, float]]]] = {}
+    points: dict[tuple[int, int], tuple[LatticeDirection, tuple[float, float] | None]] = {}
     above = None
     for m in range(1, m_max + 1):
         last = first = None

@@ -12,14 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode_string
-from typing import Optional, Sequence
 
-from .moment_domain import RationalLike, as_rational, format_rational
-
-_set = object.__setattr__  # stores a field of a frozen node type
+from .moment_domain import RationalLike, _Frozen, _set, as_rational, format_rational
 
 
 class EpsilonTooLarge(ValueError):
@@ -47,12 +45,15 @@ def cz_from_morse(morse: int) -> int:
     return morse
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Puncture:
+# the node types declare __slots__ (so defaults live in __init__), as slots=True rebuilds a
+# class and its frozen __setattr__ then raises TypeError; _Frozen lends __reduce__ for copies
+@dataclass(frozen=True, init=False)
+class Puncture(_Frozen):
+    __slots__ = ("cz", "action", "sign", "paired_with")
     cz: int
     action: Fraction
     sign: str  # 'positive' | 'negative'
-    paired_with: Optional[tuple[str, int]] = None  # (node id, puncture index)
+    paired_with: tuple[str, int] | None  # (node id, puncture index), None by default
 
     def __init__(self, cz, action, sign, paired_with=None):
         if type(cz) is not int:
@@ -188,15 +189,16 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
 # Holomorphic buildings
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CurveNode:
+@dataclass(frozen=True, init=False)
+class CurveNode(_Frozen):
+    __slots__ = ("id", "level", "kind", "index", "energy", "punctures", "divisor_hits")
     id: str
     level: int
     kind: str  # 'cotangent' | 'symplectization' | 'top'
     index: int
     energy: Fraction
     punctures: tuple[Puncture, ...]
-    divisor_hits: int = 0
+    divisor_hits: int  # 0 by default
 
     def __init__(self, id, level, kind, index, energy, punctures, divisor_hits=0):
         if not isinstance(id, str):
@@ -224,7 +226,7 @@ class CurveNode:
         return p.sign != q.sign and p.cz == q.cz and p.action == q.action
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)  # without slots=True, whose rebuilt class breaks the frozen __setattr__ (see Puncture)
 class Building:
     """Genus-zero leveled tree of curve nodes.
 
@@ -235,7 +237,7 @@ class Building:
 
     nodes: tuple[CurveNode, ...]
     total_index: int = 0
-    energy_budget: Optional[Fraction] = None
+    energy_budget: Fraction | None = None
 
     def __post_init__(self):
         if type(self.total_index) is not int:

@@ -10,7 +10,6 @@ import resource
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -149,11 +148,11 @@ class TestGh:
 
     def test_both_paths_disagreeing_exits_one_at_that_k(self, capsys, monkeypatch):
         import toricap.capacities
-        from toricap.capacities import gh_spectrum_ellipsoid
+        from toricap.capacities import CapacityReport, gh_spectrum_ellipsoid
 
         def off_at_three(e, k):
             report = gh_spectrum_ellipsoid(e, k)
-            return replace(report, value=report.value + 1) if k == 3 else report
+            return CapacityReport(report.value + 1, report.minimizer) if k == 3 else report
 
         monkeypatch.setattr(toricap.capacities, "gh_spectrum_ellipsoid", off_at_three)
         code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "1..6", "--via", "both")
@@ -747,16 +746,18 @@ class TestErrorsAndDeterminism:
                 assert proc.wait(timeout=60) == 141, unbuffered
                 assert proc.stderr.read() == b"", unbuffered
 
-    def test_help_to_a_closed_pipe_exits_141_silently(self, tmp_path):
-        """argparse writes the help into stdout's buffer; main flushes it, so the closed pipe
-        raises inside main, not in the flush at exit."""
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["round", "--help"]], ids=["toricap", "round"])
+    def test_help_to_a_closed_pipe_exits_141_silently(self, tmp_path, argv, unbuffered):
+        """The help goes through the CLI's own writer, which flushes it in main, so the closed
+        pipe raises there, buffered or not: argparse's own write swallows the error."""
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child starts, so its first write fails
         try:
-            done = subprocess.run([sys.executable, "-m", "toricap.cli", "--help"], cwd=tmp_path, stdout=write_end,
-                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": ""},
-                                  timeout=60)
+            done = subprocess.run([sys.executable, "-m", "toricap.cli", *argv], cwd=tmp_path, stdout=write_end,
+                                  stderr=subprocess.PIPE,
+                                  env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}, timeout=60)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (141, b"")

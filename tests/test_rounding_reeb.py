@@ -1,6 +1,5 @@
 """Rounding construction, Gauss points, orbit families, and CZ splits."""
 import bisect
-import dataclasses
 import decimal
 import itertools
 import math
@@ -61,19 +60,27 @@ V = 1.0 / 32.0
 GAP_MESSAGE = "vertical gap exceeds the reported bound"
 
 
+def replace(value, **changes):
+    """value with the given fields changed, rebuilt through its constructor."""
+    return type(value)(**{**{name: getattr(value, name) for name in value.__match_args__}, **changes})
+
+
+# each oracle pass is one list over the (c, s) pairs; (lowest - val) / tau
+# is -(val - lowest) / tau bit for bit, as negation is exact
 def oracle_value(smooth, x):
-    vals = [ln.c + ln.s * x for ln in smooth.lines]
+    exp, tau = math.exp, smooth.tau
+    vals = [c + s * x for c, s in smooth.lines]
     lowest = min(vals)
-    total = sum(math.exp(-(val - lowest) / smooth.tau) for val in vals)
-    return smooth.shift + lowest - smooth.tau * math.log(total)
+    total = sum([exp((lowest - val) / tau) for val in vals])
+    return smooth.shift + lowest - tau * math.log(total)
 
 
 def oracle_derivative(smooth, x):
-    vals = [ln.c + ln.s * x for ln in smooth.lines]
+    exp, tau = math.exp, smooth.tau
+    vals = [c + s * x for c, s in smooth.lines]
     lowest = min(vals)
-    weights = [math.exp(-(val - lowest) / smooth.tau) for val in vals]
-    total = sum(weights)
-    return sum(w * ln.s for w, ln in zip(weights, smooth.lines)) / total
+    weights = [exp((lowest - val) / tau) for val in vals]
+    return sum([w * s for w, (_, s) in zip(weights, smooth.lines)]) / sum(weights)
 
 
 def oracle_shift(smooth):
@@ -700,7 +707,7 @@ class TestRounding:
         for smooth in rounded:
             gap = oracle_vertex_gap(smooth)
             assert gap > 0 and min(smooth.margins) > 0
-            lowered = dataclasses.replace(smooth, shift=smooth.shift - 1.001 * float(gap))
+            lowered = replace(smooth, shift=smooth.shift - 1.001 * float(gap))
             assert oracle_vertex_gap(lowered) < 0
             assert verdict(_verify, lowered) is not None
 
@@ -1138,11 +1145,11 @@ class TestAgainstOracles:
         g0_slack = smooth.value(0.0) - 1.0  # g(0) - b, 2e-6 tighter here than g(x_max) - 0
         corner_slack = smooth.value(1.0) - 1.0  # about half of g0_slack
         variants = [
-            ("containment failed", dataclasses.replace(smooth, shift=smooth.shift - g0_slack - 1e-7)),
+            ("containment failed", replace(smooth, shift=smooth.shift - g0_slack - 1e-7)),
             # only the top of the vertical drop falls outside
-            ("containment failed", dataclasses.replace(smooth, shift=smooth.shift - corner_slack - 1e-7)),
-            ("g'(0) = ", dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2)),
-            ("g'(x_max) = ", dataclasses.replace(smooth, x_max=smooth.x_max / 2)),
+            ("containment failed", replace(smooth, shift=smooth.shift - corner_slack - 1e-7)),
+            ("g'(0) = ", replace(smooth, v=-smooth.derivative(0.0) / 2)),
+            ("g'(x_max) = ", replace(smooth, x_max=smooth.x_max / 2)),
         ]
         for prefix, variant in variants:
             message = verdict(_verify, variant)
@@ -1153,13 +1160,13 @@ class TestAgainstOracles:
         smooth = self.square_at_coarse_tau()
         assert isinstance(smooth.margins, Margins) and min(smooth.margins) > 0
         variants = {
-            "resolution": dataclasses.replace(smooth, tau=1e-300),
-            "slope_start_low": dataclasses.replace(smooth, v=-smooth.derivative(0.0) / 2),
-            "slope_end": dataclasses.replace(smooth, x_max=smooth.x_max / 2),
+            "resolution": replace(smooth, tau=1e-300),
+            "slope_start_low": replace(smooth, v=-smooth.derivative(0.0) / 2),
+            "slope_end": replace(smooth, x_max=smooth.x_max / 2),
             # raised lines lift g(0) but not the reported bound
-            "g_start": dataclasses.replace(smooth, lines=tuple(ln._replace(c=ln.c + 2 * smooth.hausdorff_bound) for ln in smooth.lines)),
-            "g_end": dataclasses.replace(smooth, shift=smooth.shift - 2 * smooth.margins.g_end),
-            "containment": dataclasses.replace(smooth, shift=smooth.shift - 1e-7),
+            "g_start": replace(smooth, lines=tuple(ln._replace(c=ln.c + 2 * smooth.hausdorff_bound) for ln in smooth.lines)),
+            "g_end": replace(smooth, shift=smooth.shift - 2 * smooth.margins.g_end),
+            "containment": replace(smooth, shift=smooth.shift - 1e-7),
         }
         for check, variant in variants.items():
             with pytest.raises(SlopeConditionUnreachable) as info:
@@ -1172,7 +1179,7 @@ class TestAgainstOracles:
         # the sweep oracle still detects them on hand-broken domains
         smooth = self.square_at_coarse_tau()
         # g sits a further shift above where its reported shift puts it
-        raised = dataclasses.replace(smooth, lines=tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines))
+        raised = replace(smooth, lines=tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines))
         assert verdict(oracle_verify, raised) == GAP_MESSAGE
 
         # g' rises by 0.005 at x = 1/2, where it is about -0.01
@@ -1325,11 +1332,11 @@ class TestOneSidedSums:
         # two edges, cap0 and cap1 with four distinct slopes: one order of 24 is valid
         lines = rounded_pentagon.lines
         assert len({s for _, s in lines}) == len(lines) == 4
-        assert dataclasses.replace(rounded_pentagon, lines=lines) == rounded_pentagon
+        assert replace(rounded_pentagon, lines=lines) == rounded_pentagon
         for shuffled in itertools.permutations(lines):
             if shuffled != lines:
                 with pytest.raises(ValueError, match=r"^line order, as gauss_point reads it: "):
-                    dataclasses.replace(rounded_pentagon, lines=shuffled)
+                    replace(rounded_pentagon, lines=shuffled)
 
     def test_ties_in_line_order_are_accepted(self):
         # a tilted prefix shares the slope -tau/a, and cap0 takes it too

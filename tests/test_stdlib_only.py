@@ -58,11 +58,24 @@ def test_package_loads_each_module_on_first_use():
     assert missing == "module 'toricap' has no attribute 'support'"
 
 
-COMMAND_PROBE = """
+# the stdlib modules that only declared value types, at about 20 ms a process
+DECLARATIVE = ("dataclasses", "inspect", "typing")
+
+
+@pytest.mark.parametrize("module", ["moment_domain", "capacities", "rounding_reeb"])
+def test_the_exact_and_float_layers_load_no_declarative_modules(module):
+    probe = f"import sys, toricap.{module}; print(sorted(set(sys.modules) & {set(DECLARATIVE)!r}))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+COMMAND_PROBE = f"""
 import json, sys
 from toricap.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("toricap"))]))
+loaded = sorted(name for name in sys.modules if name.startswith("toricap"))
+print(json.dumps([code, loaded, sorted(set(sys.modules) & {set(DECLARATIVE)!r})]))
 """
 TRIANGLE = '{"type":"polygon","vertices":[["0","1"],["1","0"]]}'
 
@@ -86,6 +99,8 @@ def test_each_command_loads_only_its_modules(command):
     done = subprocess.run([sys.executable, "-S", "-c", COMMAND_PROBE, *argv], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    code, loaded, declarative = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(["toricap", "toricap.cli", "toricap.moment_domain"] + [f"toricap.{name}" for name in loads])
+    # only the ledger's node types are still dataclasses, which need dataclasses.replace
+    assert declarative == (["dataclasses", "inspect"] if "sft_ledger" in loads else [])

@@ -1,0 +1,121 @@
+"""The immutable value types: the dataclass repr, == and hash over the
+fields alone, attributes that cannot be set or deleted, and copies and
+pickles that equal the original."""
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from toricap.capacities import AxisMultiple, CapacityReport, Cylinder, LowerBound, Polydisk, ProjectiveSpace
+from toricap.moment_domain import EllipsoidSpec, LatticeDirection, equal_diagonal_enclosing_ellipsoids, make_polygon_domain
+from toricap.rounding_reeb import Margins, OrbitSplit, ReebOrbitFamily, _Line, round_domain
+from toricap.sft_ledger import Building, CurveNode, Puncture, canonical_ball_building
+
+TRIANGLE = make_polygon_domain([(0, 1), (1, 0)])
+ROUNDED = round_domain(TRIANGLE, 1e-2, 0.1)
+FRACTIONS_0_1 = "(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))"
+
+# every public value type, each with the repr the frozen dataclasses gave it
+REPRS = [
+    (LatticeDirection(1, 2), "LatticeDirection(l=1, m=2)"),
+    (TRIANGLE, f"MomentDomain2D(vertices=({FRACTIONS_0_1}))"),
+    (EllipsoidSpec(("1", "3/2")), "EllipsoidSpec(axes=(Fraction(1, 1), Fraction(3, 2)))"),
+    (equal_diagonal_enclosing_ellipsoids(make_polygon_domain([(0, 2), (1, 0)])),
+     "EnclosureSearch(diagonal=Fraction(2, 3), lower=Fraction(1, 1), upper=Fraction(1, 1), lower_attained=True, "
+     "pairs=(EnclosingEllipsoid(x_axis=Fraction(1, 1), y_axis=Fraction(2, 1), "
+     "touching_vertices=((Fraction(0, 1), Fraction(2, 1)), (Fraction(1, 1), Fraction(0, 1)))),))"),
+    (equal_diagonal_enclosing_ellipsoids(make_polygon_domain([(0, 1), (1, 1), (1, 0)])),
+     "EnclosureSearch(diagonal=Fraction(1, 1), lower=Fraction(1, 1), upper=None, lower_attained=False, "
+     "pairs=(EnclosingEllipsoid(x_axis=Fraction(2, 1), y_axis=Fraction(2, 1), "
+     "touching_vertices=((Fraction(1, 1), Fraction(1, 1)),)),))"),
+    (AxisMultiple(0, 1), "AxisMultiple(axis=0, multiple=1)"),
+    (CapacityReport(Fraction(1, 2), LatticeDirection(0, 1)), "CapacityReport(value=Fraction(1, 2), minimizer=LatticeDirection(l=0, m=1))"),
+    (ProjectiveSpace(2), "ProjectiveSpace(n=2)"),
+    (Cylinder(1, 2), "Cylinder(k=1, m=2)"),
+    (Polydisk((Fraction(1), Fraction(3, 2))), "Polydisk(radii=(Fraction(1, 1), Fraction(3, 2)))"),
+    (LowerBound(Fraction(1, 3)), "LowerBound(value=Fraction(1, 3))"),
+    (ReebOrbitFamily(LatticeDirection(2, 2), (0.5, 0.25), 1.5, 2, LatticeDirection(1, 1)),
+     "ReebOrbitFamily(direction=LatticeDirection(l=2, m=2), point=(0.5, 0.25), action=1.5, multiplicity=2, "
+     "underlying_simple=LatticeDirection(l=1, m=1))"),
+    (OrbitSplit(9, 8), "OrbitSplit(elliptic_cz=9, hyperbolic_cz=8)"),
+    (ROUNDED, f"SmoothDomain2D(source=MomentDomain2D(vertices=({FRACTIONS_0_1})), tau=0.01, v=0.1, "
+              "lines=(_Line(c=1.0, s=-1.0), _Line(c=0.9147483863893459, s=-0.05), _Line(c=19.914748386389345, s=-20.0)), "
+              "shift=0.09623773649733536, x_max=1.0)"),
+]
+VALUES = [value for value, _ in REPRS]
+# the ledger's frozen dataclasses
+LEDGER = [Puncture(1, 1, "positive"), CurveNode("a", 0, "top", 0, "1/3", (Puncture(1, 1, "positive"),)),
+          canonical_ball_building(2, "1/10")]
+
+
+def ids(values):
+    return [type(value).__name__ for value in values]
+
+
+def fields(value):
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+@pytest.mark.parametrize("value, text", REPRS, ids=ids(VALUES))
+def test_repr_is_the_dataclass_format(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", VALUES, ids=ids(VALUES))
+def test_equality_and_hash_follow_the_fields(value):
+    rebuilt = type(value)(*fields(value))
+    assert rebuilt == value and not rebuilt != value
+    assert hash(value) == hash(rebuilt) == hash(fields(value))
+    assert value != fields(value) and fields(value) != value
+
+
+def test_a_changed_field_or_another_type_is_unequal():
+    assert LatticeDirection(1, 2) != LatticeDirection(2, 1)
+    assert ReebOrbitFamily(LatticeDirection(1, 1), None, 1.0, 1, LatticeDirection(1, 1)) != \
+        ReebOrbitFamily(LatticeDirection(1, 1), None, 1.5, 1, LatticeDirection(1, 1))
+    assert round_domain(TRIANGLE, 1e-3, 0.1) != ROUNDED
+    for a, b in ((AxisMultiple(0, 1), LatticeDirection(0, 1)), (LowerBound(Fraction(1)), ProjectiveSpace(Fraction(1)))):
+        assert a != b and b != a and not a == b
+        assert a != fields(a) and b != fields(b)
+    assert AxisMultiple(0, 1) != (0, 1) and LatticeDirection(0, 1) != (0, 1)
+
+
+@pytest.mark.parametrize("value", VALUES + LEDGER, ids=ids(VALUES + LEDGER))
+def test_no_attribute_can_be_set_or_deleted(value):
+    # the fields, the caches built from them and a name the type does not have
+    names = {*type(value).__match_args__, *getattr(type(value), "__slots__", ()), "x", "punctures"}
+    for name in names:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
+
+@pytest.mark.parametrize("value", VALUES + LEDGER, ids=ids(VALUES + LEDGER))
+def test_copies_and_pickles_equal_the_value(value):
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value) and other == value and hash(other) == hash(value)
+        for name in getattr(type(value), "__slots__", ()):  # the caches too
+            assert getattr(other, name) == getattr(value, name)
+
+
+def test_constructors_take_positions_and_keywords_as_the_dataclasses_did():
+    assert AxisMultiple(axis=0, multiple=1) == AxisMultiple(0, multiple=1) == AxisMultiple(0, 1)
+    assert CapacityReport(minimizer=AxisMultiple(0, 1), value=Fraction(1)) == CapacityReport(Fraction(1), AxisMultiple(0, 1))
+    for call, message in ((lambda: AxisMultiple(0), "AxisMultiple.__init__() missing 1 required positional argument: 'multiple'"),
+                          (lambda: AxisMultiple(0, 1, 2), "AxisMultiple.__init__() takes 3 positional arguments but 4 were given"),
+                          (lambda: AxisMultiple(0, multiple=1, x=2), "AxisMultiple.__init__() got an unexpected keyword argument 'x'")):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_lines_and_margins_are_named_tuples():
+    line, margins = ROUNDED.lines[0], ROUNDED.margins
+    assert line == (1.0, -1.0) and line._replace(c=2.0) == _Line(2.0, -1.0) and line._asdict() == {"c": 1.0, "s": -1.0}
+    assert tuple(margins) == margins and list(margins._asdict()) == list(Margins._fields)
+    assert Margins._fields == ("resolution", "slope_start_low", "slope_start_high", "slope_end", "g_start", "g_end",
+                               "containment")
