@@ -70,17 +70,25 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     j = _near_diagonal(domain)  # the floor is scale-free, so it reads the lattice without its denominator
     (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
-    h, l = min((_lattice_support(domain, l, k - l), l) for l in range(floor, min(floor + 2, k + 1)))
+    h, l = _lattice_support(domain, floor, k - floor), floor
+    if floor < k and (right := _lattice_support(domain, floor + 1, k - floor - 1)) < h:  # a tie keeps the smaller l
+        h, l = right, floor + 1
     return CapacityReport(Fraction(h, domain._denominator), LatticeDirection(l, k - l))
 
 
 def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
     """k-th entry (1-indexed) of {i*a : i>=1} merged with {j*b : j>=1}.
 
-    The merged multiset is sorted non-decreasing with repetition.  The
-    entry is located by bisection on the counting function, so k up to
-    10**6 and far beyond stays cheap.  On a value tie the a-multiple is
-    reported first.
+    The merged multiset is sorted non-decreasing with repetition; on a
+    value tie the a-multiple is reported first.  In units where a = A and
+    b = B are integers, N(c) = c//A + c//B counts the entries up to c, and
+    the k-th entry is the least c with N(c) >= k, a multiple of A or of B.
+    As N(c) <= c/A + c/B, it is at or above s = k*A*B/(A + B).  A multiple
+    c = i*A >= s has N(c) = i + c//B > c/A + c/B - 1 >= k - 1, so N(c) >= k,
+    and likewise for B: the entry is the smaller of the first multiples
+    i*A and j*B at or above s, i = ceil(k*B/(A + B)) and
+    j = ceil(k*A/(A + B)), in O(1).  Where they are equal, N is i + j, k or
+    k + 1, and the a-multiple is the k-th entry iff i + j = k + 1.
     """
     if e.dim != 2:
         raise ValueError("the spectrum path is defined for 4-dimensional ellipsoids")
@@ -90,20 +98,10 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
     common = a.denominator * b.denominator
     big_a = a.numerator * b.denominator   # a = big_a / common
     big_b = b.numerator * a.denominator
-    lo, hi = min(big_a, big_b), k * min(big_a, big_b)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid // big_a + mid // big_b >= k:
-            hi = mid
-        else:
-            lo = mid + 1
-    value = Fraction(lo, common)
-    first_in_tie = k - 1 == (lo - 1) // big_a + (lo - 1) // big_b  # a-multiples lead a tie
-    if first_in_tie and lo % big_a == 0:
-        minimizer = AxisMultiple(axis=0, multiple=lo // big_a)
-    else:
-        minimizer = AxisMultiple(axis=1, multiple=lo // big_b)
-    return CapacityReport(value=value, minimizer=minimizer)
+    i, j = -(-k * big_b // (big_a + big_b)), -(-k * big_a // (big_a + big_b))
+    if i * big_a < j * big_b or (i * big_a == j * big_b and i + j > k):
+        return CapacityReport(Fraction(i * big_a, common), AxisMultiple(0, i))
+    return CapacityReport(Fraction(j * big_b, common), AxisMultiple(1, j))
 
 
 def find_k_equal_diagonal(e: EllipsoidSpec) -> int:

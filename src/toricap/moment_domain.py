@@ -25,7 +25,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 RationalLike = int | str | Fraction
-_set = object.__setattr__  # stores a field or cache of a frozen value
 
 
 class DomainValidationError(ValueError):
@@ -87,12 +86,17 @@ class _Frozen:
     __slots__ = __match_args__ = ()
 
     def __init_subclass__(cls):
-        """Give a subclass without an __init__ one that stores its fields, compiled as dataclasses does."""
-        if "__init__" not in vars(cls):
-            body, namespace = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls.__match_args__), {}
-            exec(f"def __init__(self, {', '.join(cls.__match_args__)}):{body}", {"_set": _set}, namespace)
-            cls.__init__ = namespace["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        """Compile, as dataclasses compiles an __init__, the subclass's ``_store``, which writes its
+        arguments to the __slots__ in order through their descriptors; a subclass without an
+        __init__ takes it as its __init__."""
+        slots, name = cls.__slots__, "_store" if "__init__" in vars(cls) else "__init__"
+        setters, namespace = {f"__set_{slot}": getattr(cls, slot).__set__ for slot in slots}, {}
+        body = "".join(f"\n    __set_{slot}(self, {slot})" for slot in slots)
+        exec(f"def {name}(self, {', '.join(slots)}):{body}", setters, namespace)
+        cls._store = namespace[name]
+        cls._store.__qualname__ = f"{cls.__qualname__}.{name}"
+        if name == "__init__":
+            cls.__init__ = cls._store
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -128,8 +132,7 @@ class LatticeDirection(_Frozen):
             raise ZeroDirection("lattice direction components must be non-negative")
         if l == 0 and m == 0:
             raise ZeroDirection("lattice direction must be nonzero")
-        _set(self, "l", l)
-        _set(self, "m", m)
+        self._store(l, m)
 
     def as_pair(self) -> tuple[int, int]:
         return (self.l, self.m)
@@ -152,10 +155,8 @@ class MomentDomain2D(_Frozen):
 
     def __init__(self, vertices: tuple[Point, ...]):
         scale = math.lcm(*(c.denominator for p in vertices for c in p))
-        _set(self, "vertices", vertices)
-        _set(self, "_denominator", scale)
-        _set(self, "_xs", tuple(x.numerator * (scale // x.denominator) for x, _ in vertices))
-        _set(self, "_ys", tuple(y.numerator * (scale // y.denominator) for _, y in vertices))
+        self._store(vertices, scale, tuple(x.numerator * (scale // x.denominator) for x, _ in vertices),
+                    tuple(y.numerator * (scale // y.denominator) for _, y in vertices))
 
     @property
     def x_extent(self) -> Fraction:
@@ -201,13 +202,13 @@ class EllipsoidSpec(_Frozen):
 
     def __init__(self, axes: tuple[RationalLike, ...]):
         axes = tuple(as_rational(a) for a in axes)
-        _set(self, "axes", axes)
         if not axes:
             raise ValueError("ellipsoid needs at least one axis")
         if any(a <= 0 for a in axes):
             raise ValueError("ellipsoid axes must be positive")
         if any(axes[i] > axes[i + 1] for i in range(len(axes) - 1)):
             raise ValueError("ellipsoid axes must be sorted non-decreasing")
+        self._store(axes)
 
     @property
     def dim(self) -> int:

@@ -37,8 +37,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, _set, diagonal, support
+from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, diagonal, support
 
+_set = object.__setattr__  # SmoothDomain2D stores its fields one by one: its caches read them
 _X_BISECT_TOL = 1e-12
 FAMILY_LIMIT = 100_000
 
@@ -386,15 +387,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
     for (dl, dm), length in (((1, 0), smooth.x_max), ((0, 1), smooth.value(0.0))):
         j = 1
         while j * length <= keep:
-            families.append(
-                ReebOrbitFamily(
-                    direction=LatticeDirection(j * dl, j * dm),
-                    point=None,
-                    action=j * length,
-                    multiplicity=j,
-                    underlying_simple=LatticeDirection(dl, dm),
-                )
-            )
+            families.append(ReebOrbitFamily(LatticeDirection(j * dl, j * dm), None, j * length, j, LatticeDirection(dl, dm)))
             j += 1
 
     # The action is the support of the rounded domain in the direction
@@ -431,8 +424,7 @@ def orbit_families(smooth: SmoothDomain2D, cutoff: float) -> list[ReebOrbitFamil
             if action > stop:
                 break
             if action <= keep:
-                families.append(ReebOrbitFamily(direction=simple if g == 1 else LatticeDirection(l, m), point=point, action=action,
-                                                multiplicity=g, underlying_simple=simple))
+                families.append(ReebOrbitFamily(simple if g == 1 else LatticeDirection(l, m), point, action, g, simple))
         above = first or above
     families.sort(key=lambda fam: (fam.action, fam.direction.as_pair()))
     return families
@@ -445,7 +437,7 @@ def split_family(family: ReebOrbitFamily) -> OrbitSplit:
     under the identification of perturbed and unperturbed actions.
     """
     total = family.direction.l + family.direction.m
-    return OrbitSplit(elliptic_cz=2 * total + 1, hyperbolic_cz=2 * total)
+    return OrbitSplit(2 * total + 1, 2 * total)
 
 
 def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode_string
 
-from .moment_domain import RationalLike, _Frozen, _set, as_rational, format_rational
+from .moment_domain import RationalLike, _Frozen, as_rational, format_rational
 
 
 class EpsilonTooLarge(ValueError):
@@ -45,8 +45,8 @@ def cz_from_morse(morse: int) -> int:
     return morse
 
 
-# the node types declare __slots__ (so defaults live in __init__), as slots=True rebuilds a
-# class and its frozen __setattr__ then raises TypeError; _Frozen lends __reduce__ for copies
+# the node types declare __slots__ in the body, where _Frozen compiles their _store from them, and so keep their
+# defaults in __init__: slots=True rebuilds a class, whose frozen __setattr__ then raises TypeError
 @dataclass(frozen=True, init=False)
 class Puncture(_Frozen):
     __slots__ = ("cz", "action", "sign", "paired_with")
@@ -65,10 +65,7 @@ class Puncture(_Frozen):
             isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
         ):
             raise ValueError(f"puncture paired_with must be None or a (node id, puncture index) pair, got {pair!r}")
-        _set(self, "cz", cz)
-        _set(self, "action", action if type(action) is Fraction else as_rational(action))
-        _set(self, "sign", sign)
-        _set(self, "paired_with", pair)
+        self._store(cz, action if type(action) is Fraction else as_rational(action), sign, pair)
 
 
 def punctured_sphere_index(n: int, cz_list: Sequence[int], tangency_order: int = 0) -> int:
@@ -209,13 +206,8 @@ class CurveNode(_Frozen):
             raise ValueError(f"node {name} must be an integer, got {value!r}")
         if kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {kind!r}")
-        _set(self, "id", id)
-        _set(self, "level", level)
-        _set(self, "kind", kind)
-        _set(self, "index", index)
-        _set(self, "energy", energy if type(energy) is Fraction else as_rational(energy))
-        _set(self, "punctures", punctures)
-        _set(self, "divisor_hits", divisor_hits)
+        self._store(id, level, kind, index, energy if type(energy) is Fraction else as_rational(energy), punctures,
+                    divisor_hits)
 
     def is_trivial_cylinder(self) -> bool:
         """Index 0, energy 0, one positive and one negative puncture on
@@ -252,15 +244,18 @@ class Building:
         raise KeyError(node_id)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Frozen):
+    __slots__ = __match_args__ = ("check", "status", "detail")
     check: str
     status: str  # 'pass' | 'fail'
-    detail: str = ""
+    detail: str  # "" by default
+
+    def __init__(self, check, status, detail=""):
+        self._store(check, status, detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
+    __slots__ = __match_args__ = ("results",)
     results: tuple[CheckResult, ...]
 
     @property
@@ -346,11 +341,11 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     pairing_detail = _pairing_failure(by_id, gluings)
     add("pairing", not pairing_detail, pairing_detail)
 
-    # genus zero: the node/edge graph is a tree
-    adjacency: dict[str, set[str]] = {i: set() for i in by_id}
+    # genus zero: the node/edge graph is a tree; seen stops revisits and len(gluings) counts a double gluing
+    adjacency: dict[str, list[str]] = {i: [] for i in by_id}
     for u, w in gluings:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
+        adjacency[u].append(w)
+        adjacency[w].append(u)
     seen = {b.nodes[0].id}
     stack = list(seen)
     while stack:

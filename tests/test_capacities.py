@@ -45,6 +45,23 @@ def toric_min_max(domain, k):
     return Fraction(value, scale), l
 
 
+def bisected_entry(a, b, k):
+    """Oracle: the k-th merged multiple by bisection on the counting function
+    c//A + c//B, in units where a = A and b = B are integers, as
+    (value, axis, multiple) with the a-multiple (axis 0) first on a tie."""
+    common, big_a, big_b = a.denominator * b.denominator, a.numerator * b.denominator, b.numerator * a.denominator
+    lo, hi = min(big_a, big_b), k * min(big_a, big_b)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid // big_a + mid // big_b >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    if k - 1 == (lo - 1) // big_a + (lo - 1) // big_b and lo % big_a == 0:
+        return Fraction(lo, common), 0, lo // big_a
+    return Fraction(lo, common), 1, lo // big_b
+
+
 positive_rationals = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
 
 
@@ -170,6 +187,23 @@ class TestSpectrumPath:
         assert isinstance(r3.minimizer, AxisMultiple)
         axis = e12.axes[r3.minimizer.axis]
         assert axis * r3.minimizer.multiple == r3.value
+
+    def test_closed_form_matches_bisection(self):
+        # a = b, b = 2a, coprime integer and rational axes, and 40-bit axes,
+        # each at every k to 300 and at sampled k up to 10**6
+        rng = random.Random(31)
+        big = [Fraction(rng.randint(2**39, 2**40)) for _ in range(4)] + [Fraction(2**40 - 87, 2**40 - 93)]
+        axes = [(a, a) for a in (Fraction(1), Fraction(3, 7), big[0])]
+        axes += [(a, 2 * a) for a in (Fraction(1), Fraction(5, 3), big[1])]
+        axes += [(Fraction(2), Fraction(3)), (Fraction(5), Fraction(13)), (Fraction(3, 4), Fraction(5, 6))]
+        axes += [tuple(sorted(pair)) for pair in ((big[2], big[3]), (big[4], big[0]), (big[1], Fraction(1)))]
+        axes += [tuple(sorted((Fraction(rng.randint(1, 2**40), rng.randint(1, 2**20)),
+                               Fraction(rng.randint(1, 2**40), rng.randint(1, 2**20))))) for _ in range(8)]
+        for a, b in axes:
+            e = EllipsoidSpec((a, b))
+            for k in [*range(1, 301), *(rng.randint(301, 10**6) for _ in range(50)), 10**6 - 1, 10**6]:
+                report = gh_spectrum_ellipsoid(e, k)
+                assert (report.value, report.minimizer.axis, report.minimizer.multiple) == bisected_entry(a, b, k), (a, b, k)
 
     def test_large_k_is_fast(self, e12):
         assert gh_spectrum_ellipsoid(e12, 10**6).value == Fraction(666667)

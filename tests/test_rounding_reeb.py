@@ -65,22 +65,28 @@ def replace(value, **changes):
     return type(value)(**{**{name: getattr(value, name) for name in value.__match_args__}, **changes})
 
 
+def plain_lines(smooth):
+    """smooth.lines as plain (c, s) tuples, which a list pass unpacks faster than the namedtuples;
+    the oracles that evaluate g many times make them once and pass them down as ``lines``."""
+    return [tuple(line) for line in smooth.lines]
+
+
 # each oracle pass is one list over the (c, s) pairs; (lowest - val) / tau
 # is -(val - lowest) / tau bit for bit, as negation is exact
-def oracle_value(smooth, x):
-    exp, tau = math.exp, smooth.tau
-    vals = [c + s * x for c, s in smooth.lines]
+def oracle_value(smooth, x, lines=None):
+    exp, tau, lines = math.exp, smooth.tau, smooth.lines if lines is None else lines
+    vals = [c + s * x for c, s in lines]
     lowest = min(vals)
     total = sum([exp((lowest - val) / tau) for val in vals])
     return smooth.shift + lowest - tau * math.log(total)
 
 
-def oracle_derivative(smooth, x):
-    exp, tau = math.exp, smooth.tau
-    vals = [c + s * x for c, s in smooth.lines]
+def oracle_derivative(smooth, x, lines=None):
+    exp, tau, lines = math.exp, smooth.tau, smooth.lines if lines is None else lines
+    vals = [c + s * x for c, s in lines]
     lowest = min(vals)
     weights = [exp((lowest - val) / tau) for val in vals]
-    return sum([w * s for w, (_, s) in zip(weights, smooth.lines)]) / sum(weights)
+    return sum([w * s for w, (_, s) in zip(weights, lines)]) / sum(weights)
 
 
 def oracle_shift(smooth):
@@ -97,10 +103,10 @@ def oracle_gauss_point(smooth, d):
     slopes can round past all of them and exact g' never does."""
     if d.l == 0 or d.m == 0:
         return None
-    target = -d.l / d.m
-    slopes = [s for _, s in smooth.lines]
-    start = min(oracle_derivative(smooth, 0.0), max(slopes))
-    end = max(oracle_derivative(smooth, smooth.x_max), min(slopes))
+    target, lines = -d.l / d.m, plain_lines(smooth)
+    slopes = [s for _, s in lines]
+    start = min(oracle_derivative(smooth, 0.0, lines), max(slopes))
+    end = max(oracle_derivative(smooth, smooth.x_max, lines), min(slopes))
     if not (end < target < start):
         return None
 
@@ -110,14 +116,14 @@ def oracle_gauss_point(smooth, d):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if keep_left(oracle_derivative(smooth, mid)):
+            if keep_left(oracle_derivative(smooth, mid, lines)):
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
     x = 0.5 * (bisect(lambda s: s > target) + bisect(lambda s: s >= target))
-    return (x, oracle_value(smooth, x))
+    return (x, oracle_value(smooth, x, lines))
 
 
 EXACT = decimal.Context(prec=80, Emin=-10**9, Emax=10**9)
@@ -281,23 +287,23 @@ def oracle_points(smooth, grid):
 
 def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
     """The grid checks with f read exactly from the polygon in Fractions."""
-    domain, v = smooth.source, smooth.v
+    domain, v, lines = smooth.source, smooth.v, plain_lines(smooth)
     vertex_xs = [x for x, _ in domain.vertices]
     a, b = float(domain.x_extent), float(domain.y_extent)
-    d0 = derivative(smooth, 0.0)
+    d0 = derivative(smooth, 0.0, lines)
     if not (-v <= d0 < 0.0):
         raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
-    d1 = derivative(smooth, smooth.x_max)
+    d1 = derivative(smooth, smooth.x_max, lines)
     if not (d1 < -1.0 / v):
         raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
-    if abs(oracle_value(smooth, 0.0) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
+    if abs(oracle_value(smooth, 0.0, lines) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
         raise SlopeConditionUnreachable("g(0) strays from b beyond the reported bound")
-    g_end = oracle_value(smooth, smooth.x_max)
+    g_end = oracle_value(smooth, smooth.x_max, lines)
     if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
         raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
     prev_slope = None
     for x in oracle_points(smooth, grid):
-        slope = derivative(smooth, x)
+        slope = derivative(smooth, x, lines)
         if slope >= 0.0:
             raise SlopeConditionUnreachable("g is not strictly decreasing")
         if prev_slope is not None and slope > prev_slope + 1e-9 * (1.0 + abs(prev_slope)):
@@ -305,7 +311,7 @@ def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
         prev_slope = slope
         if x <= a:
             fx = oracle_f(domain, vertex_xs, x)
-            gx = oracle_value(smooth, x)
+            gx = oracle_value(smooth, x, lines)
             if gx < fx - 1e-9 * (1.0 + abs(fx)):
                 raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
             if gx - fx > smooth.shift * (1.0 + 1e-9) + 1e-12:
@@ -389,9 +395,10 @@ def oracle_support_smooth(smooth, l, m):
         return l * smooth.x_max
     if l == 0:
         return m * oracle_value(smooth, 0.0)
+    lines = plain_lines(smooth)
 
     def h(x):
-        return l * x + m * oracle_value(smooth, x)
+        return l * x + m * oracle_value(smooth, x, lines)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, smooth.x_max
@@ -1183,8 +1190,8 @@ class TestAgainstOracles:
         assert verdict(oracle_verify, raised) == GAP_MESSAGE
 
         # g' rises by 0.005 at x = 1/2, where it is about -0.01
-        def bumped(smooth, x):
-            return oracle_derivative(smooth, x) + (0.005 if x >= 0.5 else 0.0)
+        def bumped(smooth, x, lines):
+            return oracle_derivative(smooth, x, lines) + (0.005 if x >= 0.5 else 0.0)
 
         message = verdict(lambda sm: oracle_verify(sm, derivative=bumped), smooth)
         assert message == "g' fails to be non-increasing on the grid"

@@ -10,7 +10,7 @@ import pytest
 from toricap.capacities import AxisMultiple, CapacityReport, Cylinder, LowerBound, Polydisk, ProjectiveSpace
 from toricap.moment_domain import EllipsoidSpec, LatticeDirection, equal_diagonal_enclosing_ellipsoids, make_polygon_domain
 from toricap.rounding_reeb import Margins, OrbitSplit, ReebOrbitFamily, _Line, round_domain
-from toricap.sft_ledger import Building, CurveNode, Puncture, canonical_ball_building
+from toricap.sft_ledger import Building, CheckResult, CurveNode, Puncture, ValidationReport, canonical_ball_building
 
 TRIANGLE = make_polygon_domain([(0, 1), (1, 0)])
 ROUNDED = round_domain(TRIANGLE, 1e-2, 0.1)
@@ -42,9 +42,12 @@ REPRS = [
     (ROUNDED, f"SmoothDomain2D(source=MomentDomain2D(vertices=({FRACTIONS_0_1})), tau=0.01, v=0.1, "
               "lines=(_Line(c=1.0, s=-1.0), _Line(c=0.9147483863893459, s=-0.05), _Line(c=19.914748386389345, s=-20.0)), "
               "shift=0.09623773649733536, x_max=1.0)"),
+    (CheckResult("tree", "pass"), "CheckResult(check='tree', status='pass', detail='')"),
+    (ValidationReport((CheckResult("levels", "fail", "occupied levels [0, 2]"),)),
+     "ValidationReport(results=(CheckResult(check='levels', status='fail', detail='occupied levels [0, 2]'),))"),
 ]
 VALUES = [value for value, _ in REPRS]
-# the ledger's frozen dataclasses
+# the ledger's frozen dataclasses, which benchmark code rebuilds with dataclasses.replace
 LEDGER = [Puncture(1, 1, "positive"), CurveNode("a", 0, "top", 0, "1/3", (Puncture(1, 1, "positive"),)),
           canonical_ball_building(2, "1/10")]
 
