@@ -1,9 +1,10 @@
 """Gutt-Hutchings and Lagrangian capacities, with two independent paths.
 
 The toric path minimizes the support function over non-negative lattice
-pairs summing to k in closed form, from the edge where the boundary meets
-the diagonal, comparing its two candidate supports as lattice integers
-and building one Fraction for the value; the ellipsoid path reads the
+pairs summing to k in closed form, from the diagonal edge fixed when the
+polygon is built: two candidate supports, each bisected on the polygon's
+steepness table with its float ties settled exactly, compared as lattice
+integers, and one Fraction for the value; the ellipsoid path reads the
 k-th entry of the merged sequence of axis multiples.  Both are exact on
 rational data and must agree on simplices, which the test suite enforces.
 """
@@ -19,7 +20,6 @@ from .moment_domain import (
     MomentDomain2D,
     _Frozen,
     _lattice_support,
-    _near_diagonal,
     as_rational,
     diagonal,
     support,  # noqa: F401 -- still a name of this module: the benchmark tracer wraps it
@@ -62,12 +62,12 @@ def gh_capacity_toric4(domain: MomentDomain2D, k: int) -> CapacityReport:
     it, at or after (x2, y2), where it is >= 0.  So l* is the smallest
     real minimizer, and the smallest integer one is floor(l*) or
     floor(l*) + 1 <= k: two lattice supports over the one common
-    denominator, compared as integers, O(log V) exact work, ties going to
-    the lexicographically smallest pair.  Only the value is a Fraction.
+    denominator, each bisected exactly on the steepness table in O(log V),
+    compared as integers, ties going to the smaller l.  Only the value is a Fraction.
     """
     if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
-    j = _near_diagonal(domain)  # the floor is scale-free, so it reads the lattice without its denominator
+    j = domain._diag  # the floor is scale-free, so it reads the lattice without its denominator
     (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
     floor = k * (y1 - y2) // (x2 - x1 + y1 - y2)
     h, l = _lattice_support(domain, floor, k - floor), floor

@@ -3,12 +3,13 @@
 A 4-dimensional convex toric domain is described by its moment polygon:
 the region under the graph of a piecewise-linear, concave, non-increasing
 function f on [0, a] with f(0) = b and final height 0.  All arithmetic in
-this module is exact, in integers and ``fractions.Fraction``; no floats enter.
+this module is exact, in integers and ``fractions.Fraction``; floats only
+index the support search, and every value and decision is exact.
 Validation, ``support`` (and so ``included_in_ellipsoid``), the diagonal
 and the enclosure search run in integers over one common denominator, as
 does the toric capacity in ``capacities``, which compares two lattice
-supports as integers; the enclosure compares its bounds by
-cross-multiplying.  Each builds one ``Fraction`` per value it reports.
+supports as integers; the enclosure cross-multiplies its bounds.  Each
+builds one ``Fraction`` per value it reports.
 ``boundary_value``, ``contains_point``, ``includes_domain`` and the
 contact query's vertex count read the ``Fraction`` vertices.
 
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, sub
 
 RationalLike = int | str | Fraction
 
@@ -75,6 +76,14 @@ def format_rational(value: Fraction) -> str:
 
 
 Point = tuple[Fraction, Fraction]
+
+
+def _quotient(a: int, b: int) -> float:
+    """a / b rounded to the nearest float, or +inf when b is 0 or the quotient overflows."""
+    try:
+        return a / b
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
 class _Frozen:
@@ -149,14 +158,17 @@ class MomentDomain2D(_Frozen):
     """
 
     __match_args__ = ("vertices",)
-    # the vertices on one integer lattice, fixed at construction: vertex i
-    # is (_xs[i], _ys[i]) / _denominator, the lcm of the vertex denominators
-    __slots__ = (*__match_args__, "_denominator", "_xs", "_ys")
+    # fixed at construction: vertex i is (_xs[i], _ys[i]) / _denominator, over the lcm of the vertex
+    # denominators; edge i's steepness (_ys[i] - _ys[i + 1]) / (_xs[i + 1] - _xs[i]) as a _quotient
+    # float, _steep[i], indexes the support search; y - x falls strictly from b > 0 to -a < 0, so the
+    # boundary meets y = x on the edge that ends at _diag, the first vertex on or below it, 1 <= _diag < V
+    __slots__ = (*__match_args__, "_denominator", "_xs", "_ys", "_steep", "_diag")
 
     def __init__(self, vertices: tuple[Point, ...]):
         scale = math.lcm(*(c.denominator for p in vertices for c in p))
-        self._store(vertices, scale, tuple(x.numerator * (scale // x.denominator) for x, _ in vertices),
-                    tuple(y.numerator * (scale // y.denominator) for _, y in vertices))
+        xs, ys = (tuple(c.numerator * (scale // c.denominator) for c in axis) for axis in zip(*vertices))
+        steep = tuple(map(_quotient, map(sub, ys, ys[1:]), map(sub, xs[1:], xs)))
+        self._store(vertices, scale, xs, ys, steep, bisect_left(range(len(xs)), True, key=lambda i: ys[i] <= xs[i]))
 
     @property
     def x_extent(self) -> Fraction:
@@ -275,38 +287,22 @@ def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDom
     return domain
 
 
-def _near_diagonal(domain: MomentDomain2D) -> int:
-    """j, the first vertex on or below y = x; j - 1, j and j + 1 are near it.
-
-    Along the boundary y - x falls strictly, from b > 0 to -a < 0, so
-    j >= 1 and the boundary meets y = x on the edge (x1, y1) -> (x2, y2)
-    from j - 1 to j, with y1 > x1 and y2 <= x2; a vertex on the diagonal
-    ends the edge it closes.
-    """
-    xs, ys = domain._xs, domain._ys
-    return bisect_left(range(len(xs)), True, key=lambda i: ys[i] <= xs[i])
-
-
-def _crossing(domain: MomentDomain2D, j: int) -> Fraction:
-    """Where y = x meets the edge from vertex j - 1 to j, solved in lattice units."""
-    (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
-    return Fraction(x2 * y1 - x1 * y2, domain._denominator * (x2 - x1 + y1 - y2))
-
-
 def diagonal(domain: MomentDomain2D | EllipsoidSpec) -> Fraction:
     """sup{t > 0 : (t, ..., t) lies in the moment region}.
 
     For an ellipsoid the closed form (sum 1/a_i)^(-1) is used, summed in
     integers over the lcm of the axis numerators; for a polygon it is the
-    crossing of y = x with the edge that ends at ``_near_diagonal``,
-    (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2).  The
+    crossing of y = x with the edge that ends at vertex ``_diag``,
+    (x2*y1 - x1*y2) / (x2 - x1 + y1 - y2), solved in lattice units.  The
     denominator is (y1 - x1) - (y2 - x2) > 0, and on a final vertical
     drop the formula gives x1.
     """
     if isinstance(domain, EllipsoidSpec):
         lcm = math.lcm(*(a.numerator for a in domain.axes))
         return Fraction(lcm, sum(a.denominator * (lcm // a.numerator) for a in domain.axes))
-    return _crossing(domain, _near_diagonal(domain))
+    j = domain._diag
+    (x1, x2), (y1, y2) = domain._xs[j - 1:j + 1], domain._ys[j - 1:j + 1]
+    return Fraction(x2 * y1 - x1 * y2, domain._denominator * (x2 - x1 + y1 - y2))
 
 
 DirectionLike = LatticeDirection | Sequence[RationalLike]
@@ -328,17 +324,21 @@ def _direction(v: DirectionLike) -> tuple[int, int, int]:
 def _lattice_support(domain: MomentDomain2D, p: int, q: int) -> int:
     """max p*X + q*Y over the lattice vertices (X, Y), for ints p, q >= 0 not both 0.
 
-    The maximum is at a vertex.  Edge i changes p*X + q*Y by p*dX + q*dY,
-    dX*(p + q*s_i) for slope s_i; slopes fall strictly and q >= 0, so
-    "increment <= 0" holds from some edge on (a final vertical drop adds
-    q*dY <= 0), and bisection finds that edge, whose start is the maximum.
+    The maximum is at a vertex.  Edge i changes p*X + q*Y by p*dX - q*D, D
+    its drop; the steepness D/dX rises strictly (to +oo on a final vertical
+    drop), so "p*dX <= q*D", p/q <= D/dX, holds from some edge on, whose
+    start is the maximum.  Int true division rounds correctly, so
+    ``_quotient`` is monotone, +oo exactly when the rounded quotient is
+    infinite: for t = ``_quotient(p, q)``, ``_steep[i] < t`` proves
+    D/dX < p/q and ``_steep[i] > t`` proves D/dX > p/q.  So every edge before
+    ``bisect_left(_steep, t)`` fails the test, every edge from
+    ``bisect_right(_steep, t)`` on passes it, and only the edges whose floats
+    tie with t are bisected by the exact integer test: O(log V) in all.
     """
-    xs, ys = domain._xs, domain._ys
-
-    def non_increasing(i: int) -> bool:
-        return p * (xs[i + 1] - xs[i]) <= q * (ys[i] - ys[i + 1])
-
-    i = bisect_left(range(len(xs) - 1), True, key=non_increasing)
+    xs, ys, steep, t = domain._xs, domain._ys, domain._steep, _quotient(p, q)
+    i, tied_end = bisect_left(steep, t), bisect_right(steep, t)
+    if i < tied_end:
+        i = bisect_left(range(tied_end), True, i, key=lambda e: p * (xs[e + 1] - xs[e]) <= q * (ys[e] - ys[e + 1]))
     return p * xs[i] + q * ys[i]
 
 
@@ -400,9 +400,9 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     resolution is lost.  The line x/a + y/b = 1 passes through (d, d) on
     the boundary, so it supports the convex region iff it supports the
     region's tangent cone at (d, d), spanned by the edges there: the edge
-    j - 1 -> j, j from ``_near_diagonal``, and j -> j + 1 when (d, d) is vertex
+    j - 1 -> j, j = ``_diag``, and j -> j + 1 when (d, d) is vertex
     j.  Only those three vertices constrain a, and the face the line
-    touches holds (d, d), so its vertices are among them: O(log V) work.
+    touches holds (d, d), so its vertices are among them: O(1) work.
     The reported pairs are the interval's attained lower endpoint, its
     finite upper endpoint and the a = b member 2d when it lies in the
     interval; each is feasible by construction, and a feasible interval
@@ -411,8 +411,7 @@ def equal_diagonal_enclosing_ellipsoids(domain: MomentDomain2D) -> EnclosureSear
     of the same parameter interval.  The bounds are int pairs compared by
     cross-multiplying, and each reported value is built as one Fraction.
     """
-    j = _near_diagonal(domain)
-    d = _crossing(domain, j)
+    j, d = domain._diag, diagonal(domain)
     dn, dd, scale = d.numerator, d.denominator, domain._denominator
     # vertex (x, y) inside E(a, b(a)) <=> a*(y - d) <= d*(y - x), for a > d, and on its
     # boundary iff equal; in lattice units a*s <= t, s = dd*y - dn*scale and t = dn*(y - x)
@@ -458,7 +457,7 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
         raise PreconditionViolated("domain is not included in the ellipsoid")
     if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    (a, b), j = e.axes, _near_diagonal(domain)
+    (a, b), j = e.axes, domain._diag
     return sum(x / a + y / b == 1 for x, y in domain.vertices[j - 1:j + 2]) < 2
 
 

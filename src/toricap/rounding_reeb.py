@@ -41,6 +41,7 @@ from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, diagonal, 
 
 _set = object.__setattr__  # SmoothDomain2D stores its fields one by one: its caches read them
 _X_BISECT_TOL = 1e-12
+_FLOAT_MAX = int(sys.float_info.max)  # as an int, a Fraction compares with it without making it a 1024-bit Fraction
 FAMILY_LIMIT = 100_000
 
 
@@ -164,13 +165,14 @@ def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
     """Supporting lines of the boundary graph, with shallow slopes tilted
     down to ``-slope_floor`` about the edge's left endpoint.  Each float is
     one quotient of the domain's lattice integers, which int true division
-    rounds correctly, so it equals the float of the Fraction bit for bit."""
+    rounds correctly, so it equals the float of the Fraction bit for bit: the
+    slope is -``domain._steep``, as (-a)/b = -(a/b), and -oo on an overflow."""
     lines: list[_Line] = []
     xs, ys, scale = domain._xs, domain._ys, domain._denominator
-    for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:]):
+    for x1, x2, y1, steep in zip(xs, xs[1:], ys, domain._steep):
         if x1 == x2:
             continue  # final vertical drop, handled by the steep cap
-        s = min((y2 - y1) / (x2 - x1), -slope_floor)
+        s = min(0.0 - steep, -slope_floor)  # 0.0 - keeps a flat edge's slope +0.0, as 0 / (x2 - x1) is
         lines.append(_Line(y1 / scale - s * (x1 / scale), s))
     return lines
 
@@ -200,10 +202,9 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     slope_floor = tau / a
     if slope_floor >= v / 2.0:
         raise SlopeConditionUnreachable("tau too large relative to v for a slope floor")
-    try:
-        edge_lines = _edge_lines(domain, slope_floor)
-    except OverflowError:  # int true division past the largest float
-        raise ValueError("the polygon's size is outside the float range: an edge slope overflows a float") from None
+    edge_lines = _edge_lines(domain, slope_floor)
+    if edge_lines[-1].s == -math.inf:  # slopes fall, so an overflow shows in the last
+        raise ValueError("the polygon's size is outside the float range: an edge slope overflows a float")
 
     # slopes fall strictly and tilting sets a shallow prefix to exactly
     # -slope_floor, so the last line is the steepest
@@ -235,7 +236,7 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
 def _in_float_range(value, name: str) -> float:
     """value as a float, or a ValueError naming it when that is not positive and finite."""
-    x = float(value) if value <= sys.float_info.max else math.inf  # float() raises past the largest float
+    x = float(value) if value <= _FLOAT_MAX else math.inf  # float() raises past the largest float
     if not 0.0 < x < math.inf:
         raise ValueError(f"the polygon's {name} is outside the float range ({x!r} as a float)")
     return x

@@ -1,8 +1,11 @@
 """Exact geometry: construction, diagonal, support, inclusion, enclosure."""
 import math
 import random
+import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from toricap.moment_domain import (
     NotMonotone,
     PreconditionViolated,
     ZeroDirection,
+    _lattice_support,
     ball,
     diagonal,
     diagonal_intersection_isolated,
@@ -160,10 +164,10 @@ class CountingTuple(tuple):
 
 
 def counting_copy(domain):
-    """A copy of ``domain`` whose vertices and integer lattice count the
-    reads made through them after construction."""
+    """A copy of ``domain`` whose vertices, integer lattice and steepness
+    table count the reads made through them after construction."""
     counted = MomentDomain2D(domain.vertices)
-    for name in ("vertices", "_xs", "_ys"):
+    for name in ("vertices", "_xs", "_ys", "_steep"):
         object.__setattr__(counted, name, CountingTuple(getattr(counted, name)))
     return counted
 
@@ -342,6 +346,65 @@ class TestSupport:
             assert support(pentagon, v) == support_by_vertex_enumeration(pentagon, v)
 
 
+def support_by_integer_bisection(domain, p, q):
+    """Oracle: the lattice support found by bisecting the exact integer test
+    alone, over every edge, with no float index."""
+    xs, ys = domain._xs, domain._ys
+    i = bisect_left(range(len(xs) - 1), True, key=lambda i: p * (xs[i + 1] - xs[i]) <= q * (ys[i] - ys[i + 1]))
+    return p * xs[i] + q * ys[i]
+
+
+def polygon_of_drops(runs_and_drops):
+    """The integer polygon ending at (a, 0) whose edge i runs dx right and
+    drops by dy, for the i-th pair (dx, dy)."""
+    xs = accumulate((dx for dx, _ in runs_and_drops), initial=0)
+    ys = reversed(list(accumulate((dy for _, dy in reversed(runs_and_drops)), initial=0)))
+    return make_polygon_domain(list(zip(xs, ys)))
+
+
+class TestFloatIndexedSupport:
+    """``_lattice_support`` bisects floats, then settles ties exactly: it
+    equals the integer bisection where the floats cannot tell edges apart."""
+
+    B = 10**20  # (B + k) / B rounds to 1.0 for every k below about 10**4
+    FIRST_OVERFLOW = 2**1024 - 2**970  # halfway from the largest float to 2**1024
+
+    def assert_matches_the_oracle(self, domain, directions):
+        for p, q in directions:
+            assert _lattice_support(domain, p, q) == support_by_integer_bisection(domain, p, q), (p, q)
+
+    def test_steepnesses_whose_floats_all_round_to_one(self):
+        b = self.B
+        domain = polygon_of_drops([(b, b + k) for k in range(40)] + [(0, 1)])  # and a final vertical drop
+        assert domain._steep == (1.0,) * 40 + (math.inf,)
+        self.assert_matches_the_oracle(domain, [(b + k, b) for k in range(-1, 42)] + [(1, 1), (10**400, 1), (1, 0)])
+
+    def test_a_tie_over_every_edge_is_bisected(self):
+        b, v = 10**30, 10**5 + 1  # (B + k) / B rounds to 1.0 for every k here
+        domain = polygon_of_drops([(b, b + k) for k in range(v - 1)])
+        assert set(domain._steep) == {1.0}
+        counted, steps = counting_copy(domain), math.ceil(math.log2(v))
+        for k in (-1, 0, 1, 12345, v - 3, v - 2, v - 1):
+            counted._xs.reads = counted._ys.reads = 0
+            assert _lattice_support(counted, b + k, b) == support_by_integer_bisection(domain, b + k, b), k
+            assert steps <= counted._xs.reads + counted._ys.reads <= 4 * steps + 4
+
+    def test_steepnesses_at_the_first_overflow_and_below_it(self):
+        top = self.FIRST_OVERFLOW
+        domain = polygon_of_drops([(1, top - 1), (1, top), (0, 1)])
+        assert domain._steep == (sys.float_info.max, math.inf, math.inf)
+        directions = [(top - 2, 1), (top - 1, 1), (2 * top - 1, 2), (top, 1), (top + 1, 1), (10**400, 1), (1, 0)]
+        self.assert_matches_the_oracle(domain, directions)
+
+    def test_a_direction_whose_quotient_overflows(self, tri12, pentagon, square):
+        for domain in (tri12, pentagon, square):
+            self.assert_matches_the_oracle(domain, [(10**400, 1), (10**400, 10**90), (1, 10**400)])
+
+    def test_the_square_on_the_axes(self, square):
+        assert square._steep == (0.0, math.inf)
+        self.assert_matches_the_oracle(square, [(1, 0), (0, 1), (5, 0), (0, 5), (1, 1)])
+
+
 class TestScanOracles:
     """The O(log V) searches give exactly what the O(V) vertex scans give."""
 
@@ -411,9 +474,14 @@ class TestScanOracles:
         counted = counting_copy(parabola)
         assert search(counted) == search(parabola)
         steps = math.ceil(math.log2(len(parabola.vertices)))
-        lattice_reads = counted._xs.reads + counted._ys.reads
-        assert lattice_reads >= steps  # the bisection ran on the lattice
-        assert lattice_reads + counted.vertices.reads <= 4 * steps + 4
+        reads = counted._xs.reads + counted._ys.reads + counted._steep.reads + counted.vertices.reads
+        if search is equal_diagonal_enclosing_ellipsoids:
+            # its bisection ran at construction: it reads the diagonal's edge (2 + 2 lattice
+            # entries) and the three vertices near it (3 + 3 entries and 3 vertices), whatever V is
+            assert 1 <= reads <= 13
+        else:
+            assert counted._steep.reads >= steps  # the bisection ran on the steepness table
+            assert reads <= 4 * steps + 4
 
 
 class TestInclusion:

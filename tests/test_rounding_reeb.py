@@ -685,6 +685,12 @@ class TestRounding:
                 ours = [(c.hex(), s.hex()) for c, s in _edge_lines(domain, slope_floor)]
                 assert ours == [(c.hex(), s.hex()) for c, s in oracle_edge_lines(domain, slope_floor)]
 
+    def test_a_flat_edge_keeps_a_positive_zero_slope(self):
+        # a slope floor tau / a that underflows to 0.0 leaves a flat edge the slope float(Fraction(0)), +0.0
+        square = make_polygon_domain([(0, 1), (1, 1), (1, 0)])
+        ours = [(c.hex(), s.hex()) for c, s in _edge_lines(square, 0.0)]
+        assert ours == [(c.hex(), s.hex()) for c, s in oracle_edge_lines(square, 0.0)] == [((1.0).hex(), (0.0).hex())]
+
     def test_rounding_from_the_lattice_is_the_rounding_from_integer_ratios(self):
         def rounded(domain, tau):
             try:

@@ -56,6 +56,12 @@ def ids(values):
     return [type(value).__name__ for value in values]
 
 
+# the values whose caches are checked too: all above, and the square, whose final vertical drop
+# caches an infinite steepness
+CACHED = VALUES + LEDGER + [make_polygon_domain([(0, 1), (1, 1), (1, 0)])]
+CACHED_IDS = ids(VALUES + LEDGER) + ["MomentDomain2D-vertical-drop"]
+
+
 def fields(value):
     return tuple(getattr(value, name) for name in type(value).__match_args__)
 
@@ -84,7 +90,7 @@ def test_a_changed_field_or_another_type_is_unequal():
     assert AxisMultiple(0, 1) != (0, 1) and LatticeDirection(0, 1) != (0, 1)
 
 
-@pytest.mark.parametrize("value", VALUES + LEDGER, ids=ids(VALUES + LEDGER))
+@pytest.mark.parametrize("value", CACHED, ids=CACHED_IDS)
 def test_no_attribute_can_be_set_or_deleted(value):
     # the fields, the caches built from them and a name the type does not have
     names = {*type(value).__match_args__, *getattr(type(value), "__slots__", ()), "x", "punctures"}
@@ -97,7 +103,7 @@ def test_no_attribute_can_be_set_or_deleted(value):
         assert getattr(value, name, None) is before
 
 
-@pytest.mark.parametrize("value", VALUES + LEDGER, ids=ids(VALUES + LEDGER))
+@pytest.mark.parametrize("value", CACHED, ids=CACHED_IDS)
 def test_copies_and_pickles_equal_the_value(value):
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(other) is type(value) and other == value and hash(other) == hash(value)
