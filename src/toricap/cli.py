@@ -26,7 +26,7 @@ from .moment_domain import (
 
 TYPE_CHECKING = False  # the name type checkers read as true, without importing typing
 if TYPE_CHECKING:  # each command imports the modules it runs, so diag never loads the float layer
-    from . import capacities, rounding_reeb
+    from . import capacities
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -202,14 +202,29 @@ def cmd_gh(args) -> int:
     return EXIT_OK
 
 
+def _rounded(args, work=lambda smooth: smooth):
+    """work(smooth), for smooth the polygon of the domain options rounded with --tau and --v.  The
+    rounded boundary is then written as an x,y CSV when --boundary-out is given, before any other
+    output: an input error in work, a bad --samples or a bad path then prints nothing."""
+    from . import rounding_reeb
+    smooth = rounding_reeb.round_domain(_require_polygon(_load_domain(args)), args.tau, args.v)
+    result = work(smooth)
+    if args.boundary_out:
+        if args.samples > _SIZE_LIMIT:
+            raise InputError(f"--samples {args.samples} is too large: the limit is {_SIZE_LIMIT}")
+        points = rounding_reeb.boundary_polyline(smooth, args.samples)
+        with open(args.boundary_out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y"])
+            for x, y in points:
+                writer.writerow([_fmt_float(x), _fmt_float(y)])
+    return result
+
+
 def cmd_spectrum(args) -> int:
     from . import rounding_reeb
-    domain = _require_polygon(_load_domain(args))
-    smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
-    families = rounding_reeb.orbit_families(smooth, args.cutoff)
-    _write_polyline(args, smooth)
     rows = []
-    for fam in families:
+    for fam in _rounded(args, lambda smooth: rounding_reeb.orbit_families(smooth, args.cutoff)):
         split = rounding_reeb.split_family(fam)
         rows.append([str(fam.direction.l), str(fam.direction.m), str(fam.multiplicity),
                      _fmt_float(fam.action), str(split.elliptic_cz), str(split.hyperbolic_cz)])
@@ -217,27 +232,8 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _write_polyline(args, smooth: rounding_reeb.SmoothDomain2D) -> None:
-    """Write the rounded boundary as an x,y CSV when --boundary-out is given,
-    before any other output: a bad --samples or path then prints nothing."""
-    if not args.boundary_out:
-        return
-    from . import rounding_reeb
-    if args.samples > _SIZE_LIMIT:
-        raise InputError(f"--samples {args.samples} is too large: the limit is {_SIZE_LIMIT}")
-    points = rounding_reeb.boundary_polyline(smooth, args.samples)
-    with open(args.boundary_out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in points:
-            writer.writerow([_fmt_float(x), _fmt_float(y)])
-
-
 def cmd_round(args) -> int:
-    from . import rounding_reeb
-    domain = _require_polygon(_load_domain(args))
-    smooth = rounding_reeb.round_domain(domain, args.tau, args.v)
-    _write_polyline(args, smooth)
+    smooth = _rounded(args)
     payload = {
         "tau": _fmt_float(smooth.tau),
         "v": _fmt_float(smooth.v),

@@ -54,7 +54,7 @@ class PreconditionViolated(ValueError):
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and 'p/q' or decimal strings to Fraction."""
-    if type(value) is Fraction or isinstance(value, Fraction):  # the first test skips the ABC check
+    if type(value) is Fraction:  # tested first, and a subclass last, as isinstance(value, Fraction) is an ABC check
         return value  # immutable, so no copy is needed
     if isinstance(value, bool):
         raise TypeError(f"booleans are not accepted as rational numbers, got {value!r}")
@@ -65,6 +65,8 @@ def as_rational(value: RationalLike) -> Fraction:
             raise ValueError(f"zero denominator in {value!r}") from None
         except ValueError:
             raise ValueError(f"not a rational number: {value!r}") from None
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact-arithmetic inputs; pass a string or Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -95,20 +97,18 @@ class _Frozen:
     __slots__ = __match_args__ = ()
 
     def __init_subclass__(cls):
-        """Compile, as dataclasses compiles an __init__, the subclass's ``_store``, which writes its
-        arguments to the __slots__ in order through their descriptors; a subclass without an
-        __init__ takes it as its __init__."""
+        """Compile, as dataclasses compiles an __init__ and __eq__, the subclass's ``_values``, the
+        tuple of its fields, and its ``_store``, which writes its arguments to the __slots__ in order
+        through their descriptors; a subclass without an __init__ takes ``_store`` as its __init__."""
         slots, name = cls.__slots__, "_store" if "__init__" in vars(cls) else "__init__"
         setters, namespace = {f"__set_{slot}": getattr(cls, slot).__set__ for slot in slots}, {}
         body = "".join(f"\n    __set_{slot}(self, {slot})" for slot in slots)
-        exec(f"def {name}(self, {', '.join(slots)}):{body}", setters, namespace)
-        cls._store = namespace[name]
-        cls._store.__qualname__ = f"{cls.__qualname__}.{name}"
+        values = "".join(f"self.{field}, " for field in cls.__match_args__)
+        exec(f"def {name}(self, {', '.join(slots)}):{body}\ndef _values(self):\n    return ({values})", setters, namespace)
+        cls._store, cls._values = namespace[name], namespace["_values"]
+        cls._store.__qualname__, cls._values.__qualname__ = f"{cls.__qualname__}.{name}", f"{cls.__qualname__}._values"
         if name == "__init__":
             cls.__init__ = cls._store
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
@@ -150,11 +150,14 @@ class LatticeDirection(_Frozen):
 class MomentDomain2D(_Frozen):
     """Moment polygon of a compact convex 4-dimensional toric domain.
 
-    ``vertices`` lists the boundary graph from (0, b) to the x-axis.  The
-    x-coordinates increase strictly, except that a single final vertical
-    edge (dropping to the axis at x = a) is allowed, so products such as
-    the unit square are representable.  The region itself is
-    {(x, y) : 0 <= x <= a, 0 <= y <= f(x)}.
+    ``vertices``, a tuple of ``Fraction`` pairs, lists the boundary graph
+    from (0, b) to the x-axis.  The x-coordinates increase strictly, except
+    that a single final vertical edge (dropping to the axis at x = a) is
+    allowed, so products such as the unit square are representable, and
+    slopes are <= 0 and strictly decreasing.  The constructor checks this
+    on its lattice and raises BadEndpoints, NotMonotone or NonConcave
+    naming the violated invariant, so a scaled, copied or unpickled
+    polygon is valid too.  The region is {0 <= x <= a, 0 <= y <= f(x)}.
     """
 
     __match_args__ = ("vertices",)
@@ -165,8 +168,40 @@ class MomentDomain2D(_Frozen):
     __slots__ = (*__match_args__, "_denominator", "_xs", "_ys", "_steep", "_diag")
 
     def __init__(self, vertices: tuple[Point, ...]):
+        if len(vertices) < 2:
+            raise BadEndpoints("at least two vertices are required")
         scale = math.lcm(*(c.denominator for p in vertices for c in p))
         xs, ys = (tuple(c.numerator * (scale // c.denominator) for c in axis) for axis in zip(*vertices))
+        if xs[0] != 0:  # the lattice has the vertices' signs and slopes
+            raise BadEndpoints("first vertex must have x = 0")
+        if ys[-1] != 0:
+            raise BadEndpoints("last vertex must have y = 0")
+        if ys[0] <= 0:
+            raise BadEndpoints("height b = f(0) must be positive")
+        if xs[-1] <= 0:
+            raise BadEndpoints("width a must be positive")
+        pdx, pdy = 0, 1  # the last finite edge; (0, 1) before the first, of slope +infinity
+        n_edges = len(xs) - 1
+        for i in range(n_edges):
+            dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+            if dx < 0:
+                raise NotMonotone("x-coordinates must be non-decreasing")
+            if dx == 0:
+                if dy == 0:
+                    raise NotMonotone("zero-length edge")
+                if dy > 0:
+                    raise NotMonotone("vertical edge must descend")
+                if i != n_edges - 1:
+                    raise NotMonotone("a vertical edge is only allowed as the final drop to the x-axis")
+                continue  # slope -infinity, strictly below any finite slope
+            if dy > 0:
+                raise NotMonotone(f"edge {i} has positive slope {format_rational(Fraction(dy, dx))}")
+            if dy * pdx >= pdy * dx:  # dy/dx >= pdy/pdx, as dx > 0 and pdx >= 0
+                raise NonConcave(
+                    f"edge {i} slope {format_rational(Fraction(dy, dx))} does not strictly decrease "
+                    f"from {format_rational(Fraction(pdy, pdx))}"
+                )
+            pdx, pdy = dx, dy
         steep = tuple(map(_quotient, map(sub, ys, ys[1:]), map(sub, xs[1:], xs)))
         self._store(vertices, scale, xs, ys, steep, bisect_left(range(len(xs)), True, key=lambda i: ys[i] <= xs[i]))
 
@@ -242,49 +277,10 @@ def ball(capacity: RationalLike, n: int) -> EllipsoidSpec:
 
 
 def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDomain2D:
-    """Validate a vertex list and return the moment polygon.
-
-    Raises BadEndpoints, NotMonotone, or NonConcave naming the violated
-    invariant.  Slopes must be <= 0 and strictly decreasing; one vertical
-    edge is permitted as the final drop to the x-axis.
-    """
-    pts = [(as_rational(p[0]), as_rational(p[1])) for p in vertices]
-    if len(pts) < 2:
-        raise BadEndpoints("at least two vertices are required")
-    domain = MomentDomain2D(tuple(pts))
-    xs, ys = domain._xs, domain._ys  # the same signs and slopes as the vertices
-    if xs[0] != 0:
-        raise BadEndpoints("first vertex must have x = 0")
-    if ys[-1] != 0:
-        raise BadEndpoints("last vertex must have y = 0")
-    if ys[0] <= 0:
-        raise BadEndpoints("height b = f(0) must be positive")
-    if xs[-1] <= 0:
-        raise BadEndpoints("width a must be positive")
-
-    pdx, pdy = 0, 1  # the last finite edge; (0, 1) before the first, of slope +infinity
-    n_edges = len(pts) - 1
-    for i in range(n_edges):
-        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-        if dx < 0:
-            raise NotMonotone("x-coordinates must be non-decreasing")
-        if dx == 0:
-            if dy == 0:
-                raise NotMonotone("zero-length edge")
-            if dy > 0:
-                raise NotMonotone("vertical edge must descend")
-            if i != n_edges - 1:
-                raise NotMonotone("a vertical edge is only allowed as the final drop to the x-axis")
-            continue  # slope -infinity, strictly below any finite slope
-        if dy > 0:
-            raise NotMonotone(f"edge {i} has positive slope {format_rational(Fraction(dy, dx))}")
-        if dy * pdx >= pdy * dx:  # dy/dx >= pdy/pdx, as dx > 0 and pdx >= 0
-            raise NonConcave(
-                f"edge {i} slope {format_rational(Fraction(dy, dx))} does not strictly decrease "
-                f"from {format_rational(Fraction(pdy, pdx))}"
-            )
-        pdx, pdy = dx, dy
-    return domain
+    """The moment polygon of a vertex list: each coordinate is coerced by
+    ``as_rational``, and ``MomentDomain2D`` validates the result, raising
+    BadEndpoints, NotMonotone or NonConcave naming the violated invariant."""
+    return MomentDomain2D(tuple([(as_rational(p[0]), as_rational(p[1])) for p in vertices]))
 
 
 def diagonal(domain: MomentDomain2D | EllipsoidSpec) -> Fraction:

@@ -262,12 +262,13 @@ def _verify(smooth: SmoothDomain2D) -> None:
             raise SlopeConditionUnreachable(message, check, margin)
 
 
-def _newton(f, lo: float, hi: float, x: float, tol: float):
-    """Root of a decreasing f on [lo, hi] by safeguarded Newton from x (rtsafe;
-    Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).  f(x) returns
-    (f(x), f'(x), data); a step outside the bracket, or with f' = 0, bisects.
-    |step| < tol/2 is tested before the bracket, since a converged step lands
-    on the bracket end it just moved.  Returns the last x evaluated and its data."""
+def _newton(f, x_max: float, x: float):
+    """Root of a decreasing f on [lo, hi] = [0, x_max] by safeguarded Newton from x clamped to it
+    (rtsafe; Press et al., Numerical Recipes, 3rd ed., 2007, sec. 9.4).  f(x) returns (f(x), f'(x),
+    data); a step outside the bracket, or with f' = 0, bisects.  |step| < tol/2, for tol =
+    _X_BISECT_TOL * x_max, is tested before the bracket, since a converged step lands on the
+    bracket end it just moved.  Returns the last x evaluated and its data."""
+    lo, hi, x, tol = 0.0, x_max, min(max(x, 0.0), x_max), _X_BISECT_TOL * x_max
     while True:
         fx, dfx, data = f(x)
         if fx == 0.0:
@@ -321,7 +322,7 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> tuple[float, flo
 
     (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
     x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
-    return _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
+    return _newton(log_odds, smooth.x_max, x)
 
 
 def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[float, float]:
@@ -458,7 +459,7 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
         g, slope, _ = smooth._evaluate(x)
         return g - x, slope - 1.0, slope
 
-    slope = _newton(excess, 0.0, smooth.x_max, min(float(diagonal(smooth.source)), smooth.x_max), _X_BISECT_TOL * smooth.x_max)[1]
+    slope = _newton(excess, smooth.x_max, float(diagonal(smooth.source)))[1]
     low = math.floor(k * (-slope / (1.0 - slope)))
     return min(support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
 

@@ -45,11 +45,15 @@ def cz_from_morse(morse: int) -> int:
     return morse
 
 
-# the node types declare __slots__ in the body, where _Frozen compiles their _store from them, and so keep their
-# defaults in __init__: slots=True rebuilds a class, whose frozen __setattr__ then raises TypeError
-@dataclass(frozen=True, init=False)
+# the ledger types take _store, ==, hash, repr and pickling from _Frozen, and keep their defaults in __init__, as a
+# slot has no class-level default; the dataclass adds only the __dataclass_fields__ that dataclasses.replace and
+# fields read, and a __setattr__ and __delattr__ that raise FrozenInstanceError
+_ledger_dataclass = dataclass(frozen=True, init=False, repr=False, eq=False, match_args=False)
+
+
+@_ledger_dataclass
 class Puncture(_Frozen):
-    __slots__ = ("cz", "action", "sign", "paired_with")
+    __slots__ = __match_args__ = ("cz", "action", "sign", "paired_with")
     cz: int
     action: Fraction
     sign: str  # 'positive' | 'negative'
@@ -186,9 +190,9 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
 # Holomorphic buildings
 
 
-@dataclass(frozen=True, init=False)
+@_ledger_dataclass
 class CurveNode(_Frozen):
-    __slots__ = ("id", "level", "kind", "index", "energy", "punctures", "divisor_hits")
+    __slots__ = __match_args__ = ("id", "level", "kind", "index", "energy", "punctures", "divisor_hits")
     id: str
     level: int
     kind: str  # 'cotangent' | 'symplectization' | 'top'
@@ -218,8 +222,8 @@ class CurveNode(_Frozen):
         return p.sign != q.sign and p.cz == q.cz and p.action == q.action
 
 
-@dataclass(frozen=True)  # without slots=True, whose rebuilt class breaks the frozen __setattr__ (see Puncture)
-class Building:
+@_ledger_dataclass
+class Building(_Frozen):
     """Genus-zero leveled tree of curve nodes.
 
     Node energies are inputs; the validator checks pairings, index and
@@ -227,15 +231,15 @@ class Building:
     a single curve's energy across its ends.
     """
 
+    __slots__ = __match_args__ = ("nodes", "total_index", "energy_budget")
     nodes: tuple[CurveNode, ...]
-    total_index: int = 0
-    energy_budget: Fraction | None = None
+    total_index: int  # 0 by default
+    energy_budget: Fraction | None  # None by default
 
-    def __post_init__(self):
-        if type(self.total_index) is not int:
-            raise ValueError(f"building total_index must be an integer, got {self.total_index!r}")
-        if self.energy_budget is not None:
-            object.__setattr__(self, "energy_budget", as_rational(self.energy_budget))
+    def __init__(self, nodes, total_index=0, energy_budget=None):
+        if type(total_index) is not int:
+            raise ValueError(f"building total_index must be an integer, got {total_index!r}")
+        self._store(nodes, total_index, energy_budget if energy_budget is None else as_rational(energy_budget))
 
     def node(self, node_id: str) -> CurveNode:
         for nd in self.nodes:

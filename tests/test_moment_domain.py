@@ -24,6 +24,7 @@ from toricap.moment_domain import (
     PreconditionViolated,
     ZeroDirection,
     _lattice_support,
+    as_rational,
     ball,
     diagonal,
     diagonal_intersection_isolated,
@@ -686,6 +687,11 @@ def validate_with_fractions(vertices):
     return tuple(pts)
 
 
+def construct_directly(vertices):
+    """MomentDomain2D built from the coerced vertices, without make_polygon_domain."""
+    return MomentDomain2D(tuple((as_rational(x), as_rational(y)) for x, y in vertices))
+
+
 def outcome(validate, vertices):
     """("ok", the vertices) or (the exception class, its message)."""
     try:
@@ -729,7 +735,7 @@ class TestValidationParity:
     def test_invalid_lists_raise_the_reference_error(self, vertices):
         expected = outcome(validate_with_fractions, vertices)
         assert expected[0] != "ok"
-        assert outcome(make_polygon_domain, vertices) == expected
+        assert outcome(make_polygon_domain, vertices) == outcome(construct_directly, vertices) == expected
 
     def test_mutated_polygons_match_the_reference(self, concave_polygon):
         # each mutation moves, repeats, splits or swaps vertices of a valid
@@ -752,7 +758,7 @@ class TestValidationParity:
             elif kind == "lift":
                 vertices = [(x, y + F(1, 3)) for x, y in vertices]
             expected = outcome(validate_with_fractions, vertices)
-            assert outcome(make_polygon_domain, vertices) == expected, vertices
+            assert outcome(make_polygon_domain, vertices) == outcome(construct_directly, vertices) == expected, vertices
             seen[expected[0] if expected[0] == "ok" else expected[0].__name__] += 1
         for case in ("ok", "BadEndpoints", "NotMonotone", "NonConcave"):
             assert seen[case] >= 20, seen

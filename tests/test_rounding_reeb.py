@@ -23,7 +23,6 @@ from toricap.rounding_reeb import (
     TooManyFamilies,
     _edge_lines,
     _Line,
-    _X_BISECT_TOL,
     _newton,
     _verify,
     boundary_polyline,
@@ -476,7 +475,7 @@ def full_list_gauss_point(smooth, d):
     i, j = bisect.bisect_left(ordered, target, key=key), bisect.bisect_right(ordered, target, key=key)
     (c_b, s_b), (c_a, s_a) = ordered[i - 1], ordered[j]
     x = (c_b - c_a + smooth.tau * math.log((s_a - target) / (target - s_b))) / (s_a - s_b)
-    return _newton(log_odds, 0.0, smooth.x_max, min(max(x, 0.0), smooth.x_max), _X_BISECT_TOL * smooth.x_max)
+    return _newton(log_odds, smooth.x_max, x)
 
 
 def full_list_support_smooth(smooth, l, m):
@@ -494,7 +493,7 @@ def full_list_capacity(smooth, k):
         g, slope, _ = full_list_pass(smooth, x)
         return g - x, slope - 1.0, slope
 
-    slope = _newton(excess, 0.0, smooth.x_max, 0.5 * smooth.x_max, _X_BISECT_TOL * smooth.x_max)[1]
+    slope = _newton(excess, smooth.x_max, 0.5 * smooth.x_max)[1]
     low = math.floor(k * (-slope / (1.0 - slope)))
     return min(full_list_support_smooth(smooth, l, k - l) for l in (low, low + 1) if l <= k)
 
@@ -1057,7 +1056,7 @@ class TestSplitAndCapacity:
         for l, m in ((limit, 0), (0, limit), (limit // 2, limit - limit // 2)):
             assert math.isfinite(support_smooth(smooth, l, m))
 
-        def no_solve(*args):
+        def no_solve(f, x_max, x):
             raise AssertionError("solved before rejecting k")
 
         monkeypatch.setattr(toricap.rounding_reeb, "_newton", no_solve)

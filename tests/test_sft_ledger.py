@@ -924,7 +924,10 @@ class TestNodeConstructors:
                      replace(node)):
             assert same == node and hash(same) == hash(node) and same.divisor_hits == 0
         assert replace(node, divisor_hits=1) != node
-        for obj, cls in ((end, Puncture), (node, CurveNode)):
+        building = Building((node,), energy_budget="1/3")
+        assert replace(building) == building and replace(building, total_index=1) != building
+        assert (building.total_index, building.energy_budget) == (0, Fraction(1, 3))
+        for obj, cls in ((end, Puncture), (node, CurveNode), (building, Building)):
             assert cls.__match_args__ == tuple(f.name for f in fields(cls)) == tuple(cls.__slots__)
             assert not hasattr(obj, "__dict__")
             with pytest.raises(FrozenInstanceError):

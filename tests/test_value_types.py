@@ -1,20 +1,26 @@
 """The immutable value types: the dataclass repr, == and hash over the
-fields alone, attributes that cannot be set or deleted, and copies and
-pickles that equal the original."""
+fields alone, attributes that cannot be set or deleted, no __dict__, and
+copies and pickles that equal the original, all from one base class."""
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
 import pytest
 
+from toricap import capacities, moment_domain, rounding_reeb, sft_ledger
 from toricap.capacities import AxisMultiple, CapacityReport, Cylinder, LowerBound, Polydisk, ProjectiveSpace
-from toricap.moment_domain import EllipsoidSpec, LatticeDirection, equal_diagonal_enclosing_ellipsoids, make_polygon_domain
+from toricap.moment_domain import EllipsoidSpec, LatticeDirection, _Frozen, equal_diagonal_enclosing_ellipsoids, make_polygon_domain
 from toricap.rounding_reeb import Margins, OrbitSplit, ReebOrbitFamily, _Line, round_domain
-from toricap.sft_ledger import Building, CheckResult, CurveNode, Puncture, ValidationReport, canonical_ball_building
+from toricap.sft_ledger import Building, CheckResult, CurveNode, Puncture, ValidationReport
 
 TRIANGLE = make_polygon_domain([(0, 1), (1, 0)])
 ROUNDED = round_domain(TRIANGLE, 1e-2, 0.1)
 FRACTIONS_0_1 = "(Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))"
+END = Puncture(1, 1, "positive")
+NODE = CurveNode("a", 0, "top", 0, "1/3", (END,))
+END_REPR = "Puncture(cz=1, action=Fraction(1, 1), sign='positive', paired_with=None)"
+NODE_REPR = f"CurveNode(id='a', level=0, kind='top', index=0, energy=Fraction(1, 3), punctures=({END_REPR},), divisor_hits=0)"
 
 # every public value type, each with the repr the frozen dataclasses gave it
 REPRS = [
@@ -45,11 +51,13 @@ REPRS = [
     (CheckResult("tree", "pass"), "CheckResult(check='tree', status='pass', detail='')"),
     (ValidationReport((CheckResult("levels", "fail", "occupied levels [0, 2]"),)),
      "ValidationReport(results=(CheckResult(check='levels', status='fail', detail='occupied levels [0, 2]'),))"),
+    (END, END_REPR),
+    (Puncture(2, "1/2", "negative", ("a", 0)), "Puncture(cz=2, action=Fraction(1, 2), sign='negative', paired_with=('a', 0))"),
+    (NODE, NODE_REPR),
+    (Building((NODE,), 1, "2/6"), f"Building(nodes=({NODE_REPR},), total_index=1, energy_budget=Fraction(1, 3))"),
+    (Building(()), "Building(nodes=(), total_index=0, energy_budget=None)"),
 ]
 VALUES = [value for value, _ in REPRS]
-# the ledger's frozen dataclasses, which benchmark code rebuilds with dataclasses.replace
-LEDGER = [Puncture(1, 1, "positive"), CurveNode("a", 0, "top", 0, "1/3", (Puncture(1, 1, "positive"),)),
-          canonical_ball_building(2, "1/10")]
 
 
 def ids(values):
@@ -58,8 +66,8 @@ def ids(values):
 
 # the values whose caches are checked too: all above, and the square, whose final vertical drop
 # caches an infinite steepness
-CACHED = VALUES + LEDGER + [make_polygon_domain([(0, 1), (1, 1), (1, 0)])]
-CACHED_IDS = ids(VALUES + LEDGER) + ["MomentDomain2D-vertical-drop"]
+CACHED = VALUES + [make_polygon_domain([(0, 1), (1, 1), (1, 0)])]
+CACHED_IDS = ids(VALUES) + ["MomentDomain2D-vertical-drop"]
 
 
 def fields(value):
@@ -94,6 +102,7 @@ def test_a_changed_field_or_another_type_is_unequal():
 def test_no_attribute_can_be_set_or_deleted(value):
     # the fields, the caches built from them and a name the type does not have
     names = {*type(value).__match_args__, *getattr(type(value), "__slots__", ()), "x", "punctures"}
+    assert not hasattr(value, "__dict__")  # where a name the type does not have could be stored
     for name in names:
         before = getattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -128,3 +137,16 @@ def test_lines_and_margins_are_named_tuples():
     assert tuple(margins) == margins and list(margins._asdict()) == list(Margins._fields)
     assert Margins._fields == ("resolution", "slope_start_low", "slope_start_high", "slope_end", "g_start", "g_end",
                                "containment")
+
+
+def test_every_value_type_takes_its_semantics_from_the_one_base():
+    # the public classes with fields; only the two named tuples, which are tuples, are exempt
+    found = [cls for module in (moment_domain, capacities, rounding_reeb, sft_ledger)
+             for name, cls in vars(module).items()
+             if inspect.isclass(cls) and cls.__module__ == module.__name__ and not name.startswith("_")
+             and hasattr(cls, "__match_args__") and cls not in (Margins, _Line)]
+    assert {Puncture, CurveNode, Building, CheckResult, ReebOrbitFamily, AxisMultiple}.issubset(found)
+    for cls in found:
+        assert issubclass(cls, _Frozen), cls
+        assert cls.__match_args__ == cls.__slots__[:len(cls.__match_args__)], cls
+        assert not {"__eq__", "__hash__", "__repr__", "__reduce__"} & set(vars(cls)), cls
