@@ -150,14 +150,15 @@ class LatticeDirection(_Frozen):
 class MomentDomain2D(_Frozen):
     """Moment polygon of a compact convex 4-dimensional toric domain.
 
-    ``vertices``, a tuple of ``Fraction`` pairs, lists the boundary graph
-    from (0, b) to the x-axis.  The x-coordinates increase strictly, except
-    that a single final vertical edge (dropping to the axis at x = a) is
-    allowed, so products such as the unit square are representable, and
-    slopes are <= 0 and strictly decreasing.  The constructor checks this
-    on its lattice and raises BadEndpoints, NotMonotone or NonConcave
-    naming the violated invariant, so a scaled, copied or unpickled
-    polygon is valid too.  The region is {0 <= x <= a, 0 <= y <= f(x)}.
+    ``vertices`` lists the boundary graph from (0, b) to the x-axis as a
+    tuple of ``Fraction`` pairs, each coordinate coerced by ``as_rational``.
+    The x-coordinates increase strictly, except that a single final
+    vertical edge (dropping to the axis at x = a) is allowed, so products
+    such as the unit square are representable, and slopes are <= 0 and
+    strictly decreasing.  The constructor checks this on its lattice and
+    raises BadEndpoints, NotMonotone or NonConcave naming the violated
+    invariant, so a scaled, copied or unpickled polygon is valid too.  The
+    region is {0 <= x <= a, 0 <= y <= f(x)}.
     """
 
     __match_args__ = ("vertices",)
@@ -167,7 +168,8 @@ class MomentDomain2D(_Frozen):
     # boundary meets y = x on the edge that ends at _diag, the first vertex on or below it, 1 <= _diag < V
     __slots__ = (*__match_args__, "_denominator", "_xs", "_ys", "_steep", "_diag")
 
-    def __init__(self, vertices: tuple[Point, ...]):
+    def __init__(self, vertices: Iterable[Sequence[RationalLike]]):
+        vertices = tuple([(as_rational(p[0]), as_rational(p[1])) for p in vertices])
         if len(vertices) < 2:
             raise BadEndpoints("at least two vertices are required")
         scale = math.lcm(*(c.denominator for p in vertices for c in p))
@@ -277,10 +279,10 @@ def ball(capacity: RationalLike, n: int) -> EllipsoidSpec:
 
 
 def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDomain2D:
-    """The moment polygon of a vertex list: each coordinate is coerced by
-    ``as_rational``, and ``MomentDomain2D`` validates the result, raising
+    """The moment polygon of a vertex list: ``MomentDomain2D`` coerces each
+    coordinate by ``as_rational`` and validates the result, raising
     BadEndpoints, NotMonotone or NonConcave naming the violated invariant."""
-    return MomentDomain2D(tuple([(as_rational(p[0]), as_rational(p[1])) for p in vertices]))
+    return MomentDomain2D(vertices)
 
 
 def diagonal(domain: MomentDomain2D | EllipsoidSpec) -> Fraction:

@@ -35,11 +35,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, diagonal, support
+from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, _lattice_support, _quotient, diagonal
 
-_set = object.__setattr__  # SmoothDomain2D stores its fields one by one: its caches read them
 _X_BISECT_TOL = 1e-12
 _FLOAT_MAX = int(sys.float_info.max)  # as an int, a Fraction compares with it without making it a 1024-bit Fraction
 FAMILY_LIMIT = 100_000
@@ -62,8 +60,6 @@ class AxisPoint(ValueError):
     """Rotation rates are undefined where a moment coordinate vanishes."""
 
 
-_Line = namedtuple("_Line", ("c", "s"))  # the affine function c + s*x
-
 # slack of each check of _verify, in order: negative fails, and so does 0 where strict
 Margins = namedtuple("Margins", (
     "resolution",  # tau - the resolution floor 2*gamma_2*L/log(2), see _verify
@@ -80,38 +76,36 @@ class SmoothDomain2D(_Frozen):
     """Rounded domain with evaluable boundary function and derivative."""
 
     __match_args__ = ("source", "tau", "v", "lines", "shift", "x_max")
-    # the slack of each check (Margins), the lines as plain (c, s) tuples, their slopes, the lines by
-    # ascending (slope, constant), g'(0) and g'(x_max) clamped to the slope range, and the largest
-    # l + m for which l*x and m*g(x) are finite floats on [0, x_max], fixed at construction
-    __slots__ = (*__match_args__, "margins", "_pairs", "_slopes", "_by_slope", "_slope_start", "_slope_end", "_order_limit")
+    # lines holds plain (c, s) float pairs, the lines c + s*x; fixed at construction: the slack of each
+    # check (Margins), the line slopes, the lines by ascending (slope, constant), g'(0) and g'(x_max) clamped
+    # to the slope range, and the largest l + m for which l*x and m*g(x) are finite floats on [0, x_max]
+    __slots__ = (*__match_args__, "margins", "_slopes", "_by_slope", "_slope_start", "_slope_end", "_order_limit")
 
-    def __init__(self, source: MomentDomain2D, tau: float, v: float, lines: tuple[_Line, ...], shift: float, x_max: float):
+    def __init__(self, source: MomentDomain2D, tau: float, v: float, lines: tuple[tuple[float, float], ...], shift: float, x_max: float):
         slopes = tuple(s for _, s in lines)
         if not (len(slopes) > 2 and all(map(operator.ge, slopes, slopes[1:-2])) and slopes[-2] >= slopes[0] and slopes[-3] > slopes[-1]):
             raise ValueError("line order, as gauss_point reads it: edges by non-increasing slope, cap0 no steeper, cap1 steepest")
-        for name, value in zip(self.__match_args__, (source, tau, v, lines, shift, x_max)):
-            _set(self, name, value)
-        _set(self, "_pairs", tuple(map(tuple, lines)))
-        _set(self, "_slopes", slopes)
-        _set(self, "_by_slope", tuple(sorted(lines, key=operator.itemgetter(1, 0))))
-        (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(x_max)
-        # a float mean of the slopes can round one ulp past all of them; clamped,
-        # slope_end < t < slope_start leaves a line slope on each side of t
-        _set(self, "_slope_start", min(slope_start, self._by_slope[-1].s))
-        _set(self, "_slope_end", max(slope_end, self._by_slope[0].s))
-        # 1 - 2**-52 absorbs the quotient's rounding; the 1 keeps l + m a finite float
-        _set(self, "_order_limit", math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, x_max, g_start)))
         # in floats each line value c + s*x on [0, x_max] is off by at most
         # gamma_2*L, L the largest |c| + |s|*x_max and gamma_2 = eps/(1 - eps)
-        # (Higham 2002, Lemma 3.1 and eq. 3.4); cap0 is the last line but one
-        eps, scale = sys.float_info.epsilon, max(abs(c) + abs(s) * x_max for c, s in lines)
-        dip = float(support(source, (Fraction(-lines[-2].s), 1))) - lines[-2].c
-        bound = self.hausdorff_bound * (1.0 + 1e-9)
-        _set(self, "margins", Margins(
-            self.tau - 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * scale,
-            slope_start + self.v, -slope_start, -1.0 / self.v - slope_end,
-            bound - abs(g_start - float(self.source.y_extent)), min(g_end + 1e-9, bound - g_end),
-            self.shift - self.tau * math.log(len(self.lines)) - dip + 4.0 * eps / (1.0 - eps) * scale))
+        # (Higham 2002, Lemma 3.1 and eq. 3.4)
+        scale = _in_float_range(max(abs(c) + abs(s) * x_max for c, s in lines), "size (the resolution floor's L)")
+        self._store(source, tau, v, lines, shift, x_max, None, slopes, None, None, None, None)  # the fields _evaluate reads
+        (g_start, slope_start, _), (g_end, slope_end, _) = self._evaluate(0.0), self._evaluate(x_max)
+        by_slope = tuple(sorted(lines, key=operator.itemgetter(1, 0)))
+        c_cap0, s_cap0 = lines[-2]  # cap0, the last line but one, dips furthest (see round_domain)
+        p, q = (-s_cap0).as_integer_ratio()
+        dip = _lattice_support(source, p, q) / (q * source._denominator) - c_cap0
+        eps, bound = sys.float_info.epsilon, self.hausdorff_bound * (1.0 + 1e-9)
+        margins = Margins(
+            tau - 2.0 * eps / ((1.0 - eps) * math.log(2.0)) * scale,
+            slope_start + v, -slope_start, -1.0 / v - slope_end,
+            bound - abs(g_start - float(source.y_extent)), min(g_end + 1e-9, bound - g_end),
+            shift - tau * math.log(len(lines)) - dip + 4.0 * eps / (1.0 - eps) * scale)
+        # a float mean of the slopes can round one ulp past all of them; clamped, slope_end < t <
+        # slope_start leaves a line slope on each side of t.  In the order limit 1 - 2**-52 absorbs
+        # the quotient's rounding, and the 1 keeps l + m a finite float
+        self._store(source, tau, v, lines, shift, x_max, margins, slopes, by_slope, min(slope_start, by_slope[-1][1]),
+                    max(slope_end, by_slope[0][1]), math.floor(sys.float_info.max * (1 - 2**-52) / max(1.0, x_max, g_start)))
 
     @property
     def hausdorff_bound(self) -> float:
@@ -130,7 +124,7 @@ class SmoothDomain2D(_Frozen):
         """g(x), the weights' total and each line's soft-min weight, taken relative to the
         lowest line at x, in one pass; (lowest - val) / tau is -(val - lowest) / tau bit for bit."""
         exp, tau = math.exp, self.tau
-        vals = [c + s * x for c, s in self._pairs]
+        vals = [c + s * x for c, s in self.lines]
         lowest = min(vals)
         weights = [exp((lowest - val) / tau) for val in vals]
         total = sum(weights)
@@ -161,19 +155,20 @@ class OrbitSplit(_Frozen):
     hyperbolic_cz: int
 
 
-def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[_Line]:
-    """Supporting lines of the boundary graph, with shallow slopes tilted
-    down to ``-slope_floor`` about the edge's left endpoint.  Each float is
-    one quotient of the domain's lattice integers, which int true division
-    rounds correctly, so it equals the float of the Fraction bit for bit: the
-    slope is -``domain._steep``, as (-a)/b = -(a/b), and -oo on an overflow."""
-    lines: list[_Line] = []
+def _edge_lines(domain: MomentDomain2D, slope_floor: float) -> list[tuple[float, float]]:
+    """Supporting lines c + s*x of the boundary graph as plain (c, s) pairs,
+    shallow slopes tilted down to ``-slope_floor`` about the edge's left
+    endpoint.  Each float is one quotient of the domain's lattice integers,
+    which int true division rounds correctly, so it equals the float of the
+    Fraction bit for bit: the slope is -``domain._steep``, as (-a)/b =
+    -(a/b), and -oo on an overflow."""
+    lines = []
     xs, ys, scale = domain._xs, domain._ys, domain._denominator
     for x1, x2, y1, steep in zip(xs, xs[1:], ys, domain._steep):
         if x1 == x2:
             continue  # final vertical drop, handled by the steep cap
         s = min(0.0 - steep, -slope_floor)  # 0.0 - keeps a flat edge's slope +0.0, as 0 / (x2 - x1) is
-        lines.append(_Line(y1 / scale - s * (x1 / scale), s))
+        lines.append((y1 / scale - s * (x1 / scale), s))
     return lines
 
 
@@ -182,13 +177,15 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
 
     shift = tau*log(N) + margin + support(Omega, (-s_cap0, 1)) - b over the
     N lines, read from the proof below.  Construction and its certificate
-    take O(V) work, two soft-min passes and two O(log V) support calls.
+    take O(V) work, two soft-min passes and two O(log V) lattice reads of
+    that support value, each one int division.
 
     Raises SlopeConditionUnreachable when the certificate of the boundary
     invariants fails, which happens when v is too small (or tau too large)
     for the requested polygon, and ValueError when an extent, an edge slope
-    or the floor's L leaves the float range.  Rounding c*Omega at c*tau
-    gives c times every length and action of rounding Omega at tau.
+    or the floor's L, which the SmoothDomain2D constructor checks, leaves
+    the float range.  Rounding c*Omega at c*tau gives c times every length
+    and action of rounding Omega at tau.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
@@ -203,21 +200,17 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     if slope_floor >= v / 2.0:
         raise SlopeConditionUnreachable("tau too large relative to v for a slope floor")
     edge_lines = _edge_lines(domain, slope_floor)
-    if edge_lines[-1].s == -math.inf:  # slopes fall, so an overflow shows in the last
+    if edge_lines[-1][1] == -math.inf:  # slopes fall, so an overflow shows in the last
         raise ValueError("the polygon's size is outside the float range: an edge slope overflows a float")
 
     # slopes fall strictly and tilting sets a shallow prefix to exactly
     # -slope_floor, so the last line is the steepest
-    s_cap1 = -max(2.0 / v, 2.0 * abs(edge_lines[-1].s))
+    s_cap1 = -max(2.0 / v, 2.0 * abs(edge_lines[-1][1]))
     n_lines = len(edge_lines) + 2
     margin = tau * math.log(8.0 * n_lines * (abs(s_cap1) + 1.0) / v)
 
-    s_cap0 = max(edge_lines[0].s, -v / 2.0)
-    cap0 = _Line(b - margin, s_cap0)
-
+    s_cap0 = max(edge_lines[0][1], -v / 2.0)
     x_max = a + (f_end + 2.0 * margin) / abs(s_cap1) if f_end > 0.0 else a
-    cap1 = _Line(-margin + abs(s_cap1) * x_max, s_cap1)
-    _in_float_range(max(abs(c) + abs(s) * x_max for c, s in (*edge_lines, cap0, cap1)), "size (the resolution floor's L)")
 
     # largest dip y - (c + s*x) of any line below a vertex (x, y).  An
     # untilted edge line lies on or above the concave f.  Tilted edges, if
@@ -226,10 +219,14 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     # margin - (b - y_i - slope_floor * x_i) >= margin more than the tilted
     # line through (x_i, y_i), as y_i >= b - slope_floor * x_i.  cap1 dips
     # at most margin, cap0's dip at (0, b).  So the largest dip is cap0's,
-    # max(y - s_cap0 * x) - (b - margin), a support value
-    max_dip = margin + float(support(domain, (Fraction(-s_cap0), 1))) - b
+    # max(y - s_cap0 * x) - (b - margin), a support value read off the lattice:
+    # -s_cap0 is exactly p/q, and int true division rounds correctly; past the
+    # largest float it reads +inf, and the constructor then rejects L by name
+    p, q = (-s_cap0).as_integer_ratio()
+    max_dip = margin + _quotient(_lattice_support(domain, p, q), q * domain._denominator) - b
     shift = tau * math.log(n_lines) + max_dip
-    smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=(*edge_lines, cap0, cap1), shift=shift, x_max=x_max)
+    lines = (*edge_lines, (b - margin, s_cap0), (-margin + abs(s_cap1) * x_max, s_cap1))
+    smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=lines, shift=shift, x_max=x_max)
     _verify(smooth)
     return smooth
 
@@ -251,15 +248,16 @@ def _verify(smooth: SmoothDomain2D) -> None:
     round_domain), up to the float error 4*gamma_2*L of shift and dip."""
     # where a check fails, the clamp has not moved g'(0) or g'(x_max): it moves
     # them only to slopes in [-v/2, 0) or below -2/v (see round_domain)
-    d0, d1, v, tau = smooth._slope_start, smooth._slope_end, smooth.v, smooth.tau
-    slope_start = f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}"
-    messages = (f"tau = {tau:.6g} is below the float resolution floor {tau - smooth.margins.resolution:.6g} of this polygon",
-                slope_start, slope_start, f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}",
+    slope_start = "g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}"
+    messages = ("tau = {tau:.6g} is below the float resolution floor {floor:.6g} of this polygon",
+                slope_start, slope_start, "g'(x_max) = {d1:.6g} is not below -1/v = {bound:.6g}",
                 "g(0) strays from b beyond the reported bound", "g(x_max) is not within the reported bound of 0",
                 "containment failed: g dips below the polygon boundary")
     for check, margin, message in zip(Margins._fields, smooth.margins, messages):
         if not (margin > 0.0 if check in ("slope_start_high", "slope_end") else margin >= 0.0):
-            raise SlopeConditionUnreachable(message, check, margin)
+            tau, v = smooth.tau, smooth.v  # only the failing check's message is formatted
+            raise SlopeConditionUnreachable(message.format(tau=tau, floor=tau - smooth.margins.resolution, d0=smooth._slope_start,
+                                                           d1=smooth._slope_end, v=v, bound=-1.0 / v), check, margin)
 
 
 def _newton(f, x_max: float, x: float):

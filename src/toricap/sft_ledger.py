@@ -429,7 +429,7 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
     # the bottom's energy is the sum of its positive-end actions
     bottom = CurveNode("bottom", 0, "cotangent", 0, Fraction(1) + share * n, tuple(bottom_punctures))
     nodes = (bottom, *planes)
-    return Building(nodes=nodes, total_index=0, energy_budget=_exact_sum([nd.energy for nd in nodes]))
+    return Building(nodes=nodes, total_index=0, energy_budget=3 + eps)  # the bottom's 2, the planes' n * (1/n), eps
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,17 @@ class TestValidationParity:
         expected = outcome(validate_with_fractions, vertices)
         assert expected[0] != "ok"
         assert outcome(make_polygon_domain, vertices) == outcome(construct_directly, vertices) == expected
+        assert outcome(MomentDomain2D, vertices) == expected  # the raw list: the constructor coerces it
+
+    def test_the_constructor_coerces_its_vertices(self):
+        # a raw vertex list makes the value make_polygon_domain makes, hashable and of Fraction pairs
+        direct, made = MomentDomain2D([(0, 1), ("1/2", 0)]), make_polygon_domain([(0, 1), ("1/2", 0)])
+        assert direct == made and hash(direct) == hash(made) and direct.vertices == ((F(0), F(1)), (F(1, 2), F(0)))
+        # a coordinate as_rational refuses raises its TypeError, before the vertex count is checked
+        for vertices in ([(0, 1.5), (1, 0)], [(0, True), (1, 0)], [(0, 1.5)]):
+            with pytest.raises(TypeError) as info:
+                MomentDomain2D(vertices)
+            assert str(info.value) == str(pytest.raises(TypeError, as_rational, vertices[0][1]).value)
 
     def test_mutated_polygons_match_the_reference(self, concave_polygon):
         # each mutation moves, repeats, splits or swaps vertices of a valid

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from toricap.rounding_reeb import (
     SmoothDomain2D,
     TooManyFamilies,
     _edge_lines,
-    _Line,
     _newton,
     _verify,
     boundary_polyline,
@@ -40,6 +40,7 @@ from test_moment_domain import lattice_polygons
 
 TAU = 1e-3
 V = 1.0 / 32.0
+FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 # Oracles: the soft-min evaluation written out per call, the kink scan for
@@ -64,28 +65,22 @@ def replace(value, **changes):
     return type(value)(**{**{name: getattr(value, name) for name in value.__match_args__}, **changes})
 
 
-def plain_lines(smooth):
-    """smooth.lines as plain (c, s) tuples, which a list pass unpacks faster than the namedtuples;
-    the oracles that evaluate g many times make them once and pass them down as ``lines``."""
-    return [tuple(line) for line in smooth.lines]
-
-
 # each oracle pass is one list over the (c, s) pairs; (lowest - val) / tau
 # is -(val - lowest) / tau bit for bit, as negation is exact
-def oracle_value(smooth, x, lines=None):
-    exp, tau, lines = math.exp, smooth.tau, smooth.lines if lines is None else lines
-    vals = [c + s * x for c, s in lines]
+def oracle_value(smooth, x):
+    exp, tau = math.exp, smooth.tau
+    vals = [c + s * x for c, s in smooth.lines]
     lowest = min(vals)
     total = sum([exp((lowest - val) / tau) for val in vals])
     return smooth.shift + lowest - tau * math.log(total)
 
 
-def oracle_derivative(smooth, x, lines=None):
-    exp, tau, lines = math.exp, smooth.tau, smooth.lines if lines is None else lines
-    vals = [c + s * x for c, s in lines]
+def oracle_derivative(smooth, x):
+    exp, tau = math.exp, smooth.tau
+    vals = [c + s * x for c, s in smooth.lines]
     lowest = min(vals)
     weights = [exp((lowest - val) / tau) for val in vals]
-    return sum([w * s for w, (_, s) in zip(weights, lines)]) / sum(weights)
+    return sum([w * s for w, (_, s) in zip(weights, smooth.lines)]) / sum(weights)
 
 
 def oracle_shift(smooth):
@@ -102,10 +97,9 @@ def oracle_gauss_point(smooth, d):
     slopes can round past all of them and exact g' never does."""
     if d.l == 0 or d.m == 0:
         return None
-    target, lines = -d.l / d.m, plain_lines(smooth)
-    slopes = [s for _, s in lines]
-    start = min(oracle_derivative(smooth, 0.0, lines), max(slopes))
-    end = max(oracle_derivative(smooth, smooth.x_max, lines), min(slopes))
+    target, slopes = -d.l / d.m, [s for _, s in smooth.lines]
+    start = min(oracle_derivative(smooth, 0.0), max(slopes))
+    end = max(oracle_derivative(smooth, smooth.x_max), min(slopes))
     if not (end < target < start):
         return None
 
@@ -115,14 +109,14 @@ def oracle_gauss_point(smooth, d):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if keep_left(oracle_derivative(smooth, mid, lines)):
+            if keep_left(oracle_derivative(smooth, mid)):
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
     x = 0.5 * (bisect(lambda s: s > target) + bisect(lambda s: s >= target))
-    return (x, oracle_value(smooth, x, lines))
+    return (x, oracle_value(smooth, x))
 
 
 EXACT = decimal.Context(prec=80, Emin=-10**9, Emax=10**9)
@@ -286,23 +280,23 @@ def oracle_points(smooth, grid):
 
 def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
     """The grid checks with f read exactly from the polygon in Fractions."""
-    domain, v, lines = smooth.source, smooth.v, plain_lines(smooth)
+    domain, v = smooth.source, smooth.v
     vertex_xs = [x for x, _ in domain.vertices]
     a, b = float(domain.x_extent), float(domain.y_extent)
-    d0 = derivative(smooth, 0.0, lines)
+    d0 = derivative(smooth, 0.0)
     if not (-v <= d0 < 0.0):
         raise SlopeConditionUnreachable(f"g'(0) = {d0:.6g} is outside [-v, 0) for v = {v:.6g}")
-    d1 = derivative(smooth, smooth.x_max, lines)
+    d1 = derivative(smooth, smooth.x_max)
     if not (d1 < -1.0 / v):
         raise SlopeConditionUnreachable(f"g'(x_max) = {d1:.6g} is not below -1/v = {-1.0 / v:.6g}")
-    if abs(oracle_value(smooth, 0.0, lines) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
+    if abs(oracle_value(smooth, 0.0) - b) > smooth.hausdorff_bound * (1.0 + 1e-9):
         raise SlopeConditionUnreachable("g(0) strays from b beyond the reported bound")
-    g_end = oracle_value(smooth, smooth.x_max, lines)
+    g_end = oracle_value(smooth, smooth.x_max)
     if not (-1e-9 <= g_end <= smooth.hausdorff_bound * (1.0 + 1e-9)):
         raise SlopeConditionUnreachable("g(x_max) is not within the reported bound of 0")
     prev_slope = None
     for x in oracle_points(smooth, grid):
-        slope = derivative(smooth, x, lines)
+        slope = derivative(smooth, x)
         if slope >= 0.0:
             raise SlopeConditionUnreachable("g is not strictly decreasing")
         if prev_slope is not None and slope > prev_slope + 1e-9 * (1.0 + abs(prev_slope)):
@@ -310,7 +304,7 @@ def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
         prev_slope = slope
         if x <= a:
             fx = oracle_f(domain, vertex_xs, x)
-            gx = oracle_value(smooth, x, lines)
+            gx = oracle_value(smooth, x)
             if gx < fx - 1e-9 * (1.0 + abs(fx)):
                 raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
             if gx - fx > smooth.shift * (1.0 + 1e-9) + 1e-12:
@@ -347,7 +341,7 @@ def oracle_edge_lines(domain, slope_floor):
     for (x1, y1), (x2, y2) in edges(domain):
         if x2 != x1:
             s = min(float((y2 - y1) / (x2 - x1)), -slope_floor)
-            lines.append(_Line(float(y1) - s * float(x1), s))
+            lines.append((float(y1) - s * float(x1), s))
     return lines
 
 
@@ -360,7 +354,7 @@ def edge_lines_by_integer_ratios(domain, slope_floor):
         if x2n * x1d == x1n * x2d:
             continue
         s = min((y2n * y1d - y1n * y2d) * x1d * x2d / ((x2n * x1d - x1n * x2d) * y1d * y2d), -slope_floor)
-        lines.append(_Line(y1n / y1d - s * (x1n / x1d), s))
+        lines.append((y1n / y1d - s * (x1n / x1d), s))
     return lines
 
 
@@ -394,10 +388,9 @@ def oracle_support_smooth(smooth, l, m):
         return l * smooth.x_max
     if l == 0:
         return m * oracle_value(smooth, 0.0)
-    lines = plain_lines(smooth)
 
     def h(x):
-        return l * x + m * oracle_value(smooth, x, lines)
+        return l * x + m * oracle_value(smooth, x)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, smooth.x_max
@@ -641,18 +634,18 @@ class TestRounding:
                     assert smooth.hausdorff_bound == smooth.shift + (smooth.x_max - a)
 
     def test_two_support_calls_per_rounding(self, monkeypatch):
-        # one reads the shift, the other re-reads cap0's dip for the
-        # containment certificate; neither grows with the vertex count
+        # two lattice support reads: one for the shift, the other re-reads
+        # cap0's dip for the containment certificate; neither grows with V
         calls = 0
-        real_support = toricap.rounding_reeb.support
+        real_support = toricap.rounding_reeb._lattice_support
 
-        def counting_support(domain, v):
+        def counting_support(domain, p, q):
             nonlocal calls
             calls += 1
-            return real_support(domain, v)
+            return real_support(domain, p, q)
 
-        monkeypatch.setattr(toricap.rounding_reeb, "support", counting_support)
-        for domain in scaled_polygons():
+        monkeypatch.setattr(toricap.rounding_reeb, "_lattice_support", counting_support)
+        for domain in [*scaled_polygons(), random_unit_polygon(random.Random(67), 200)]:
             calls = 0
             round_domain(domain, TAU, V)
             assert calls == 2
@@ -772,6 +765,9 @@ class TestRounding:
             ([(0, "1e-400"), (1, 0)], 1e-3, "y extent b is outside the float range (0.0 as a float)"),
             # the floor's L once overflowed, reported as "resolution floor inf"
             ([(0, "1e307"), ("1e307", 0)], 1e304, "size (the resolution floor's L) is outside the float range (inf as a float)"),
+            # cap0's dip, read before the constructor checks L, overflows here too
+            ([(0, FLOAT_MAX), (FLOAT_MAX, FLOAT_MAX), (FLOAT_MAX, 0)], 1e300,
+             "size (the resolution floor's L) is outside the float range (inf as a float)"),
             # an edge slope past the largest float once overflowed in _edge_lines
             ([(0, "1e300"), (1, "1e299"), ("1.000000000000000000000000000000000001", 0)], 1e-3,
              "size is outside the float range: an edge slope overflows a float"),
@@ -782,6 +778,15 @@ class TestRounding:
         with pytest.raises(ValueError) as info:
             round_domain(domain, tau, V)
         assert str(info.value) == f"the polygon's {message}"
+
+    def test_a_built_domain_checks_the_floors_l(self):
+        # the constructor checks L itself, so a domain built, copied or unpickled outside
+        # round_domain cannot carry a resolution floor of inf
+        smooth = round_domain(make_polygon_domain([(0, "1e300"), ("1e300", 0)]), 1e297, V)
+        (_, s), *rest = smooth.lines
+        with pytest.raises(ValueError) as info:
+            replace(smooth, lines=((sys.float_info.max, s), *rest))  # L = max + 1e300 overflows
+        assert str(info.value) == "the polygon's size (the resolution floor's L) is outside the float range (inf as a float)"
 
     def test_concavity_of_derivative_samples(self, rounded_pentagon):
         xs = [rounded_pentagon.x_max * i / 512 for i in range(513)]
@@ -1176,7 +1181,7 @@ class TestAgainstOracles:
             "slope_start_low": replace(smooth, v=-smooth.derivative(0.0) / 2),
             "slope_end": replace(smooth, x_max=smooth.x_max / 2),
             # raised lines lift g(0) but not the reported bound
-            "g_start": replace(smooth, lines=tuple(ln._replace(c=ln.c + 2 * smooth.hausdorff_bound) for ln in smooth.lines)),
+            "g_start": replace(smooth, lines=tuple((c + 2 * smooth.hausdorff_bound, s) for c, s in smooth.lines)),
             "g_end": replace(smooth, shift=smooth.shift - 2 * smooth.margins.g_end),
             "containment": replace(smooth, shift=smooth.shift - 1e-7),
         }
@@ -1191,12 +1196,12 @@ class TestAgainstOracles:
         # the sweep oracle still detects them on hand-broken domains
         smooth = self.square_at_coarse_tau()
         # g sits a further shift above where its reported shift puts it
-        raised = replace(smooth, lines=tuple(ln._replace(c=ln.c + smooth.shift) for ln in smooth.lines))
+        raised = replace(smooth, lines=tuple((c + smooth.shift, s) for c, s in smooth.lines))
         assert verdict(oracle_verify, raised) == GAP_MESSAGE
 
         # g' rises by 0.005 at x = 1/2, where it is about -0.01
-        def bumped(smooth, x, lines):
-            return oracle_derivative(smooth, x, lines) + (0.005 if x >= 0.5 else 0.0)
+        def bumped(smooth, x):
+            return oracle_derivative(smooth, x) + (0.005 if x >= 0.5 else 0.0)
 
         message = verdict(lambda sm: oracle_verify(sm, derivative=bumped), smooth)
         assert message == "g' fails to be non-increasing on the grid"

@@ -3,6 +3,7 @@ fields alone, attributes that cannot be set or deleted, no __dict__, and
 copies and pickles that equal the original, all from one base class."""
 import copy
 import inspect
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from toricap import capacities, moment_domain, rounding_reeb, sft_ledger
 from toricap.capacities import AxisMultiple, CapacityReport, Cylinder, LowerBound, Polydisk, ProjectiveSpace
 from toricap.moment_domain import EllipsoidSpec, LatticeDirection, _Frozen, equal_diagonal_enclosing_ellipsoids, make_polygon_domain
-from toricap.rounding_reeb import Margins, OrbitSplit, ReebOrbitFamily, _Line, round_domain
+from toricap.rounding_reeb import Margins, OrbitSplit, ReebOrbitFamily, round_domain
 from toricap.sft_ledger import Building, CheckResult, CurveNode, Puncture, ValidationReport
 
 TRIANGLE = make_polygon_domain([(0, 1), (1, 0)])
@@ -46,7 +47,7 @@ REPRS = [
      "underlying_simple=LatticeDirection(l=1, m=1))"),
     (OrbitSplit(9, 8), "OrbitSplit(elliptic_cz=9, hyperbolic_cz=8)"),
     (ROUNDED, f"SmoothDomain2D(source=MomentDomain2D(vertices=({FRACTIONS_0_1})), tau=0.01, v=0.1, "
-              "lines=(_Line(c=1.0, s=-1.0), _Line(c=0.9147483863893459, s=-0.05), _Line(c=19.914748386389345, s=-20.0)), "
+              "lines=((1.0, -1.0), (0.9147483863893459, -0.05), (19.914748386389345, -20.0)), "
               "shift=0.09623773649733536, x_max=1.0)"),
     (CheckResult("tree", "pass"), "CheckResult(check='tree', status='pass', detail='')"),
     (ValidationReport((CheckResult("levels", "fail", "occupied levels [0, 2]"),)),
@@ -131,22 +132,26 @@ def test_constructors_take_positions_and_keywords_as_the_dataclasses_did():
         assert str(info.value) == message
 
 
-def test_lines_and_margins_are_named_tuples():
-    line, margins = ROUNDED.lines[0], ROUNDED.margins
-    assert line == (1.0, -1.0) and line._replace(c=2.0) == _Line(2.0, -1.0) and line._asdict() == {"c": 1.0, "s": -1.0}
+def test_lines_are_plain_pairs_and_margins_a_named_tuple():
+    lines, margins = ROUNDED.lines, ROUNDED.margins
+    assert type(lines) is tuple and lines[0] == (1.0, -1.0)
+    assert all(type(line) is tuple and list(map(type, line)) == [float, float] for line in lines)
     assert tuple(margins) == margins and list(margins._asdict()) == list(Margins._fields)
     assert Margins._fields == ("resolution", "slope_start_low", "slope_start_high", "slope_end", "g_start", "g_end",
                                "containment")
 
 
 def test_every_value_type_takes_its_semantics_from_the_one_base():
-    # the public classes with fields; only the two named tuples, which are tuples, are exempt
+    # the public classes with fields; only the named tuple Margins, a tuple, is exempt
     found = [cls for module in (moment_domain, capacities, rounding_reeb, sft_ledger)
              for name, cls in vars(module).items()
              if inspect.isclass(cls) and cls.__module__ == module.__name__ and not name.startswith("_")
-             and hasattr(cls, "__match_args__") and cls not in (Margins, _Line)]
+             and hasattr(cls, "__match_args__") and cls is not Margins]
     assert {Puncture, CurveNode, Building, CheckResult, ReebOrbitFamily, AxisMultiple}.issubset(found)
     for cls in found:
         assert issubclass(cls, _Frozen), cls
         assert cls.__match_args__ == cls.__slots__[:len(cls.__match_args__)], cls
         assert not {"__eq__", "__hash__", "__repr__", "__reduce__"} & set(vars(cls)), cls
+    # and every value type stores its fields through _Frozen._store, never past the base's __setattr__
+    sources = pathlib.Path(moment_domain.__file__).parent.glob("*.py")
+    assert [path.name for path in sources if "object.__setattr__" in path.read_text()] == []
