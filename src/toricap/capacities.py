@@ -20,6 +20,7 @@ from .moment_domain import (
     MomentDomain2D,
     _Frozen,
     _lattice_support,
+    _sequence,
     as_rational,
     diagonal,
     support,  # noqa: F401 -- still a name of this module: the benchmark tracer wraps it
@@ -90,11 +91,9 @@ def gh_spectrum_ellipsoid(e: EllipsoidSpec, k: int) -> CapacityReport:
     j = ceil(k*A/(A + B)), in O(1).  Where they are equal, N is i + j, k or
     k + 1, and the a-multiple is the k-th entry iff i + j = k + 1.
     """
-    if e.dim != 2:
-        raise ValueError("the spectrum path is defined for 4-dimensional ellipsoids")
+    a, b = e.axes_4d()
     if type(k) is not int or k < 1:
         raise ValueError("k must be a positive integer")
-    a, b = e.axes
     common = a.denominator * b.denominator
     big_a = a.numerator * b.denominator   # a = big_a / common
     big_b = b.numerator * a.denominator
@@ -112,9 +111,7 @@ def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
     k = p + q it is p*a = q*b, exactly the k-th spectrum entry.  So the
     answer is p + q, in O(1).
     """
-    if e.dim != 2:
-        raise ValueError("defined for 4-dimensional ellipsoids")
-    a, b = e.axes
+    a, b = e.axes_4d()
     n, m = b.numerator * a.denominator, b.denominator * a.numerator  # b/a = n/m
     return (n + m) // math.gcd(n, m)  # p + q, as p = n/g and q = m/g for g = gcd(n, m)
 
@@ -125,22 +122,34 @@ def find_k_equal_diagonal(e: EllipsoidSpec) -> int:
 
 class ProjectiveSpace(_Frozen):
     __slots__ = __match_args__ = ("n",)
-    n: int
+
+    def __init__(self, n: int):
+        if type(n) is not int or n < 1:
+            raise UnsupportedShape("projective space dimension must be >= 1")
+        self._store(n)
 
 
 class Cylinder(_Frozen):
     """Unit ball factor B^{2k}(1) times C^m."""
 
     __slots__ = __match_args__ = ("k", "m")
-    k: int
-    m: int
+
+    def __init__(self, k: int, m: int):
+        if type(k) is not int or type(m) is not int or k < 1 or m < 0:
+            raise UnsupportedShape("cylinder needs k >= 1 and m >= 0")
+        self._store(k, m)
 
 
 class Polydisk(_Frozen):
-    """B^2(1) x B^2(r_1) x ... x B^2(r_m) with every r_i >= 1."""
+    """B^2(1) x B^2(r_1) x ... x B^2(r_m) with every r_i >= 1, the radii given as a list or tuple."""
 
     __slots__ = __match_args__ = ("radii",)
-    radii: tuple[Fraction, ...]
+
+    def __init__(self, radii: Sequence[Fraction | int | str]):
+        radii = tuple([as_rational(r) for r in _sequence(radii, "polydisk radii")])
+        if not radii or any(r < 1 for r in radii):
+            raise UnsupportedShape("polydisk factors must all have capacity >= 1")
+        self._store(radii)
 
 
 class LowerBound(_Frozen):
@@ -157,26 +166,20 @@ def lagrangian_capacity(shape: Shape) -> Fraction | LowerBound:
     """Lagrangian capacity for the shapes where it is known exactly.
 
     An ellipsoid answers with its diagonal when it is 4-dimensional or a
-    ball ``ball(c, n)``, whose diagonal is c/n.  A moment polygon, a
-    generic convex toric domain, only gets the diagonal as a lower bound,
-    so it returns a tagged LowerBound rather than a bare number.
+    ball ``ball(c, n)``, whose diagonal is c/n; a moment polygon, a generic
+    convex toric domain, gets the diagonal only as a tagged LowerBound.
+    Each shape's constructor checks it, so UnsupportedShape is raised only
+    for a non-ball ellipsoid above dimension 4 and for an unknown type.
     """
     if isinstance(shape, ProjectiveSpace):
-        if shape.n < 1:
-            raise UnsupportedShape("projective space dimension must be >= 1")
         return Fraction(1, shape.n + 1)
     if isinstance(shape, EllipsoidSpec):
-        if shape.dim != 2 and shape.axes[0] != shape.axes[-1]:
+        if len(shape.axes) > 2 and shape.axes[0] != shape.axes[-1]:
             raise UnsupportedShape("only 4-dimensional ellipsoids and balls have a known value here")
         return diagonal(shape)
     if isinstance(shape, Cylinder):
-        if shape.k < 1 or shape.m < 0:
-            raise UnsupportedShape("cylinder needs k >= 1 and m >= 0")
         return Fraction(1, shape.k)
     if isinstance(shape, Polydisk):
-        radii = tuple(as_rational(r) for r in shape.radii)
-        if not radii or any(r < 1 for r in radii):
-            raise UnsupportedShape("polydisk factors must all have capacity >= 1")
         return Fraction(1)
     if isinstance(shape, MomentDomain2D):
         return LowerBound(diagonal(shape))

@@ -47,8 +47,8 @@ def _fmt_float(x: float) -> str:
 def _parse_payload(parse, text: str):
     """Run a JSON parser; a JSON syntax error, JSON nested too deeply, and
     the TypeError, IndexError, AttributeError or KeyError a malformed payload
-    raises (a float coordinate, a list where an object belongs, a vertex
-    missing a coordinate, a missing field), becomes an InputError."""
+    raises (a float coordinate, a list where an object belongs, a string
+    where an array belongs, a missing field), becomes an InputError."""
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
@@ -63,8 +63,7 @@ def _parse_payload(parse, text: str):
 
 def _load_domain(args) -> MomentDomain2D | EllipsoidSpec:
     if getattr(args, "ellipsoid", None):
-        axes = tuple(as_rational(part) for part in args.ellipsoid.split(","))
-        return EllipsoidSpec(axes)
+        return EllipsoidSpec(args.ellipsoid.split(","))
     spec = args.polygon
     if not spec:  # lagcap offers --polygon only
         options = "exactly one of --ellipsoid or --polygon" if "ellipsoid" in args else "--polygon"
@@ -87,11 +86,7 @@ def _rational_pair(text: str, option: str) -> tuple[Fraction, Fraction]:
 
 
 def _require_polygon(domain) -> MomentDomain2D:
-    if isinstance(domain, EllipsoidSpec):
-        if domain.dim != 2:
-            raise InputError("a 4-dimensional domain is required here")
-        return domain.simplex_domain()
-    return domain
+    return domain.simplex_domain() if isinstance(domain, EllipsoidSpec) else domain
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -293,11 +288,11 @@ def _shape_from_args(args) -> capacities.Shape:
     if kind == "projective":
         return capacities.ProjectiveSpace(n=args.n)
     if kind == "ellipsoid4":
-        return EllipsoidSpec(tuple(sorted(_rational_pair(args.axes, "--axes"))))
+        return EllipsoidSpec(sorted(_rational_pair(args.axes, "--axes")))
     if kind == "cylinder":
         return capacities.Cylinder(k=args.n, m=args.m)
     if kind == "polydisk":
-        return capacities.Polydisk(radii=tuple(as_rational(r) for r in args.radii.split(",")))
+        return capacities.Polydisk(radii=args.radii.split(","))
     return _require_polygon(_load_domain(args))  # "toric", the last of the parser's choices
 
 
@@ -330,12 +325,11 @@ def cmd_ledger(args) -> int:
         _emit(args, json.dumps(sft_ledger.forced_morse_indices(args.n)))
         return EXIT_OK
     if args.partition:
-        eps = as_rational(args.epsilon)
         if args.areas:
-            violations = sft_ledger.energy_partition_check(args.n, eps, [as_rational(x) for x in args.areas.split(",")])
+            violations = sft_ledger.energy_partition_check(args.n, args.epsilon, args.areas.split(","))
             _emit(args, json.dumps({"valid": not violations, "violations": list(violations)}, indent=2))
             return EXIT_VALIDATION if violations else EXIT_OK
-        solutions = sft_ledger.energy_partition_solve(args.n, eps)
+        solutions = sft_ledger.energy_partition_solve(args.n, args.epsilon)
         payload = [[format_rational(x) for x in sol] for sol in solutions]
         _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
@@ -343,7 +337,7 @@ def cmd_ledger(args) -> int:
     if args.canonical_ball_building is not None:
         if args.canonical_ball_building > _BUILDING_N_LIMIT:
             raise InputError(f"--canonical-ball-building {args.canonical_ball_building} is too large: the limit is {_BUILDING_N_LIMIT}")
-        building = sft_ledger.canonical_ball_building(args.canonical_ball_building, as_rational(args.epsilon))
+        building = sft_ledger.canonical_ball_building(args.canonical_ball_building, args.epsilon)
     else:
         with open(args.building, "r", encoding="utf-8") as fh:
             building = _parse_payload(sft_ledger.building_from_json, fh.read())

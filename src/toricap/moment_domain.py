@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import itemgetter, sub
 
 RationalLike = int | str | Fraction
+DECIMAL_EXPONENT_LIMIT = 1000  # the largest |e| of a decimal string 'mEe' that as_rational reads: Fraction builds 10**|e|
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 class DomainValidationError(ValueError):
@@ -53,12 +56,15 @@ class PreconditionViolated(ValueError):
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' or decimal strings to Fraction."""
+    """Coerce ints, Fractions, and 'p/q' or decimal strings, |exponent| <= DECIMAL_EXPONENT_LIMIT, to Fraction."""
     if type(value) is Fraction:  # tested first, and a subclass last, as isinstance(value, Fraction) is an ABC check
         return value  # immutable, so no copy is needed
     if isinstance(value, bool):
         raise TypeError(f"booleans are not accepted as rational numbers, got {value!r}")
     if isinstance(value, (int, str)):
+        exponent = _EXPONENT.search(value) if isinstance(value, str) and ("e" in value or "E" in value) else None
+        if exponent and (len(digits := exponent[1].replace("_", "").lstrip("0")) > 9 or int(digits or 0) > DECIMAL_EXPONENT_LIMIT):
+            raise ValueError(f"decimal exponent out of range in {value!r}: |e| may be at most {DECIMAL_EXPONENT_LIMIT}")
         try:
             return Fraction(value)  # strips surrounding whitespace itself
         except ZeroDivisionError:
@@ -70,6 +76,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not accepted in exact-arithmetic inputs; pass a string or Fraction")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _sequence(value, name: str, size: int = 0) -> list | tuple:
+    """value when it is a list or tuple, of ``size`` items if size is not 0; else a TypeError naming it."""
+    if type(value) not in (list, tuple) or size and len(value) != size:
+        raise TypeError(f"{name} must be a list or tuple{f' of {size} items' if size else ''}, got {value!r:.80}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -151,7 +164,7 @@ class MomentDomain2D(_Frozen):
     """Moment polygon of a compact convex 4-dimensional toric domain.
 
     ``vertices`` lists the boundary graph from (0, b) to the x-axis as a
-    tuple of ``Fraction`` pairs, each coordinate coerced by ``as_rational``.
+    tuple of ``Fraction`` pairs, each from a two-item list or tuple by ``as_rational``.
     The x-coordinates increase strictly, except that a single final
     vertical edge (dropping to the axis at x = a) is allowed, so products
     such as the unit square are representable, and slopes are <= 0 and
@@ -169,7 +182,7 @@ class MomentDomain2D(_Frozen):
     __slots__ = (*__match_args__, "_denominator", "_xs", "_ys", "_steep", "_diag")
 
     def __init__(self, vertices: Iterable[Sequence[RationalLike]]):
-        vertices = tuple([(as_rational(p[0]), as_rational(p[1])) for p in vertices])
+        vertices = tuple([(as_rational(x), as_rational(y)) for p in vertices for x, y in [_sequence(p, "a vertex", 2)]])
         if len(vertices) < 2:
             raise BadEndpoints("at least two vertices are required")
         scale = math.lcm(*(c.denominator for p in vertices for c in p))
@@ -245,12 +258,12 @@ class MomentDomain2D(_Frozen):
 
 
 class EllipsoidSpec(_Frozen):
-    """Ellipsoid with positive rational semi-axes a_1 <= ... <= a_n (capacity units)."""
+    """Ellipsoid with positive rational semi-axes a_1 <= ... <= a_n (capacity units), given as a list or tuple."""
 
     __slots__ = __match_args__ = ("axes",)
 
-    def __init__(self, axes: tuple[RationalLike, ...]):
-        axes = tuple(as_rational(a) for a in axes)
+    def __init__(self, axes: Sequence[RationalLike]):
+        axes = tuple([as_rational(a) for a in _sequence(axes, "ellipsoid axes")])
         if not axes:
             raise ValueError("ellipsoid needs at least one axis")
         if any(a <= 0 for a in axes):
@@ -259,30 +272,27 @@ class EllipsoidSpec(_Frozen):
             raise ValueError("ellipsoid axes must be sorted non-decreasing")
         self._store(axes)
 
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
+    def axes_4d(self) -> tuple[Fraction, Fraction]:
+        """The axes (a, b) of a 4-dimensional ellipsoid; PreconditionViolated in any other dimension."""
+        if len(self.axes) != 2:
+            raise PreconditionViolated(f"a 4-dimensional ellipsoid is required, not one of dimension {2 * len(self.axes)}")
+        return self.axes
 
     def simplex_domain(self) -> MomentDomain2D:
         """Moment polygon of a 4-dimensional ellipsoid: the triangle with
         x-intercept axes[0] and y-intercept axes[1]."""
-        if self.dim != 2:
-            raise ValueError("simplex_domain is defined for n = 2 only")
-        a, b = self.axes
-        return make_polygon_domain([(0, b), (a, 0)])
+        a, b = self.axes_4d()
+        return MomentDomain2D([(0, b), (a, 0)])
 
 
 def ball(capacity: RationalLike, n: int) -> EllipsoidSpec:
-    """Round ball of the given capacity in dimension 2n, as an ellipsoid."""
-    c = as_rational(capacity)
-    return EllipsoidSpec(tuple([c] * n))
+    """Round ball of the given capacity in dimension 2n, as an ellipsoid; n must be an int."""
+    if type(n) is not int:
+        raise TypeError(f"the ball's n must be an integer, got {n!r}")
+    return EllipsoidSpec((as_rational(capacity),) * n)  # one coercion, not n
 
 
-def make_polygon_domain(vertices: Iterable[Sequence[RationalLike]]) -> MomentDomain2D:
-    """The moment polygon of a vertex list: ``MomentDomain2D`` coerces each
-    coordinate by ``as_rational`` and validates the result, raising
-    BadEndpoints, NotMonotone or NonConcave naming the violated invariant."""
-    return MomentDomain2D(vertices)
+make_polygon_domain = MomentDomain2D  # the moment polygon of a vertex list, coerced and checked by its constructor
 
 
 def diagonal(domain: MomentDomain2D | EllipsoidSpec) -> Fraction:
@@ -352,9 +362,7 @@ def included_in_ellipsoid(domain: MomentDomain2D, e: EllipsoidSpec) -> bool:
     The largest value of x/a + y/b over the region is exactly
     ``support(domain, (1/a, 1/b))``.
     """
-    if e.dim != 2:
-        raise ValueError("inclusion test requires a 4-dimensional ellipsoid")
-    a, b = e.axes
+    a, b = e.axes_4d()
     return support(domain, (1 / a, 1 / b)) <= 1
 
 
@@ -449,13 +457,11 @@ def diagonal_intersection_isolated(domain: MomentDomain2D, e: EllipsoidSpec) -> 
     region and slopes strictly decrease, so the vertices on it are one
     vertex or the two ends of a single edge: isolated iff fewer than two.
     """
-    if e.dim != 2:
-        raise PreconditionViolated("classification requires a 4-dimensional ellipsoid")
+    (a, b), j = e.axes_4d(), domain._diag
     if not included_in_ellipsoid(domain, e):
         raise PreconditionViolated("domain is not included in the ellipsoid")
     if diagonal(domain) != diagonal(e):
         raise PreconditionViolated("diagonals differ")
-    (a, b), j = e.axes, domain._diag
     return sum(x / a + y / b == 1 for x, y in domain.vertices[j - 1:j + 2]) < 2
 
 
@@ -480,8 +486,8 @@ def domain_from_json(text: str) -> MomentDomain2D | EllipsoidSpec:
         raise ValueError(f"domain JSON must be an object, not {type(payload).__name__}")
     kind = payload.get("type")
     if kind == "polygon":
-        return make_polygon_domain(payload["vertices"])
+        return MomentDomain2D(_sequence(payload["vertices"], "polygon vertices"))
     if kind == "ellipsoid":
-        return EllipsoidSpec(tuple(as_rational(a) for a in payload["axes"]))
+        return EllipsoidSpec(payload["axes"])
     raise ValueError(f"unknown domain type {kind!r}")
 

@@ -327,7 +327,7 @@ def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[f
     """Angular rotation rates (radians per unit time) of the Reeb flow
     over the boundary point w = (x, g(x)); both coordinates must be positive."""
     x, y = float(w[0]), float(w[1])
-    if x <= 0.0 or y <= 0.0:
+    if not (x > 0.0 and y > 0.0):  # nan fails too
         raise AxisPoint("rotation rates need both moment coordinates positive")
     g, slope, _ = smooth._evaluate(x)
     if abs(y - g) > 1e-9 * (1.0 + abs(y)):

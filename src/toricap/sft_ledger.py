@@ -4,8 +4,8 @@ Everything here is an identity, not an estimate: Fredholm indices of
 constrained punctured spheres, the Conley-Zehnder/Morse conversion in the
 zero-Maslov trivialization, the forced-structure solvers (minimal numbers
 of positive punctures, forced Morse indices, forced energy partitions),
-and a structural validator for two-level genus-zero buildings.  All
-arithmetic is exact; no floats.
+and a structural validator for two-level genus-zero buildings.  Integer
+arguments must be ints, not bools or floats, so all arithmetic is exact.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode_string
 
-from .moment_domain import RationalLike, _Frozen, as_rational, format_rational
+from .moment_domain import RationalLike, _Frozen, _sequence, as_rational, format_rational
 
 
 class EpsilonTooLarge(ValueError):
@@ -40,8 +40,8 @@ def cz_from_morse(morse: int) -> int:
     """Conley-Zehnder index of the orbit over a closed geodesic of the
     given Morse index, in the trivialization adjusted so the Maslov term
     vanishes (where the two indices agree)."""
-    if morse < 0:
-        raise ValueError("Morse index must be non-negative")
+    if type(morse) is not int or morse < 0:
+        raise ValueError(f"Morse index must be a non-negative integer, got {morse!r}")
     return morse
 
 
@@ -81,6 +81,8 @@ def punctured_sphere_index(n: int, cz_list: Sequence[int], tangency_order: int =
     """
     if not cz_list:
         raise ValueError("nonconstant curves carry at least one puncture")
+    if {type(n), type(tangency_order), *map(type, cz_list)} != {int}:
+        raise ValueError("n, each CZ and the tangency order must be integers")
     if tangency_order < 0:
         raise ValueError("tangency order must be non-negative")
     return (n - 3) * (2 - len(cz_list)) + sum(cz_list) - 2 * n + 2 - 2 * tangency_order
@@ -94,10 +96,10 @@ def min_positive_punctures(n: int, tangency_order: int, morse_bound: int) -> int
     for t = tangency_order, so l = max(1, ceil((4 + 2t) / (M - n + 3))),
     which is t + 2 (k + 1 for contact order k) when M = n - 1.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if tangency_order < 0 or morse_bound < 0:
-        raise ValueError("tangency order and Morse bound must be non-negative")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    if type(tangency_order) is not int or type(morse_bound) is not int or tangency_order < 0 or morse_bound < 0:
+        raise ValueError("tangency order and Morse bound must be non-negative integers")
     gain = morse_bound - n + 3
     if gain <= 0:
         raise IndexBoundUnreachable(f"Morse bound {morse_bound} <= n - 3: the index stays negative")
@@ -210,6 +212,8 @@ class CurveNode(_Frozen):
             raise ValueError(f"node {name} must be an integer, got {value!r}")
         if kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {kind!r}")
+        if type(punctures) is not tuple:  # O(1): its Puncture entries are left to the caller, as a pass costs more
+            raise ValueError(f"node punctures must be a tuple, got {type(punctures).__name__}")
         self._store(id, level, kind, index, energy if type(energy) is Fraction else as_rational(energy), punctures,
                     divisor_hits)
 
@@ -237,6 +241,8 @@ class Building(_Frozen):
     energy_budget: Fraction | None  # None by default
 
     def __init__(self, nodes, total_index=0, energy_budget=None):
+        if type(nodes) is not tuple or not {CurveNode}.issuperset(map(type, nodes)):
+            raise ValueError("building nodes must be a tuple of CurveNode values")
         if type(total_index) is not int:
             raise ValueError(f"building total_index must be an integer, got {total_index!r}")
         self._store(nodes, total_index, energy_budget if energy_budget is None else as_rational(energy_budget))
@@ -473,11 +479,11 @@ def building_from_json(text: str) -> Building:
         return parsed[value] if type(value) is str else value
 
     nodes = []
-    for nd in payload["nodes"]:
+    for nd in _sequence(payload["nodes"], "building nodes"):
         punctures = tuple([
             Puncture(p["cz"], rational(p["action"]), p["sign"],
                      tuple(pair) if type(pair := p.get("paired_with")) is list else pair)
-            for p in nd.get("punctures", [])
+            for p in _sequence(nd.get("punctures", []), "node punctures")
         ])
         nodes.append(CurveNode(nd["id"], nd["level"], nd["kind"], nd["index"], rational(nd["energy"]), punctures,
                                nd.get("divisor_hits", 0)))

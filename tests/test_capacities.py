@@ -305,6 +305,30 @@ class TestLagrangianCapacity:
         with pytest.raises(UnsupportedShape):
             lagrangian_capacity(Polydisk(radii=(Fraction(1, 2),)))
 
+    @pytest.mark.parametrize("make, error", [
+        (lambda: ProjectiveSpace(True), UnsupportedShape),
+        (lambda: ProjectiveSpace("3"), UnsupportedShape),
+        (lambda: ProjectiveSpace(0), UnsupportedShape),
+        (lambda: Cylinder(True, 0), UnsupportedShape),
+        (lambda: Cylinder(1, 1.5), UnsupportedShape),
+        (lambda: Cylinder(1, -1), UnsupportedShape),
+        (lambda: Polydisk("12"), TypeError),
+        (lambda: Polydisk(()), UnsupportedShape),
+        (lambda: Polydisk((True,)), TypeError),
+        (lambda: Polydisk(("1/2",)), UnsupportedShape),
+    ])
+    def test_shapes_are_checked_at_construction(self, make, error):
+        # before, lagrangian_capacity(ProjectiveSpace(True)) gave 1/2 and Polydisk("12") gave 1
+        with pytest.raises(error):
+            make()
+
+    def test_only_a_high_dimensional_non_ball_or_an_unknown_type_is_unsupported(self):
+        assert lagrangian_capacity(Polydisk(["1", "3/2"])) == 1
+        assert lagrangian_capacity(EllipsoidSpec(("2",))) == 2
+        for shape in (EllipsoidSpec((1, 1, 2)), (1, 2), "ball"):
+            with pytest.raises(UnsupportedShape):
+                lagrangian_capacity(shape)
+
     def test_generic_toric_lower_bound(self, square):
         assert lagrangian_capacity(square) == LowerBound(Fraction(1))
 

@@ -10,6 +10,7 @@ import resource
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricap.cli import main
+from toricap.sft_ledger import building_to_json, canonical_ball_building
 
 
 def run_cli(capsys, *argv):
@@ -804,7 +806,7 @@ class TestReadme:
 
 PYTHON_MESSAGES = (
     "Traceback", "invalid literal for int()", "Invalid literal for Fraction", "unsupported operand", "index out of range",
-    "Expecting", "Unterminated string", "Extra data",
+    "Expecting", "Unterminated string", "Extra data", "set_int_max_str_digits",
 )
 FUZZ_FILES = {
     "square.json": SQUARE,
@@ -840,7 +842,7 @@ def fuzz_dir(tmp_path_factory):
 fuzz_rationals = (
     st.fractions(0, 5, max_denominator=12).map(str)
     | st.builds("{}e{}".format, st.integers(1, 9), st.integers(-400, 400))  # past both ends of the float range
-    | st.sampled_from(["0.25", " 2 ", "-1", "1/0", "x", "", "nan"])
+    | st.sampled_from(["0.25", " 2 ", "-1", "1/0", "x", "", "nan", "1e-9999999", "1e4000000"])
 )
 fuzz_taus = st.floats(1e-4, 0.1).map(repr) | st.sampled_from(["0", "-1", "5", "nan", "inf", "x"])
 fuzz_vs = st.floats(0.01, 0.99).map(repr) | st.sampled_from(["0", "1", "nan", "x"])
@@ -915,3 +917,118 @@ def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, data):
     if code == 2:
         assert out.getvalue() == "", argv
     assert not [m for m in PYTHON_MESSAGES if m in err.getvalue()], (argv, err.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# wrong-shaped JSON: each field of a domain file and of a building file gets a value of a shape it never takes
+
+def _reads_as_rational(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+WORDS = {"polygon", "ellipsoid", "cotangent", "symplectization", "top", "positive", "negative"}
+SHAPE_FILES = {  # the well-formed files that wrong_shaped_files changes one field of
+    "polygon": '{"type":"polygon","vertices":[["0","2"],["1","3/2"],["2","0"]]}',
+    "ellipsoid": '{"type":"ellipsoid","axes":["1","3/2"]}',
+    "building": building_to_json(canonical_ball_building(2, "1/5")),
+}
+SHAPE_FIELDS = {  # the field paths of each file, with the kind of value each takes
+    "polygon": [(("type",), "word"), (("vertices",), "array"), (("vertices", 1), "pair"), (("vertices", 1, 0), "rational")],
+    "ellipsoid": [(("type",), "word"), (("axes",), "array"), (("axes", 1), "rational")],
+    "building": [(("nodes",), "array"), (("total_index",), "int"), (("energy_budget",), "rational")]
+    + [(("nodes", i, key), kind) for i in (0, 2) for key, kind in (
+        ("id", "id"), ("level", "int"), ("kind", "word"), ("index", "int"), ("energy", "rational"), ("punctures", "array"),
+        ("divisor_hits", "int"))]
+    + [(("nodes", i, "punctures", 0, key), kind) for i in (0, 2) for key, kind in (
+        ("cz", "int"), ("action", "rational"), ("sign", "word"), ("paired_with", "pair"))],
+}
+
+
+def wrong_values(kind):
+    """A string, an object, a number or an array that is too long, each of a shape that a field of this kind never takes."""
+    strings = st.nothing() if kind == "id" else st.text(max_size=4).filter({  # any string is an id
+        "rational": lambda text: not _reads_as_rational(text), "word": lambda text: text not in WORDS,
+    }.get(kind, lambda text: True))
+    objects = st.dictionaries(st.text(max_size=2), st.integers(-3, 3) | st.text(max_size=2), max_size=2)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    numbers = floats if kind in ("int", "rational") else floats | st.integers(-10**6, 10**6)
+    items = st.sampled_from(["0", "1", "x"]) | st.integers(0, 3)
+    arrays = st.lists(items, min_size=3, max_size=4) if kind == "pair" else st.lists(items, max_size=3)
+    return strings | objects | numbers | (st.nothing() if kind == "array" else arrays)
+
+
+@st.composite
+def wrong_shaped_files(draw):
+    name = draw(st.sampled_from(sorted(SHAPE_FIELDS)))
+    payload = json.loads(SHAPE_FILES[name])
+    path, kind = draw(st.sampled_from(SHAPE_FIELDS[name]))
+    owner = payload
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = draw(wrong_values(kind))
+    return name, path, json.dumps(payload)
+
+
+def test_the_wrong_shape_files_are_well_formed(tmp_path):
+    (tmp_path / "building.json").write_text(SHAPE_FILES["building"])
+    for name, text in SHAPE_FILES.items():
+        argv = ["diag", "--polygon", text] if name != "building" else ["ledger", "--building", str(tmp_path / "building.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_wrong_shaped_json_is_an_input_error(fuzz_dir, data):
+    name, path, text = data.draw(wrong_shaped_files())
+    if name == "building":
+        (fuzz_dir / "wrong_shape.json").write_text(text)
+        argv = ["ledger", "--building", str(fuzz_dir / "wrong_shape.json")]
+    else:
+        argv = ["diag", "--polygon", text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and out.getvalue() == "", (path, text)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (path, text, err.getvalue())
+    assert not [m for m in PYTHON_MESSAGES if m in err.getvalue()], (path, text, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["diag", "--polygon", '{"type":"ellipsoid","axes":"12"}'], "malformed input: ellipsoid axes must be a list or tuple, got '12'"),
+    (["diag", "--polygon", '{"type":"polygon","vertices":["01","10"]}'],
+     "malformed input: a vertex must be a list or tuple of 2 items, got '01'"),
+    (["diag", "--polygon", '{"type":"polygon","vertices":[["0","1"],["1","0","7"]]}'],
+     "malformed input: a vertex must be a list or tuple of 2 items, got ['1', '0', '7']"),
+    (["diag", "--polygon", '{"type":"polygon","vertices":"01"}'], "malformed input: polygon vertices must be a list or tuple, got '01'"),
+    (["diag", "--ellipsoid", "1e-9999999,1"], "decimal exponent out of range in '1e-9999999': |e| may be at most 1000"),
+    (["support", "--polygon", '{"type":"polygon","vertices":[["0","1e4000000"],["1","0"]]}', "--direction", "1,1"],
+     "decimal exponent out of range in '1e4000000': |e| may be at most 1000"),
+    (["support", "--ellipsoid", "1,2,3", "--direction", "1,1"], "a 4-dimensional ellipsoid is required, not one of dimension 6"),
+    (["gh", "--ellipsoid", "1,2,3", "--k", "1"], "a 4-dimensional ellipsoid is required, not one of dimension 6"),
+    (["lagcap", "--shape", "projective", "--n", "0"], "projective space dimension must be >= 1"),
+    # the coercions the constructors repeat are gone, so the first of two errors is the solver's own
+    (["ledger", "--partition", "--n", "0", "--epsilon", "x"], "n must be positive"),
+    (["ledger", "--canonical-ball-building", "1", "--epsilon", "x"], "n must be at least 2"),
+])
+def test_wrong_shaped_input_is_one_line_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("nodes", [{}, "", "ab", 7])
+@pytest.mark.parametrize("field", ["nodes", "punctures"])
+def test_building_arrays_that_are_not_arrays_exit_2(capsys, tmp_path, field, nodes):
+    # {} and "" were read as empty, and the report failed with exit 1
+    from toricap.sft_ledger import building_to_json, canonical_ball_building
+
+    payload = json.loads(building_to_json(canonical_ball_building(2, "1/5")))
+    (payload if field == "nodes" else payload["nodes"][1])[field] = nodes
+    (tmp_path / "b.json").write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "ledger", "--building", str(tmp_path / "b.json"))
+    owner = "building" if field == "nodes" else "node"
+    assert (code, out, err) == (2, "", f"error: malformed input: {owner} {field} must be a list or tuple, got {nodes!r}\n")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import edges, random_concave_polygon
 from test_capacities import toric_min_max
 from toricap.moment_domain import (
+    DECIMAL_EXPONENT_LIMIT,
     BadEndpoints,
     EllipsoidSpec,
     EnclosingEllipsoid,
@@ -870,3 +871,59 @@ class TestLatticeOracles:
             EnclosingEllipsoid(c * p.x_axis, c * p.y_axis, tuple((c * x, c * y) for x, y in p.touching_vertices))
             for p in search.pairs
         )
+
+
+class TestInputShapes:
+    """Each input is checked once, by the constructor that holds it: a string, a
+    mapping or a number is never read as the sequence of its characters or keys."""
+
+    @pytest.mark.parametrize("vertices", [["01", "10"], [("0", "1"), ("1", "0", "7")], [("0", "1"), ("1",)],
+                                          [{"0": 1, "1": 0}, ("1", "0")], [5, ("1", "0")]])
+    def test_a_vertex_is_a_pair(self, vertices):
+        with pytest.raises(TypeError, match="^a vertex must be a list or tuple of 2 items, got "):
+            MomentDomain2D(vertices)
+
+    @pytest.mark.parametrize("axes", ["12", {"1": 0, "2": 0}, 12, None])
+    def test_ellipsoid_axes_are_a_list_or_tuple(self, axes):
+        with pytest.raises(TypeError, match="^ellipsoid axes must be a list or tuple, got "):
+            EllipsoidSpec(axes)
+
+    def test_lists_and_tuples_are_accepted(self):
+        assert EllipsoidSpec(["1", "2"]) == EllipsoidSpec(("1", "2"))
+        assert MomentDomain2D([["0", "1"], ["1", "0"]]) == MomentDomain2D((("0", "1"), ("1", "0")))
+
+    def test_ball_dimension_is_an_int(self):
+        for n in (True, 1.5, "3"):
+            with pytest.raises(TypeError, match="^the ball's n must be an integer"):
+                ball(1, n)
+        assert ball("1/2", 3) == EllipsoidSpec(("1/2",) * 3)
+
+    def test_one_check_for_a_four_dimensional_ellipsoid(self, square):
+        from toricap.capacities import find_k_equal_diagonal, gh_spectrum_ellipsoid
+        e6 = EllipsoidSpec((1, 2, 3))
+        message = "^a 4-dimensional ellipsoid is required, not one of dimension 6$"
+        for call in (e6.axes_4d, e6.simplex_domain, lambda: included_in_ellipsoid(square, e6),
+                     lambda: diagonal_intersection_isolated(square, e6), lambda: gh_spectrum_ellipsoid(e6, 1),
+                     lambda: find_k_equal_diagonal(e6)):
+            with pytest.raises(PreconditionViolated, match=message):
+                call()
+        assert EllipsoidSpec(("1", "2")).axes_4d() == (1, 2)
+
+
+class TestDecimalExponents:
+    """A decimal string's exponent is capped before Fraction builds 10**|e|."""
+
+    @pytest.mark.parametrize("text", ["1e-9999999", "1e4000000", "2E+1001", "1e1_001", "3.5e-0001001 ", "1e" + "9" * 5000])
+    def test_a_large_exponent_is_rejected_at_once(self, text):
+        message = f"decimal exponent out of range in {text!r}: |e| may be at most {DECIMAL_EXPONENT_LIMIT}"
+        with pytest.raises(ValueError) as info:
+            as_rational(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, value", [("1e1000", 10**1000), ("1e-1000", Fraction(1, 10**1000)),
+                                             ("2.5E0_0_3", 2500), ("1e" + "0" * 20 + "5", 10**5), (" 7e-2 ", Fraction(7, 100))])
+    def test_an_exponent_up_to_the_limit_is_read(self, text, value):
+        assert as_rational(text) == value
+
+    def test_the_limit_is_well_above_the_float_range(self):
+        assert DECIMAL_EXPONENT_LIMIT >= 1000

@@ -934,6 +934,12 @@ class TestReebRates:
         with pytest.raises(AxisPoint):
             reeb_angular_velocity(rounded_tri11, (0.0, rounded_tri11.value(0.0)))
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+    def test_a_nan_coordinate_is_an_axis_point(self, rounded_tri11, point):
+        # nan fails both x <= 0 and x > 0, so the guard asks for x > 0 and y > 0
+        with pytest.raises(AxisPoint):
+            reeb_angular_velocity(rounded_tri11, point)
+
     def test_rate_homogeneity(self, rounded_tri11):
         # rounding c*Omega at c*tau scales every length and action by c,
         # so the rates at the matching Gauss point scale by 1/c

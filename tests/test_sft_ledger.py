@@ -1123,3 +1123,38 @@ class TestSolverProperties:
             violations = outcome(energy_partition_check, n, eps, trial)
             if not isinstance(violations, ValueError):
                 assert (violations == ()) == (list(trial) == [Fraction(1, n)] * n + [eps])
+
+
+class TestIntegerArguments:
+    """The ledger's integer arguments are exact ints: a float, a bool or a string is
+    rejected with ValueError instead of giving a float or a bool's 0 or 1."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: cz_from_morse(1.5), lambda: cz_from_morse(True), lambda: cz_from_morse("2"),
+        lambda: punctured_sphere_index(3, [1.5]), lambda: punctured_sphere_index(3, [True]),
+        lambda: punctured_sphere_index(3.0, [1]), lambda: punctured_sphere_index(3, [1], 0.5),
+        lambda: punctured_sphere_index(3, "12"),
+        lambda: min_positive_punctures(3, 0.5, 2), lambda: min_positive_punctures(3, 0, 2.0),
+        lambda: min_positive_punctures(True, 0, 2), lambda: min_positive_punctures("3", 0, 2),
+    ])
+    def test_non_ints_are_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_ints_still_give_ints(self):
+        assert cz_from_morse(3) == 3
+        assert punctured_sphere_index(3, (1, 2), 1) == -3
+        assert min_positive_punctures(3, 0, 2) == 2
+
+
+class TestContainers:
+    def test_a_building_holds_a_tuple_of_nodes(self):
+        # before, building_validate(Building((1, 2))) raised AttributeError
+        for nodes in ((1, 2), [CurveNode("a", 0, "top", 0, 1, ())], "ab", (canonical_ball_building(2, "1/10"),)):
+            with pytest.raises(ValueError, match="^building nodes must be a tuple of CurveNode values$"):
+                Building(nodes)
+
+    def test_a_node_holds_a_tuple_of_punctures(self):
+        for punctures, name in (("ab", "str"), ([Puncture(1, 1, "positive")], "list"), ({}, "dict"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"^node punctures must be a tuple, got {name}$"):
+                CurveNode("a", 0, "top", 0, 1, punctures)

@@ -93,7 +93,7 @@ def test_a_changed_field_or_another_type_is_unequal():
     assert ReebOrbitFamily(LatticeDirection(1, 1), None, 1.0, 1, LatticeDirection(1, 1)) != \
         ReebOrbitFamily(LatticeDirection(1, 1), None, 1.5, 1, LatticeDirection(1, 1))
     assert round_domain(TRIANGLE, 1e-3, 0.1) != ROUNDED
-    for a, b in ((AxisMultiple(0, 1), LatticeDirection(0, 1)), (LowerBound(Fraction(1)), ProjectiveSpace(Fraction(1)))):
+    for a, b in ((AxisMultiple(0, 1), LatticeDirection(0, 1)), (LowerBound(Fraction(1)), ProjectiveSpace(1))):
         assert a != b and b != a and not a == b
         assert a != fields(a) and b != fields(b)
     assert AxisMultiple(0, 1) != (0, 1) and LatticeDirection(0, 1) != (0, 1)
@@ -155,3 +155,31 @@ def test_every_value_type_takes_its_semantics_from_the_one_base():
     # and every value type stores its fields through _Frozen._store, never past the base's __setattr__
     sources = pathlib.Path(moment_domain.__file__).parent.glob("*.py")
     assert [path.name for path in sources if "object.__setattr__" in path.read_text()] == []
+
+
+# each public value type with a checked constructor, its valid fields, and per field one wrong-typed value with the
+# named exception it raises: True, "3", 1.5, or a str where a tuple belongs
+GOOD_END, GOOD_NODE = Puncture(1, "1/2", "negative", ("a", 0)), CurveNode("a", 0, "top", 0, "1/3", ())
+WRONG_FIELDS = [
+    (LatticeDirection, (1, 2), [(True, TypeError), ("3", TypeError)]),
+    (moment_domain.MomentDomain2D, ([("0", "1"), ("1", "0")],), [("01", TypeError)]),
+    (EllipsoidSpec, (("1", "2"),), [("12", TypeError)]),
+    (ProjectiveSpace, (2,), [(True, capacities.UnsupportedShape)]),
+    (Cylinder, (1, 0), [("3", capacities.UnsupportedShape), (1.5, capacities.UnsupportedShape)]),
+    (Polydisk, (("1", "2"),), [("12", TypeError)]),
+    (Puncture, (1, "1/2", "negative", ("a", 0)), [(True, ValueError), (True, TypeError), (1.5, ValueError), ("a0", ValueError)]),
+    (CurveNode, ("a", 0, "top", 0, "1/3", (GOOD_END,)),
+     [(1.5, ValueError), (True, ValueError), (1.5, ValueError), ("3", ValueError), (True, TypeError), ("ab", ValueError),
+      (True, ValueError)]),
+    (Building, ((GOOD_NODE,), 0, "1/3"), [("ab", ValueError), (True, ValueError), (1.5, TypeError)]),
+]
+
+
+@pytest.mark.parametrize("cls, good, wrong", WRONG_FIELDS, ids=[cls.__name__ for cls, _, _ in WRONG_FIELDS])
+def test_a_wrong_typed_field_is_rejected_by_name(cls, good, wrong):
+    cls(*good)
+    assert len(wrong) == len(cls.__match_args__)
+    for i, (value, error) in enumerate(wrong):
+        with pytest.raises(error) as info:
+            cls(*good[:i], value, *good[i + 1:])
+        assert type(info.value) is error, (cls, i, value)
