@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -480,8 +481,19 @@ def domain_to_json(domain: MomentDomain2D | EllipsoidSpec) -> str:
     return json.dumps(payload)
 
 
+def _load_json(text: str):
+    """json.loads, with the digit limit named for an integer too long to convert (a plain ValueError there)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValueError(f"a JSON integer has more than {sys.get_int_max_str_digits()} digits, the limit for "
+                         "converting an integer; write a large value as a string") from None
+
+
 def domain_from_json(text: str) -> MomentDomain2D | EllipsoidSpec:
-    payload = json.loads(text)
+    payload = _load_json(text)
     if not isinstance(payload, dict):
         raise ValueError(f"domain JSON must be an object, not {type(payload).__name__}")
     kind = payload.get("type")

@@ -82,6 +82,13 @@ class SmoothDomain2D(_Frozen):
     __slots__ = (*__match_args__, "margins", "_slopes", "_by_slope", "_slope_start", "_slope_end", "_order_limit")
 
     def __init__(self, source: MomentDomain2D, tau: float, v: float, lines: tuple[tuple[float, float], ...], shift: float, x_max: float):
+        if not isinstance(source, MomentDomain2D):
+            raise TypeError(f"smooth domain source must be a MomentDomain2D, got {source!r:.80}")
+        if type(lines) is not tuple:
+            raise TypeError(f"smooth domain lines must be a tuple of (c, s) pairs, got {type(lines).__name__}")
+        for name, value in (("tau", tau), ("v", v), ("shift", shift), ("x_max", x_max)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"smooth domain {name} must be an int or a float, got {value!r:.80}")
         slopes = tuple(s for _, s in lines)
         if not (len(slopes) > 2 and all(map(operator.ge, slopes, slopes[1:-2])) and slopes[-2] >= slopes[0] and slopes[-3] > slopes[-1]):
             raise ValueError("line order, as gauss_point reads it: edges by non-increasing slope, cap0 no steeper, cap1 steepest")

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as encode_string
 
-from .moment_domain import RationalLike, _Frozen, _sequence, as_rational, format_rational
+from .moment_domain import RationalLike, _Frozen, _load_json, _sequence, as_rational, format_rational
 
 
 class EpsilonTooLarge(ValueError):
@@ -129,18 +130,12 @@ def energy_partition_check(n: int, epsilon: RationalLike, areas: Sequence[Ration
     vals = [as_rational(x) for x in areas]
     if len(vals) != n + 1:
         return (f"expected {n + 1} areas, got {len(vals)}",)
-    violations: list[str] = []
-    for i, x in enumerate(vals):
-        if x <= 0:
-            violations.append(f"area {i} is not positive ({format_rational(x)})")
     share = Fraction(1, n)
-    for i, x in enumerate(vals[:-1]):
-        if x != share:
-            violations.append(f"area {i} is {format_rational(x)}, expected {format_rational(share)}")
+    violations = [f"area {i} is not positive ({format_rational(x)})" for i, x in enumerate(vals) if x <= 0]
+    violations += [f"area {i} is {format_rational(x)}, expected {format_rational(share)}"
+                   for i, x in enumerate(vals[:-1]) if x != share]
     if vals[-1] != eps:
-        violations.append(
-            f"final area is {format_rational(vals[-1])}, expected epsilon = {format_rational(eps)}"
-        )
+        violations.append(f"final area is {format_rational(vals[-1])}, expected epsilon = {format_rational(eps)}")
     return tuple(violations)
 
 
@@ -212,7 +207,7 @@ class CurveNode(_Frozen):
             raise ValueError(f"node {name} must be an integer, got {value!r}")
         if kind not in ("cotangent", "symplectization", "top"):
             raise ValueError(f"unknown node kind {kind!r}")
-        if type(punctures) is not tuple:  # O(1): its Puncture entries are left to the caller, as a pass costs more
+        if type(punctures) is not tuple:  # O(1): Building checks its Puncture entries, in one pass over all nodes
             raise ValueError(f"node punctures must be a tuple, got {type(punctures).__name__}")
         self._store(id, level, kind, index, energy if type(energy) is Fraction else as_rational(energy), punctures,
                     divisor_hits)
@@ -243,6 +238,8 @@ class Building(_Frozen):
     def __init__(self, nodes, total_index=0, energy_budget=None):
         if type(nodes) is not tuple or not {CurveNode}.issuperset(map(type, nodes)):
             raise ValueError("building nodes must be a tuple of CurveNode values")
+        if not {Puncture}.issuperset([type(p) for nd in nodes for p in nd.punctures]):
+            raise ValueError("building node punctures must be Puncture values")
         if type(total_index) is not int:
             raise ValueError(f"building total_index must be an integer, got {total_index!r}")
         self._store(nodes, total_index, energy_budget if energy_budget is None else as_rational(energy_budget))
@@ -276,44 +273,61 @@ class ValidationReport(_Frozen):
         return [r for r in self.results if r.status == "fail"]
 
 
-def _pairing_failure(by_id: dict[str, CurveNode], gluings: list[tuple[str, str]]) -> str:
-    """The first pairing violation in node and puncture order, or "" when
-    there is none; gluings collects each gluing met before it once, at
-    whichever of its two ends comes first."""
-    earlier: set[str] = set()
-    for nd_id, nd in by_id.items():
+def _pairing(nodes: tuple[CurveNode, ...], position: dict[str, int]) -> tuple[str, int, int]:
+    """One pass over the ends in node and puncture order: the first pairing violation, or "" when there
+    is none, with the gluings met before it and the merges they make in a union-find over node
+    positions.  Each gluing is checked in full and counted at whichever of its two ends comes first."""
+    parent = list(range(len(nodes)))
+    gluings = merges = 0
+    for k, nd in enumerate(nodes):
+        nd_id, root = nd.id, k
+        while parent[root] != root:  # find with path halving; root stays a root, as each union below hangs under it
+            parent[root] = root = parent[parent[root]]
         for i, p in enumerate(nd.punctures):
             pair = p.paired_with
             if pair is None:
                 continue
             other_id, j = pair
-            other = by_id.get(other_id)
-            ends = () if other is None else other.punctures
-            if not -len(ends) <= j < len(ends):
-                return f"{nd_id}[{i}] points at a missing puncture"
-            q = ends[j]
+            try:
+                m = position[other_id]
+                other = nodes[m]
+                q = other.punctures[j]
+            except (KeyError, IndexError):
+                return f"{nd_id}[{i}] points at a missing puncture", gluings, merges
             if q.paired_with != (nd_id, i):
-                return f"{nd_id}[{i}] is not reciprocally paired"
-            if other_id in earlier:
+                return f"{nd_id}[{i}] is not reciprocally paired", gluings, merges
+            if m < k:
                 # checked at q: every end of other passed, q's reciprocity made this end's paired_with
                 # q's nonnegative position (a negative index fails at q), and the other checks are symmetric
                 continue
             if q.sign == p.sign:
-                return f"{nd_id}[{i}] pairs equal signs"
+                return f"{nd_id}[{i}] pairs equal signs", gluings, merges
             upper, lower = (nd, other) if p.sign == "negative" else (other, nd)
             if upper.level != lower.level + 1:
-                return f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})"
+                return (f"{lower.id} (level {lower.level}) must pair one level below {upper.id} (level {upper.level})",
+                        gluings, merges)
             if (q.cz, q.action) != (p.cz, p.action):
-                return f"{nd_id}[{i}] pairs mismatched orbit data"
-            gluings.append((nd_id, other_id))
-        earlier.add(nd_id)
-    return ""
+                return f"{nd_id}[{i}] pairs mismatched orbit data", gluings, merges
+            gluings += 1
+            while parent[m] != m:
+                parent[m] = m = parent[parent[m]]
+            if m != root:
+                parent[m] = root
+                merges += 1
+    return "", gluings, merges
 
 
 def _exact_sum(values: list[Fraction]) -> Fraction:
-    """The exact sum, in one integer pass over the least common denominator."""
-    common = math.lcm(*(x.denominator for x in values))
-    return Fraction(sum(x.numerator * (common // x.denominator) for x in values), common)
+    """The exact sum, in one integer pass over the least common denominator of the distinct Fraction
+    objects, each weighted by how often it occurs; a built or loaded building shares its repeated values."""
+    ids = list(map(id, values))
+    counts, distinct = Counter(ids), dict(zip(ids, values))
+    common = math.lcm(*(x.denominator for x in distinct.values()))
+    return Fraction(sum(x.numerator * (common // x.denominator) * counts[key] for key, x in distinct.items()), common)
+
+
+def _check(check: str, ok: bool, detail: str = "") -> CheckResult:
+    return CheckResult(check, "pass" if ok else "fail", detail)
 
 
 def building_validate(b: Building, check_unpaired_parity: bool = False) -> ValidationReport:
@@ -331,83 +345,63 @@ def building_validate(b: Building, check_unpaired_parity: bool = False) -> Valid
     budget; (divisor-budget) at most one divisor hit across top nodes;
     (stability) no symplectization level is made of trivial cylinders only;
     (levels) occupied levels are contiguous.  With check_unpaired_parity,
-    unpaired ends must carry odd CZ (elliptic asymptotics).  One id -> node map
-    makes the whole run linear; paired ends compare (cz, action) as tuples,
-    which test identity before ==, so the actions a loaded or built building
-    shares skip Fraction.__eq__.
+    unpaired ends must carry odd CZ (elliptic asymptotics).  The run is linear:
+    one id -> position map, then one pass over the ends, which checks the
+    pairings and unions the two nodes of each gluing it counts in a union-find
+    with path halving (connected is nodes - 1 merges), and one pass over the
+    nodes for the index total, the first energy violation, the divisor hits and
+    the occupied and stable levels.  Paired ends compare (cz, action) as tuples,
+    which test identity before ==, so shared actions skip Fraction.__eq__.
     """
-    results: list[CheckResult] = []
+    nodes = b.nodes
+    position = {nd.id: k for k, nd in enumerate(nodes)}
+    if len(position) != len(nodes) or not nodes:
+        return ValidationReport((_check("structure", False, "node ids must be unique and nonempty"),))
 
-    def add(check: str, ok: bool, detail: str = "") -> None:
-        results.append(CheckResult(check, "pass" if ok else "fail", detail))
+    pairing_detail, gluings, merges = _pairing(nodes, position)
+    connected = merges == len(nodes) - 1
+    is_tree = connected and gluings == merges
 
-    by_id = {nd.id: nd for nd in b.nodes}
-    if len(by_id) != len(b.nodes) or not b.nodes:
-        add("structure", False, "node ids must be unique and nonempty")
-        return ValidationReport(tuple(results))
-    add("structure", True)
-
-    gluings: list[tuple[str, str]] = []
-    pairing_detail = _pairing_failure(by_id, gluings)
-    add("pairing", not pairing_detail, pairing_detail)
-
-    # genus zero: the node/edge graph is a tree; seen stops revisits and len(gluings) counts a double gluing
-    adjacency: dict[str, list[str]] = {i: [] for i in by_id}
-    for u, w in gluings:
-        adjacency[u].append(w)
-        adjacency[w].append(u)
-    seen = {b.nodes[0].id}
-    stack = list(seen)
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    connected = len(seen) == len(by_id)
-    is_tree = connected and len(gluings) == len(by_id) - 1
-    tree_detail = f"{len(by_id)} nodes, {len(gluings)} pairing edges, connected={connected}"
-    add("tree", is_tree, "" if is_tree else tree_detail)
-
-    total = sum(nd.index for nd in b.nodes)
-    add("index-total", total == b.total_index, f"sum of indices is {total}, declared {b.total_index}")
-
-    energy_detail = ""
-    for nd in b.nodes:
+    total = hits = 0
+    negative_hit, energy_detail = False, ""
+    stable: set[int] = set()
+    cylinders: set[int] = set()  # levels holding a symplectization trivial cylinder
+    for nd in nodes:
+        total += nd.index
+        if nd.kind == "top":
+            hits += nd.divisor_hits
+        negative_hit |= nd.divisor_hits < 0
         sign = nd.energy.numerator  # a Fraction's denominator is positive
-        if sign < 0:
-            energy_detail = f"{nd.id} has negative energy"
-            break
-        if sign == 0 and not nd.is_trivial_cylinder():
-            energy_detail = f"{nd.id} is nonconstant but has zero energy"
-            break
-    add("energy-positivity", not energy_detail, energy_detail)
+        trivial = sign == 0 and nd.is_trivial_cylinder()
+        (cylinders if trivial and nd.kind == "symplectization" else stable).add(nd.level)
+        if not energy_detail and (sign < 0 or sign == 0 and not trivial):
+            energy_detail = f"{nd.id} has negative energy" if sign < 0 else f"{nd.id} is nonconstant but has zero energy"
+    levels = sorted(stable | cylinders)
+    unstable = min(cylinders - stable, default=None)
 
+    budget = parity = ()
     if b.energy_budget is not None:
-        total_energy = _exact_sum([nd.energy for nd in b.nodes])
-        budget_detail = f"total {format_rational(total_energy)} vs budget {format_rational(b.energy_budget)}"
-        add("energy-budget", total_energy <= b.energy_budget, budget_detail)
-
-    hits = sum(nd.divisor_hits for nd in b.nodes if nd.kind == "top")
-    add("divisor-budget", hits <= 1 and all(nd.divisor_hits >= 0 for nd in b.nodes), f"{hits} hits across top nodes")
-
-    levels = sorted({nd.level for nd in b.nodes})
-    contiguous = levels == list(range(levels[0], levels[-1] + 1))
-    add("levels", contiguous, f"occupied levels {levels}")
-
-    # a level is stable when some node on it is not a symplectization trivial cylinder
-    stable = {nd.level for nd in b.nodes if nd.kind != "symplectization" or not nd.is_trivial_cylinder()}
-    unstable = [level for level in levels if level not in stable]
-    add("stability", not unstable, f"level {unstable[0]} consists solely of trivial cylinders" if unstable else "")
-
+        spent = _exact_sum([nd.energy for nd in nodes])
+        budget = (_check("energy-budget", spent <= b.energy_budget,
+                         f"total {format_rational(spent)} vs budget {format_rational(b.energy_budget)}"),)
     if check_unpaired_parity:
-        parity_detail = ""  # the last even unpaired end
-        for nd in b.nodes:
-            for i, p in enumerate(nd.punctures):
-                if p.paired_with is None and p.cz % 2 == 0:
-                    parity_detail = f"unpaired end {nd.id}[{i}] has even CZ {p.cz}"
-        add("unpaired-parity", not parity_detail, parity_detail)
+        even = [f"unpaired end {nd.id}[{i}] has even CZ {p.cz}"
+                for nd in nodes for i, p in enumerate(nd.punctures) if p.paired_with is None and p.cz % 2 == 0]
+        parity = (_check("unpaired-parity", not even, even[-1] if even else ""),)  # the last even unpaired end
 
-    return ValidationReport(tuple(results))
+    return ValidationReport((
+        _check("structure", True),
+        _check("pairing", not pairing_detail, pairing_detail),
+        _check("tree", is_tree, "" if is_tree else f"{len(nodes)} nodes, {gluings} pairing edges, connected={connected}"),
+        _check("index-total", total == b.total_index, f"sum of indices is {total}, declared {b.total_index}"),
+        _check("energy-positivity", not energy_detail, energy_detail),
+        *budget,
+        _check("divisor-budget", hits <= 1 and not negative_hit, f"{hits} hits across top nodes"),
+        _check("levels", levels == list(range(levels[0], levels[-1] + 1)), f"occupied levels {levels}"),
+        _check("stability", unstable is None,
+               "" if unstable is None else f"level {unstable} consists solely of trivial cylinders"),
+        *parity,
+    ))
 
 
 def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
@@ -465,7 +459,7 @@ def building_to_json(b: Building) -> str:
 def building_from_json(text: str) -> Building:
     """The building a JSON text describes, in any whitespace; only an absent
     or null ``paired_with`` is unpaired, and a non-array one is rejected."""
-    payload = json.loads(text)
+    payload = _load_json(text)
     parsed: dict[str, Fraction] = {}
 
     def rational(value):

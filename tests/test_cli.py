@@ -739,10 +739,13 @@ class TestErrorsAndDeterminism:
         """A reader that stops after one line is no input error: exit 128 + SIGPIPE, nothing on stderr."""
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         argv = [sys.executable, "-m", "toricap.cli", "gh", "--ellipsoid", "1,2", "--k", "1..100000"]  # 5.6 MB
-        # buffered, as by default, and unbuffered, where a raw write that the closed pipe cuts short returns its count
-        for unbuffered in ("", "1"):
-            env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
-            with subprocess.Popen(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        # buffered, as by default, and unbuffered, where a raw write that the closed pipe cuts short returns its count;
+        # the two run side by side
+        with contextlib.ExitStack() as stack:
+            procs = {unbuffered: stack.enter_context(subprocess.Popen(
+                argv, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)) for unbuffered in ("", "1")}
+            for unbuffered, proc in procs.items():
                 assert proc.stdout.readline().split() == [b"k", b"value", b"minimizer", b"path"]
                 proc.stdout.close()
                 assert proc.wait(timeout=60) == 141, unbuffered
@@ -1032,3 +1035,22 @@ def test_building_arrays_that_are_not_arrays_exit_2(capsys, tmp_path, field, nod
     code, out, err = run_cli(capsys, "ledger", "--building", str(tmp_path / "b.json"))
     owner = "building" if field == "nodes" else "node"
     assert (code, out, err) == (2, "", f"error: malformed input: {owner} {field} must be a list or tuple, got {nodes!r}\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("name", ["polygon", "building"])
+def test_an_integer_past_the_digit_limit_is_named(fuzz_dir, name):
+    # json.loads raises a plain ValueError for it, whose text names the interpreter's setting, not the input
+    digits = "1" * 5000
+    if name == "building":
+        (fuzz_dir / "long_int.json").write_text(SHAPE_FILES["building"].replace('"total_index": 0', f'"total_index": {digits}'))
+        argv = ["ledger", "--building", str(fuzz_dir / "long_int.json")]
+    else:
+        argv = ["diag", "--polygon", f'{{"type":"polygon","vertices":[[0, {digits}],["1","0"]]}}']
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (f"error: a JSON integer has more than {sys.get_int_max_str_digits()} digits, the limit for "
+                              "converting an integer; write a large value as a string\n")
+    assert not [m for m in PYTHON_MESSAGES if m in err.getvalue()]

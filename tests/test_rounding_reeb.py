@@ -1,6 +1,7 @@
 """Rounding construction, Gauss points, orbit families, and CZ splits."""
 import bisect
 import decimal
+import functools
 import itertools
 import math
 import operator
@@ -267,10 +268,37 @@ def exact_boundary_value(domain, vertex_xs, x):
     return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
-def oracle_f(domain, vertex_xs, x):
-    """f at a float x in [0, a], read exactly from the polygon."""
-    x_frac = max(min(Fraction(x).limit_denominator(10**15), domain.x_extent), Fraction(0))
-    return float(exact_boundary_value(domain, vertex_xs, x_frac))
+def vertex_lattice(domain):
+    """(q, xs, ys): the vertices as integers over their least common denominator q, vertex i at (xs[i], ys[i]) / q."""
+    q = math.lcm(*(c.denominator for vertex in domain.vertices for c in vertex))
+    return q, [int(x * q) for x, _ in domain.vertices], [int(y * q) for _, y in domain.vertices]
+
+
+def nearest_ratio(n, d, limit):
+    """(p, q): Fraction(n, d).limit_denominator(limit) for coprime n and d > 0, in integers: the closest
+    ratio to n / d with q <= limit, the last convergent of its continued fraction when tied with the best
+    semiconvergent."""
+    if d <= limit:
+        return n, d
+    p0, q0, p1, q1, rest, remainder = 0, 1, 1, 0, n, d
+    while q0 + rest // remainder * q1 <= limit:
+        a = rest // remainder
+        p0, q0, p1, q1, rest, remainder = p1, q1, p0 + a * p1, q0 + a * q1, remainder, rest - a * remainder
+    k = (limit - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    return (p1, q1) if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1 else (p2, q2)
+
+
+def oracle_f(lattice, x):
+    """f at a float x in [0, a], read exactly from the polygon: x * q = t / d for the nearest ratio to x with
+    denominator at most 10**15, clamped to [0, a * q]; the edge found by bisection on the vertex abscissas; and
+    its exact value there divided once, which rounds it once."""
+    q, xs, ys = lattice
+    t, d = nearest_ratio(*x.as_integer_ratio(), 10**15)
+    t, d = (0, 1) if t < 0 else (xs[-1], 1) if t * q > xs[-1] * d else (t * q, d)
+    i = max(bisect.bisect_left(xs, -(-t // d)), 1)  # the first vertex at or right of x
+    (x1, x2), (y1, y2) = xs[i - 1:i + 1], ys[i - 1:i + 1]
+    return (y1 * (x2 - x1) * d + (y2 - y1) * (t - x1 * d)) / (q * (x2 - x1) * d)
 
 
 def oracle_points(smooth, grid):
@@ -279,9 +307,9 @@ def oracle_points(smooth, grid):
 
 
 def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
-    """The grid checks with f read exactly from the polygon in Fractions."""
+    """The grid checks with f read exactly from the polygon, in integers."""
     domain, v = smooth.source, smooth.v
-    vertex_xs = [x for x, _ in domain.vertices]
+    lattice = vertex_lattice(domain)
     a, b = float(domain.x_extent), float(domain.y_extent)
     d0 = derivative(smooth, 0.0)
     if not (-v <= d0 < 0.0):
@@ -303,7 +331,7 @@ def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
             raise SlopeConditionUnreachable("g' fails to be non-increasing on the grid")
         prev_slope = slope
         if x <= a:
-            fx = oracle_f(domain, vertex_xs, x)
+            fx = oracle_f(lattice, x)
             gx = oracle_value(smooth, x)
             if gx < fx - 1e-9 * (1.0 + abs(fx)):
                 raise SlopeConditionUnreachable("containment failed: g dips below the polygon boundary")
@@ -314,9 +342,9 @@ def oracle_verify(smooth, grid=1024, derivative=oracle_derivative):
 def oracle_gap_excess(smooth, grid=1024):
     """The largest amount by which g - f passes shift on the oracle's points."""
     domain = smooth.source
-    vertex_xs = [x for x, _ in domain.vertices]
+    lattice = vertex_lattice(domain)
     return max(
-        oracle_value(smooth, x) - oracle_f(domain, vertex_xs, x) - smooth.shift
+        oracle_value(smooth, x) - oracle_f(lattice, x) - smooth.shift
         for x in oracle_points(smooth, grid)
         if x <= float(domain.x_extent)
     )
@@ -380,17 +408,18 @@ def assert_certificate_sound(smooth):
     return certified, swept
 
 
-def oracle_support_smooth(smooth, l, m):
+def oracle_support_smooth(smooth, l, m, g=None):
     """max of l*x + m*g(x) over [0, x_max] by golden-section on the
-    strictly concave objective, g evaluated by oracle_value (axis
-    directions in closed form)."""
+    strictly concave objective, g evaluated by oracle_value unless given
+    (axis directions in closed form)."""
+    g = g or (lambda x: oracle_value(smooth, x))
     if m == 0:
         return l * smooth.x_max
     if l == 0:
-        return m * oracle_value(smooth, 0.0)
+        return m * g(0.0)
 
     def h(x):
-        return l * x + m * oracle_value(smooth, x)
+        return l * x + m * g(x)
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, smooth.x_max
@@ -411,12 +440,15 @@ def oracle_support_smooth(smooth, l, m):
     return max(h(xm), h(0.0), h(smooth.x_max))
 
 
-def supports_matching_oracle(smooth, directions):
+def supports_matching_oracle(smooth, directions, g=None):
     """support_smooth, the action at the Gauss point, in each direction,
-    each asserted within 8 ulps of the golden-section search."""
-    values = []
+    each asserted within 8 ulps of the golden-section search.  The searches
+    share one memo g of oracle_value, unless given one, as every search
+    starts at the same two points and searches in nearby directions take
+    the same first steps."""
+    values, g = [], g or functools.cache(lambda x: oracle_value(smooth, x))
     for l, m in directions:
-        value, oracle = support_smooth(smooth, l, m), oracle_support_smooth(smooth, l, m)
+        value, oracle = support_smooth(smooth, l, m), oracle_support_smooth(smooth, l, m, g)
         assert abs(value - oracle) <= 8 * math.ulp(oracle), (smooth.source, l, m)
         values.append(value)
     return values
@@ -1119,8 +1151,9 @@ class TestAgainstOracles:
         verdicts = assert_certificate_sound(smooth)
         if verdicts[0] is None:
             assert_families_match(smooth, orbit_families(smooth, cutoff), oracle_box_families(smooth, cutoff), cutoff)
+            g = functools.cache(lambda x: oracle_value(smooth, x))
             for k in ks:
-                assert capacity_via_spectrum(smooth, k) == min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)]))
+                assert capacity_via_spectrum(smooth, k) == min(supports_matching_oracle(smooth, [(l, k - l) for l in range(k + 1)], g))
         return verdicts
 
     def test_exact_boundary_value_is_boundary_value(self):

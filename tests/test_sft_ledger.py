@@ -1,8 +1,10 @@
 """Index formulas, forced-structure solvers, and building validation."""
+import gc
 import itertools
 import json
 import random
 import re
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
@@ -1158,3 +1160,60 @@ class TestContainers:
         for punctures, name in (("ab", "str"), ([Puncture(1, 1, "positive")], "list"), ({}, "dict"), (None, "NoneType")):
             with pytest.raises(ValueError, match=f"^node punctures must be a tuple, got {name}$"):
                 CurveNode("a", 0, "top", 0, 1, punctures)
+
+    def test_a_building_holds_puncture_ends(self):
+        # before, building_validate(Building((CurveNode("a", 0, "top", 0, 1, (1,)),))) raised AttributeError
+        good = CurveNode("a", 0, "top", 0, 1, (Puncture(1, 1, "positive"),))
+        for ends in ((1,), (Puncture(1, 1, "positive"), "x"), (None,), (good,)):
+            with pytest.raises(ValueError, match="^building node punctures must be Puncture values$"):
+                Building((good, CurveNode("b", 0, "top", 0, 1, ends)))
+
+
+ONE = Fraction(1)
+
+
+def path_nodes(size):
+    """A path of size nodes, v0 - v1 - ..., on alternating levels 0 and 1, each glued to the next."""
+    nodes = []
+    for i in range(size):
+        sign = "negative" if i % 2 else "positive"
+        ends = [Puncture(1, ONE, sign, (f"v{i - 1}", 0 if i == 1 else 1))] if i else []
+        if i < size - 1:
+            ends.append(Puncture(1, ONE, sign, (f"v{i + 1}", 0)))
+        nodes.append(CurveNode(f"v{i}", i % 2, "top" if i % 2 else "cotangent", 0, ONE, tuple(ends)))
+    return nodes
+
+
+def star_nodes(size):
+    """A star of size nodes: size - 1 top planes, then the center below them glued to each."""
+    leaves = [CurveNode(f"leaf{i}", 1, "top", 0, ONE, (Puncture(1, ONE, "negative", ("center", i)),)) for i in range(size - 1)]
+    ends = tuple(Puncture(1, ONE, "positive", (f"leaf{i}", 0)) for i in range(size - 1))
+    return leaves + [CurveNode("center", 0, "cotangent", 0, ONE, ends)]
+
+
+class TestLargeTrees:
+    @pytest.mark.parametrize("shape", [path_nodes, star_nodes])
+    def test_both_node_orders_match_the_oracle(self, shape):
+        for size in range(1, 9):
+            nodes = shape(size)
+            for order in (nodes, nodes[::-1]):
+                for budget in (None, size - 1, size):
+                    b = Building(tuple(order), energy_budget=budget)
+                    for parity in (False, True):
+                        assert report_to_json(building_validate(b, parity)) == report_to_json(oracle_validate(b, parity))
+
+    @pytest.mark.parametrize("shape", [path_nodes, star_nodes])
+    def test_a_tree_of_a_hundred_thousand_nodes_validates_in_linear_time(self, shape):
+        # listed in reverse, the star's center comes first and meets every leaf at its own ends: a union-find
+        # without path halving that hung the center's root under each new leaf would walk a chain of all the
+        # earlier leaves at every gluing
+        gc.disable()  # the cyclic collector would rescan the growing heap hundreds of times while the acyclic values are made
+        try:
+            b = Building(tuple(shape(10**5)[::-1]), energy_budget=10**5)
+        finally:
+            gc.enable()
+        start = time.process_time()
+        report = building_validate(b)
+        elapsed = time.process_time() - start
+        assert report.ok, report.failed()
+        assert elapsed < 1.0, f"{elapsed:.2f}s"

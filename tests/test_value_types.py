@@ -172,6 +172,8 @@ WRONG_FIELDS = [
      [(1.5, ValueError), (True, ValueError), (1.5, ValueError), ("3", ValueError), (True, TypeError), ("ab", ValueError),
       (True, ValueError)]),
     (Building, ((GOOD_NODE,), 0, "1/3"), [("ab", ValueError), (True, ValueError), (1.5, TypeError)]),
+    (rounding_reeb.SmoothDomain2D, (TRIANGLE, 1e-2, 0.1, ROUNDED.lines, ROUNDED.shift, ROUNDED.x_max),
+     [("ab", TypeError), (True, TypeError), ("3", TypeError), ("ab", TypeError), (True, TypeError), ("3", TypeError)]),
 ]
 
 
