@@ -57,7 +57,8 @@ class PreconditionViolated(ValueError):
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and 'p/q' or decimal strings, |exponent| <= DECIMAL_EXPONENT_LIMIT, to Fraction."""
+    """Coerce ints, Fractions, and 'p/q' or decimal strings, |exponent| <= DECIMAL_EXPONENT_LIMIT, to Fraction.  A plain str,
+    ASCII -?[0-9]+(/[0-9]+)? as format_rational writes, is read in integers, any other through Fraction: same value or error."""
     if type(value) is Fraction:  # tested first, and a subclass last, as isinstance(value, Fraction) is an ABC check
         return value  # immutable, so no copy is needed
     if isinstance(value, bool):
@@ -66,7 +67,10 @@ def as_rational(value: RationalLike) -> Fraction:
         exponent = _EXPONENT.search(value) if isinstance(value, str) and ("e" in value or "E" in value) else None
         if exponent and (len(digits := exponent[1].replace("_", "").lstrip("0")) > 9 or int(digits or 0) > DECIMAL_EXPONENT_LIMIT):
             raise ValueError(f"decimal exponent out of range in {value!r}: |e| may be at most {DECIMAL_EXPONENT_LIMIT}")
-        try:
+        try:  # int() past the digit limit and a zero denominator raise here, as inside Fraction
+            num, slash, den = value.partition("/") if type(value) is str and value.isascii() else ("", "", "")
+            if num.removeprefix("-").isdigit() and (den.isdigit() or not slash):  # in ASCII, isdigit() is 0-9 alone
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
             return Fraction(value)  # strips surrounding whitespace itself
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None

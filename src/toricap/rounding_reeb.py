@@ -86,9 +86,7 @@ class SmoothDomain2D(_Frozen):
             raise TypeError(f"smooth domain source must be a MomentDomain2D, got {source!r:.80}")
         if type(lines) is not tuple:
             raise TypeError(f"smooth domain lines must be a tuple of (c, s) pairs, got {type(lines).__name__}")
-        for name, value in (("tau", tau), ("v", v), ("shift", shift), ("x_max", x_max)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"smooth domain {name} must be an int or a float, got {value!r:.80}")
+        _require_reals("smooth domain ", tau=tau, v=v, shift=shift, x_max=x_max)
         slopes = tuple(s for _, s in lines)
         if not (len(slopes) > 2 and all(map(operator.ge, slopes, slopes[1:-2])) and slopes[-2] >= slopes[0] and slopes[-3] > slopes[-1]):
             raise ValueError("line order, as gauss_point reads it: edges by non-increasing slope, cap0 no steeper, cap1 steepest")
@@ -187,13 +185,14 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     take O(V) work, two soft-min passes and two O(log V) lattice reads of
     that support value, each one int division.
 
-    Raises SlopeConditionUnreachable when the certificate of the boundary
-    invariants fails, which happens when v is too small (or tau too large)
-    for the requested polygon, and ValueError when an extent, an edge slope
-    or the floor's L, which the SmoothDomain2D constructor checks, leaves
-    the float range.  Rounding c*Omega at c*tau gives c times every length
-    and action of rounding Omega at tau.
+    Raises TypeError, before any work, unless tau and v are each an int or a float
+    and not a bool; SlopeConditionUnreachable when the certificate of the boundary
+    invariants fails, which happens when v is too small (or tau too large) for the
+    requested polygon; and ValueError when an extent, an edge slope or the floor's
+    L, which the SmoothDomain2D constructor checks, leaves the float range.
+    Rounding c*Omega at c*tau gives c times every length and action of Omega's.
     """
+    _require_reals("", tau=tau, v=v)
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
     if not (0.0 < v < 1.0):
@@ -236,6 +235,13 @@ def round_domain(domain: MomentDomain2D, tau: float, v: float) -> SmoothDomain2D
     smooth = SmoothDomain2D(source=domain, tau=tau, v=v, lines=lines, shift=shift, x_max=x_max)
     _verify(smooth)
     return smooth
+
+
+def _require_reals(owner: str, **values) -> None:
+    """A TypeError naming the first of values that is not an int or a float, or is a bool."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{owner}{name} must be an int or a float, got {value!r:.80}")
 
 
 def _in_float_range(value, name: str) -> float:

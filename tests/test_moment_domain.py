@@ -1,6 +1,8 @@
 """Exact geometry: construction, diagonal, support, inclusion, enclosure."""
+import fractions
 import math
 import random
+import re
 import sys
 from bisect import bisect_left
 from collections import Counter
@@ -927,3 +929,68 @@ class TestDecimalExponents:
 
     def test_the_limit_is_well_above_the_float_range(self):
         assert DECIMAL_EXPONENT_LIMIT >= 1000
+
+
+EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def as_rational_by_fraction(text):
+    """as_rational's string branch when every string went through Fraction."""
+    exponent = EXPONENT.search(text) if "e" in text or "E" in text else None
+    if exponent and (len(digits := exponent[1].replace("_", "").lstrip("0")) > 9 or int(digits or 0) > DECIMAL_EXPONENT_LIMIT):
+        raise ValueError(f"decimal exponent out of range in {text!r}: |e| may be at most {DECIMAL_EXPONENT_LIMIT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational number: {text!r}") from None
+
+
+def read_outcome(read, text):
+    """(type, value) of what read(text) returns, or (exception class, message) of what it raises."""
+    try:
+        value = read(text)
+    except ValueError as error:
+        return type(error), str(error)
+    return type(value), value
+
+
+class Text(str):
+    """A str subclass, which as_rational hands to Fraction as it is."""
+
+
+class TestPlainRationals:
+    """A plain string, -?[0-9]+(/[0-9]+)? in ASCII, is read in integers, with the value and error
+    that Fraction gives; every other string still goes through Fraction's parser."""
+
+    @pytest.mark.parametrize("text", ["007/010", "-0", "-0/5", "1/0", "0/0", "+1/2", " 1/2", "1_0/3", "\u0663/4", "1/-2",
+                                      "-", "/", "1/", "", "7" * 5000 + "/3", "3/" + "7" * 5000, Text("7/5"), Text("1/0")])
+    def test_pinned_strings_match_fraction(self, text):
+        assert read_outcome(as_rational, text) == read_outcome(as_rational_by_fraction, text)
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.text(alphabet="0123456789-+/_.eE \u0663\u00b2", max_size=12),
+                     st.from_regex(r"-?[0-9]{1,60}(/[0-9]{1,60})?", fullmatch=True)))
+    def test_strings_match_fraction(self, text):
+        assert read_outcome(as_rational, text) == read_outcome(as_rational_by_fraction, text)
+
+    def test_plain_strings_skip_the_fraction_parser(self, monkeypatch):
+        calls = 0
+        real_format = fractions._RATIONAL_FORMAT
+
+        class CountingFormat:
+            def match(self, text):
+                nonlocal calls
+                calls += 1
+                return real_format.match(text)
+
+        monkeypatch.setattr(fractions, "_RATIONAL_FORMAT", CountingFormat())
+        for x, parses in (("1/2", 0), ("0.5", 1), (Text("1/2"), 1)):
+            vertices = [("0", "1"), (x, "3/4"), ("1", "0")]
+            calls = 0
+            assert MomentDomain2D(vertices).vertices[1] == (Fraction(1, 2), Fraction(3, 4))
+            assert calls == parses
+        calls = 0
+        assert (as_rational("-7/5"), as_rational("-12"), calls) == (Fraction(-7, 5), -12, 0)
+        assert (as_rational("\u0663/4"), calls) == (Fraction(3, 4), 1)  # a non-ASCII digit goes to Fraction

@@ -761,6 +761,18 @@ class TestRounding:
         with pytest.raises(SlopeConditionUnreachable):
             round_domain(tri, 1e-3, 1.5)
 
+    @pytest.mark.parametrize("tau, v, message", [
+        (True, 0.1, "tau must be an int or a float, got True"),
+        ("x", 0.1, "tau must be an int or a float, got 'x'"),
+        (1e-3, True, "v must be an int or a float, got True"),
+        (1e-3, "0.1", "v must be an int or a float, got '0.1'")])
+    def test_tau_and_v_types_are_checked_at_entry(self, monkeypatch, tau, v, message):
+        # checked before any value test, so True is not read as 1 nor a str compared with a float
+        monkeypatch.setattr(toricap.rounding_reeb, "_edge_lines", None)  # no line is built
+        with pytest.raises(TypeError) as info:
+            round_domain(make_polygon_domain([(0, 1), (1, 0)]), tau, v)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2])
     def test_steep_cap_sets_the_floor_at_x_max(self, monkeypatch, tau):
         # the steep cap is the lowest line at x_max, so the floor keeps its
