@@ -192,18 +192,18 @@ def lagrangian_capacity(shape: Shape) -> Fraction | LowerBound:
 
 def gw_tangency_count(n: int) -> int:
     """Count of lines through a point with maximal tangency order: (n-1)!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     return math.factorial(n - 1)
 
 
 def torus_descendant(k: int, classes: Sequence[Sequence[int]]) -> int:
     """Descendant count on the torus: (k-2)! when the classes cancel, else 0."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if len(classes) != k:
+    if type(k) is not int or k < 2:
+        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
+    if len(_sequence(classes, "descendant classes")) != k:
         raise LengthMismatch(f"expected {k} classes, got {len(classes)}")
-    dims = {len(c) for c in classes}
+    dims = {len(_sequence(c, "a descendant class")) for c in classes}
     if len(dims) != 1:
         raise LengthMismatch("all classes must have the same dimension")
     dim = dims.pop()

@@ -24,10 +24,6 @@ from .moment_domain import (
     format_rational,
 )
 
-TYPE_CHECKING = False  # the name type checkers read as true, without importing typing
-if TYPE_CHECKING:  # each command imports the modules it runs, so diag never loads the float layer
-    from . import capacities
-
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
@@ -136,12 +132,6 @@ def _emit_rows(args, header: list[str], rows: list[list[str]]) -> None:
         _emit(args, "\n".join(lines))
 
 
-def _minimizer_json(report: capacities.CapacityReport):
-    if isinstance(report.minimizer, moment_domain.LatticeDirection):
-        return list(report.minimizer.as_pair())
-    return {"axis": report.minimizer.axis, "multiple": report.minimizer.multiple}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -163,36 +153,30 @@ def cmd_gh(args) -> int:
     from . import capacities
     domain = _load_domain(args)
     ks = _parse_k_range(args.k)
-    via = args.via
     is_ellipsoid = isinstance(domain, EllipsoidSpec)
-    if via in ("spectrum", "both") and not is_ellipsoid:
+    if args.via in ("spectrum", "both") and not is_ellipsoid:
         raise InputError("--via spectrum needs an ellipsoid input")
-    if via == "auto":
-        via = "spectrum" if is_ellipsoid else "minmax"
+    paths = {"auto": ["spectrum" if is_ellipsoid else "minmax"], "both": ["minmax", "spectrum"]}.get(args.via, [args.via])
+    polygon = _require_polygon(domain) if "minmax" in paths else None
 
-    entries = []  # (k, path, report)
+    rows, payload = [], []  # the table or CSV rows and the JSON items, one per (k, path)
     for k in ks:
-        if via in ("minmax", "both"):
-            entries.append((k, "minmax", capacities.gh_capacity_toric4(_require_polygon(domain), k)))
-        if via in ("spectrum", "both"):
-            entries.append((k, "spectrum", capacities.gh_spectrum_ellipsoid(domain, k)))
-        if via == "both" and entries[-2][2].value != entries[-1][2].value:
+        for path in paths:
+            if path == "minmax":
+                report = capacities.gh_capacity_toric4(polygon, k)
+                minimizer = list(report.minimizer.as_pair())
+            else:
+                report = capacities.gh_spectrum_ellipsoid(domain, k)
+                minimizer = {"axis": report.minimizer.axis, "multiple": report.minimizer.multiple}
+            rows.append([str(k), format_rational(report.value), json.dumps(minimizer), path])
+            payload.append({"k": k, "value": rows[-1][1], "minimizer": minimizer} | ({"path": path} if args.via == "both" else {}))
+        if args.via == "both" and rows[-2][1] != rows[-1][1]:  # lowest terms: equal values render alike
             print(f"path disagreement at k={k}", file=sys.stderr)
             return EXIT_VALIDATION
 
     if args.format == "json":
-        payload = []
-        for k, path, report in entries:
-            item = {"k": k, "value": format_rational(report.value), "minimizer": _minimizer_json(report)}
-            if via == "both":
-                item["path"] = path
-            payload.append(item)
         _emit(args, json.dumps(payload, indent=2))
     else:
-        rows = [
-            [str(k), format_rational(r.value), json.dumps(_minimizer_json(r)), path]
-            for k, path, r in entries
-        ]
         _emit_rows(args, ["k", "value", "minimizer", "path"], rows)
     return EXIT_OK
 
@@ -269,31 +253,26 @@ def cmd_enclose(args) -> int:
 
 def cmd_lagcap(args) -> int:
     from . import capacities
-    shape = _shape_from_args(args)
+    if args.shape == "ball":
+        if args.n > _SIZE_LIMIT:
+            raise InputError(f"--n {args.n} is too large for a ball: the limit is {_SIZE_LIMIT}")
+        shape = moment_domain.ball(args.capacity, args.n)
+    elif args.shape == "projective":
+        shape = capacities.ProjectiveSpace(n=args.n)
+    elif args.shape == "ellipsoid4":
+        shape = EllipsoidSpec(sorted(_rational_pair(args.axes, "--axes")))
+    elif args.shape == "cylinder":
+        shape = capacities.Cylinder(k=args.n, m=args.m)
+    elif args.shape == "polydisk":
+        shape = capacities.Polydisk(radii=args.radii.split(","))
+    else:  # "toric", the last of the parser's choices
+        shape = _require_polygon(_load_domain(args))
     value = capacities.lagrangian_capacity(shape)
     if isinstance(value, capacities.LowerBound):
         _emit(args, json.dumps({"lower_bound": format_rational(value.value)}))
     else:
         _emit(args, format_rational(value))
     return EXIT_OK
-
-
-def _shape_from_args(args) -> capacities.Shape:
-    from . import capacities
-    kind = args.shape
-    if kind == "ball":
-        if args.n > _SIZE_LIMIT:
-            raise InputError(f"--n {args.n} is too large for a ball: the limit is {_SIZE_LIMIT}")
-        return moment_domain.ball(args.capacity, args.n)
-    if kind == "projective":
-        return capacities.ProjectiveSpace(n=args.n)
-    if kind == "ellipsoid4":
-        return EllipsoidSpec(sorted(_rational_pair(args.axes, "--axes")))
-    if kind == "cylinder":
-        return capacities.Cylinder(k=args.n, m=args.m)
-    if kind == "polydisk":
-        return capacities.Polydisk(radii=args.radii.split(","))
-    return _require_polygon(_load_domain(args))  # "toric", the last of the parser's choices
 
 
 def cmd_ledger(args) -> int:

@@ -246,7 +246,7 @@ class MomentDomain2D(_Frozen):
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def contains_point(self, p: Sequence[RationalLike]) -> bool:
-        x, y = as_rational(p[0]), as_rational(p[1])
+        x, y = [as_rational(c) for c in _sequence(p, "a point", 2)]
         if x < 0 or y < 0 or x > self.x_extent:
             return False
         return y <= self.boundary_value(x)
@@ -323,7 +323,7 @@ DirectionLike = LatticeDirection | Sequence[RationalLike]
 
 def _direction(v: DirectionLike) -> tuple[int, int, int]:
     """Integers (p, q, r) with r > 0 and v = (p/r, q/r)."""
-    p, q, r = (v.l, v.m, 1) if isinstance(v, LatticeDirection) else (v[0], v[1], 1)
+    p, q, r = (v.l, v.m, 1) if isinstance(v, LatticeDirection) else (*_sequence(v, "a direction", 2), 1)
     if type(p) is not int or type(q) is not int:  # an int pair needs no Fraction
         vx, vy = as_rational(p), as_rational(q)
         p, q, r = vx.numerator * vy.denominator, vy.numerator * vx.denominator, vx.denominator * vy.denominator
@@ -485,21 +485,23 @@ def domain_to_json(domain: MomentDomain2D | EllipsoidSpec) -> str:
     return json.dumps(payload)
 
 
-def _load_json(text: str):
-    """json.loads, with the digit limit named for an integer too long to convert (a plain ValueError there)."""
+def _load_json(text: str, what: str) -> dict:
+    """The JSON object text holds, what naming it in the ValueError for any other JSON value; the digit
+    limit is named for an integer too long to convert (a plain ValueError there)."""
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError:
         raise ValueError(f"a JSON integer has more than {sys.get_int_max_str_digits()} digits, the limit for "
                          "converting an integer; write a large value as a string") from None
+    if type(payload) is not dict:
+        raise ValueError(f"{what} JSON must be an object, not {type(payload).__name__}")
+    return payload
 
 
 def domain_from_json(text: str) -> MomentDomain2D | EllipsoidSpec:
-    payload = _load_json(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"domain JSON must be an object, not {type(payload).__name__}")
+    payload = _load_json(text, "domain")
     kind = payload.get("type")
     if kind == "polygon":
         return MomentDomain2D(_sequence(payload["vertices"], "polygon vertices"))

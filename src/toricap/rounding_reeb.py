@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, _lattice_support, _quotient, diagonal
+from .moment_domain import LatticeDirection, MomentDomain2D, _Frozen, _lattice_support, _quotient, _sequence, diagonal
 
 _X_BISECT_TOL = 1e-12
 _FLOAT_MAX = int(sys.float_info.max)  # as an int, a Fraction compares with it without making it a 1024-bit Fraction
@@ -339,7 +339,7 @@ def gauss_point(smooth: SmoothDomain2D, d: LatticeDirection) -> tuple[float, flo
 def reeb_angular_velocity(smooth: SmoothDomain2D, w: Sequence[float]) -> tuple[float, float]:
     """Angular rotation rates (radians per unit time) of the Reeb flow
     over the boundary point w = (x, g(x)); both coordinates must be positive."""
-    x, y = float(w[0]), float(w[1])
+    x, y = [float(c) for c in _sequence(w, "w", 2)]
     if not (x > 0.0 and y > 0.0):  # nan fails too
         raise AxisPoint("rotation rates need both moment coordinates positive")
     g, slope, _ = smooth._evaluate(x)
@@ -477,7 +477,7 @@ def capacity_via_spectrum(smooth: SmoothDomain2D, k: int) -> float:
 
 def boundary_polyline(smooth: SmoothDomain2D, samples: int = 512) -> list[tuple[float, float]]:
     """Sampled rounded boundary graph, for plotting."""
-    if samples < 2:
+    if type(samples) is not int or samples < 2:
         raise ValueError("need at least two samples")
     return [
         (x, smooth.value(x))

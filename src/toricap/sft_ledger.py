@@ -111,8 +111,8 @@ def forced_morse_indices(n: int) -> list[int]:
     """The unique (n+1)-tuple of Morse indices in [0, n-1] whose sum meets
     the index bound n^2 - 1.  The bound equals (n + 1)(n - 1), the largest
     sum the n + 1 entries can reach, so every entry is n - 1."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     return [n - 1] * (n + 1)
 
 
@@ -120,14 +120,14 @@ def energy_partition_check(n: int, epsilon: RationalLike, areas: Sequence[Ration
     """Violations of the forced partition (the first n areas equal 1/n, the
     last equals epsilon) in the order they are checked; empty when it
     holds.  Requires epsilon < 1/n (EpsilonTooLarge otherwise)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     eps = as_rational(epsilon)
     if eps >= Fraction(1, n):
         raise EpsilonTooLarge(f"epsilon must be below 1/{n}")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    vals = [as_rational(x) for x in areas]
+    vals = [as_rational(x) for x in _sequence(areas, "partition areas")]
     if len(vals) != n + 1:
         return (f"expected {n + 1} areas, got {len(vals)}",)
     share = Fraction(1, n)
@@ -150,7 +150,7 @@ def energy_partition_solve(n: int, epsilon: RationalLike) -> list[tuple[Fraction
     the 10,001st raises TooManyPartitions (PARTITION_LIMIT is 10,000), as
     do over 10**6 areas in all (PARTITION_AREA_LIMIT), before any is built.
     """
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be positive")
     eps = as_rational(epsilon)
     if eps <= 0:
@@ -413,7 +413,7 @@ def canonical_ball_building(n: int, epsilon: RationalLike) -> Building:
     of action 1 that carries the single divisor hit.  All indices vanish
     and the declared budget is the exact energy total.
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise ValueError("n must be at least 2")
     eps = as_rational(epsilon)
     if not (0 < eps < Fraction(1, n)):
@@ -459,7 +459,7 @@ def building_to_json(b: Building) -> str:
 def building_from_json(text: str) -> Building:
     """The building a JSON text describes, in any whitespace; only an absent
     or null ``paired_with`` is unpaired, and a non-array one is rejected."""
-    payload = _load_json(text)
+    payload = _load_json(text, "building")
     parsed: dict[str, Fraction] = {}
 
     def rational(value):

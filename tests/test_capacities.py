@@ -1,6 +1,7 @@
 """Capacity computations against brute-force oracles."""
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -353,6 +354,24 @@ class TestCounts:
 
     def test_descendant_nonzero_sum(self):
         assert torus_descendant(3, [(1, 0), (0, 1), (0, 0)]) == 0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: gw_tangency_count(True), "n must be an integer of at least 1, got True"),
+        (lambda: gw_tangency_count(3.0), "n must be an integer of at least 1, got 3.0"),
+        (lambda: torus_descendant(2.0, [(1,), (-1,)]), "k must be an integer of at least 2, got 2.0"),
+        (lambda: torus_descendant(True, [(1,)]), "k must be an integer of at least 2, got True"),
+    ])
+    def test_orders_are_ints(self, call, message):
+        # gw_tangency_count(True) gave 1, and a float failed inside math.factorial
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("classes, name", [("12", "descendant classes"), (["12", "34"], "a descendant class"),
+                                               ([(1, 0), 5], "a descendant class")])
+    def test_descendant_classes_are_lists_or_tuples(self, classes, name):
+        # "12" failed with a bare TypeError, "unsupported operand"
+        with pytest.raises(TypeError, match=f"^{name} must be a list or tuple, got "):
+            torus_descendant(2, classes)
 
     def test_descendant_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricap.cli import main
+from toricap.moment_domain import EllipsoidSpec
 from toricap.sft_ledger import building_to_json, canonical_ball_building
 
 
@@ -159,6 +160,21 @@ class TestGh:
         monkeypatch.setattr(toricap.capacities, "gh_spectrum_ellipsoid", off_at_three)
         code, out, err = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "1..6", "--via", "both")
         assert (code, out, err) == (1, "", "path disagreement at k=3\n")
+
+    @pytest.mark.parametrize("via, builds", [("minmax", 1), ("both", 1), ("spectrum", 0), ("auto", 0)])
+    def test_the_simplex_is_built_once(self, capsys, monkeypatch, via, builds):
+        # the ellipsoid's triangle is built before the loop over k, and only for the minmax path
+        calls = 0
+        simplex_domain = EllipsoidSpec.simplex_domain
+
+        def counting(e):
+            nonlocal calls
+            calls += 1
+            return simplex_domain(e)
+
+        monkeypatch.setattr(EllipsoidSpec, "simplex_domain", counting)
+        code, _, _ = run_cli(capsys, "gh", "--ellipsoid", "1,2", "--k", "1..50", "--via", via)
+        assert (code, calls) == (0, builds)
 
     def test_spectrum_via_needs_ellipsoid(self, capsys, tri11_json):
         code, _, err = run_cli(capsys, "gh", "--polygon", tri11_json, "--k", "2", "--via", "spectrum")
@@ -1035,6 +1051,14 @@ def test_building_arrays_that_are_not_arrays_exit_2(capsys, tmp_path, field, nod
     code, out, err = run_cli(capsys, "ledger", "--building", str(tmp_path / "b.json"))
     owner = "building" if field == "nodes" else "node"
     assert (code, out, err) == (2, "", f"error: malformed input: {owner} {field} must be a list or tuple, got {nodes!r}\n")
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"ab"', "str"), ("7", "int"), ("null", "NoneType")])
+def test_a_building_file_that_is_not_an_object_exits_2(capsys, tmp_path, text, kind):
+    # "[1, 2]" printed "malformed input: list indices must be integers or slices, not str"
+    (tmp_path / "b.json").write_text(text)
+    code, out, err = run_cli(capsys, "ledger", "--building", str(tmp_path / "b.json"))
+    assert (code, out, err) == (2, "", f"error: building JSON must be an object, not {kind}\n")
 
 
 @needs_digit_limit

@@ -1,11 +1,12 @@
 """Golden corpus: short digests of outputs that accepted inputs keep byte for byte.
 
-Two corpora are pinned: the README's command-line block (each command's exit
-code, stdout and stderr, and the ``rim.csv`` that ``spectrum`` writes), and the
+Three corpora are pinned: the README's command-line block (each command's exit
+code, stdout and stderr, and the ``rim.csv`` that ``spectrum`` writes), the
 canonical ball buildings for n = 2..59 (their JSON and the reports with and
-without the parity check).  A deliberate output change updates the digests,
-which ``python tests/test_golden.py`` prints, with a line in CHANGES.md that
-says why.  The ``spectrum`` and ``round`` outputs and ``rim.csv`` print floats,
+without the parity check), and the ``gh`` and ``lagcap`` commands over every
+path, format and shape (``CLI_COMMANDS``).  A deliberate output change updates
+the digests, which ``python tests/test_golden.py`` prints, with a line in
+CHANGES.md that says why.  The ``spectrum`` and ``round`` outputs and ``rim.csv`` print floats,
 so their digests are pinned to this interpreter and its libm.
 """
 import contextlib
@@ -42,6 +43,48 @@ README_DIGESTS = {
     "ledger --min-punctures --n 4 --k 4": "df81ec3235f5",
     "ledger --counts --n 6": "f7351448f9a3",
     "ledger --partition --n 2 --epsilon 1/5": "5fc85cbe7482",
+}
+# gh over each --via and --format, on an ellipsoid and on a polygon, and lagcap over each shape
+CLI_COMMANDS = [
+    *(f"gh --ellipsoid 1,2 --k 1..6 --via {via} --format {fmt}"
+      for via in ("auto", "minmax", "spectrum", "both") for fmt in ("table", "csv", "json")),
+    *(f"gh --polygon tri11.json --k 1..6 --via {via} --format {fmt}" for via in ("auto", "minmax") for fmt in ("table", "csv", "json")),
+    "gh --polygon tri11.json --k 1..6 --via spectrum",  # the spectrum path needs an ellipsoid: exit 2
+    "gh --polygon tri11.json --k 1..6 --via both",
+    "lagcap --shape ball --capacity 2 --n 3",
+    "lagcap --shape projective --n 2",
+    "lagcap --shape ellipsoid4 --axes 3,1/2",
+    "lagcap --shape cylinder --n 2 --m 1",
+    "lagcap --shape polydisk --radii 1,5/2",
+    "lagcap --shape toric --polygon tri12.json",
+]
+CLI_DIGESTS = {
+    "gh --ellipsoid 1,2 --k 1..6 --via auto --format table": "31ac3d50648c",
+    "gh --ellipsoid 1,2 --k 1..6 --via auto --format csv": "fd90e2b9904a",
+    "gh --ellipsoid 1,2 --k 1..6 --via auto --format json": "dc0ce0afbdb5",
+    "gh --ellipsoid 1,2 --k 1..6 --via minmax --format table": "5fede9ef9930",
+    "gh --ellipsoid 1,2 --k 1..6 --via minmax --format csv": "8bc6c8d8c286",
+    "gh --ellipsoid 1,2 --k 1..6 --via minmax --format json": "cc9155661b8a",
+    "gh --ellipsoid 1,2 --k 1..6 --via spectrum --format table": "31ac3d50648c",
+    "gh --ellipsoid 1,2 --k 1..6 --via spectrum --format csv": "fd90e2b9904a",
+    "gh --ellipsoid 1,2 --k 1..6 --via spectrum --format json": "dc0ce0afbdb5",
+    "gh --ellipsoid 1,2 --k 1..6 --via both --format table": "6ff5d561fb97",
+    "gh --ellipsoid 1,2 --k 1..6 --via both --format csv": "07ae0e107ccc",
+    "gh --ellipsoid 1,2 --k 1..6 --via both --format json": "47e7f0ece29e",
+    "gh --polygon tri11.json --k 1..6 --via auto --format table": "d177a5cadae9",
+    "gh --polygon tri11.json --k 1..6 --via auto --format csv": "ea24bc40c3e4",
+    "gh --polygon tri11.json --k 1..6 --via auto --format json": "e98df6170761",
+    "gh --polygon tri11.json --k 1..6 --via minmax --format table": "d177a5cadae9",
+    "gh --polygon tri11.json --k 1..6 --via minmax --format csv": "ea24bc40c3e4",
+    "gh --polygon tri11.json --k 1..6 --via minmax --format json": "e98df6170761",
+    "gh --polygon tri11.json --k 1..6 --via spectrum": "ec0660f6819f",
+    "gh --polygon tri11.json --k 1..6 --via both": "ec0660f6819f",
+    "lagcap --shape ball --capacity 2 --n 3": "c2595faee2f4",
+    "lagcap --shape projective --n 2": "996b493e656d",
+    "lagcap --shape ellipsoid4 --axes 3,1/2": "22ce807d943e",
+    "lagcap --shape cylinder --n 2 --m 1": "33922837d5f8",
+    "lagcap --shape polydisk --radii 1,5/2": "9a48fe8d5878",
+    "lagcap --shape toric --polygon tri12.json": "d2e12c798479",
 }
 # n -> digest of the canonical building for epsilon 1/(n + 1): its JSON and its two reports
 BUILDING_DIGESTS = {
@@ -84,13 +127,13 @@ def building_digest(n: int) -> str:
     return digest(building_to_json(building), *reports)
 
 
-def readme_digests(root: pathlib.Path) -> dict[str, str]:
+def command_digests(root: pathlib.Path, commands: list[str]) -> dict[str, str]:
     for name, text in DOMAIN_FILES.items():
         (root / name).write_text(text)
     cwd = os.getcwd()
     os.chdir(root)  # the commands name the domain files and rim.csv relative to it
     try:
-        return {command: command_digest(command, root) for command in readme_commands()}
+        return {command: command_digest(command, root) for command in commands}
     finally:
         os.chdir(cwd)
 
@@ -101,10 +144,17 @@ def first_difference(found: dict, pinned: dict) -> str:
 
 
 def test_readme_commands_keep_their_outputs(tmp_path):
-    found = readme_digests(tmp_path)
+    found = command_digests(tmp_path, readme_commands())
     assert list(found) == list(README_DIGESTS), "the README's command block changed: pin its commands here"
     difference = first_difference(found, README_DIGESTS)
     assert not difference, f"first differing command {difference}; {FLOATS}"
+
+
+def test_gh_and_lagcap_keep_their_outputs(tmp_path):
+    found = command_digests(tmp_path, CLI_COMMANDS)
+    assert list(found) == list(CLI_DIGESTS), "CLI_COMMANDS changed: pin its commands here"
+    difference = first_difference(found, CLI_DIGESTS)
+    assert not difference, f"first differing command {difference}"
 
 
 def test_canonical_buildings_keep_their_json_and_reports():
@@ -117,5 +167,6 @@ if __name__ == "__main__":  # print the digests to pin, for a deliberate output 
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        print("README_DIGESTS =", readme_digests(pathlib.Path(scratch)))
+        print("README_DIGESTS =", command_digests(pathlib.Path(scratch), readme_commands()))
+        print("CLI_DIGESTS =", command_digests(pathlib.Path(scratch), CLI_COMMANDS))
     print("BUILDING_DIGESTS =", {n: building_digest(n) for n in range(2, 60)})

@@ -890,6 +890,23 @@ class TestInputShapes:
         with pytest.raises(TypeError, match="^ellipsoid axes must be a list or tuple, got "):
             EllipsoidSpec(axes)
 
+    @pytest.mark.parametrize("direction", ["12", (1, 2, 7), [1], {1: 0, 2: 0}, 12])
+    def test_a_direction_is_a_pair(self, direction):
+        # "12" was read as (1, 2), and (1, 2, 7) as (1, 2)
+        with pytest.raises(TypeError, match="^a direction must be a list or tuple of 2 items, got "):
+            support(make_polygon_domain([(0, 2), (1, 0)]), direction)
+
+    @pytest.mark.parametrize("point", ["00", ("0", "0", "0"), ("0",)])
+    def test_a_point_is_a_pair(self, point):
+        # "00" was read as the point (0, 0), inside the polygon
+        with pytest.raises(TypeError, match="^a point must be a list or tuple of 2 items, got "):
+            make_polygon_domain([(0, 1), (1, 0)]).contains_point(point)
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"ab"', "str"), ("7", "int"), ("null", "NoneType")])
+    def test_a_domain_file_is_an_object(self, text, kind):
+        with pytest.raises(ValueError, match=f"^domain JSON must be an object, not {kind}$"):
+            domain_from_json(text)
+
     def test_lists_and_tuples_are_accepted(self):
         assert EllipsoidSpec(["1", "2"]) == EllipsoidSpec(("1", "2"))
         assert MomentDomain2D([["0", "1"], ["1", "0"]]) == MomentDomain2D((("0", "1"), ("1", "0")))

@@ -847,6 +847,12 @@ class TestRounding:
         ys = [y for _, y in pts]
         assert all(y0 > y1 for y0, y1 in zip(ys, ys[1:]))
 
+    @pytest.mark.parametrize("samples", [2.5, "3", 64.0, True])
+    def test_polyline_samples_are_an_int(self, rounded_tri11, samples):
+        # 2.5 and "3" failed with a bare TypeError from range() and from <
+        with pytest.raises(ValueError, match="^need at least two samples$"):
+            boundary_polyline(rounded_tri11, samples)
+
 
 class TestHomogeneityProperties:
     @settings(max_examples=30)
@@ -983,6 +989,13 @@ class TestReebRates:
         # nan fails both x <= 0 and x > 0, so the guard asks for x > 0 and y > 0
         with pytest.raises(AxisPoint):
             reeb_angular_velocity(rounded_tri11, point)
+
+    def test_the_point_is_a_pair(self, rounded_tri11):
+        # (x, g, 1.0) was read as (x, g)
+        x, y = gauss_point(rounded_tri11, LatticeDirection(1, 1))
+        for point in ((x, y, 1.0), (x,), "12"):
+            with pytest.raises(TypeError, match="^w must be a list or tuple of 2 items, got "):
+                reeb_angular_velocity(rounded_tri11, point)
 
     def test_rate_homogeneity(self, rounded_tri11):
         # rounding c*Omega at c*tau scales every length and action by c,

@@ -1143,6 +1143,26 @@ class TestIntegerArguments:
         with pytest.raises(ValueError):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: energy_partition_solve(True, "1/10"), "n must be positive"),
+        (lambda: energy_partition_solve(2.0, "1/10"), "n must be positive"),
+        (lambda: energy_partition_check(True, "1/10", ["1", "1/10"]), "n must be an integer of at least 1, got True"),
+        (lambda: energy_partition_check(2.0, "1/10", ["1/2", "1/2", "1/10"]), "n must be an integer of at least 1, got 2.0"),
+        (lambda: forced_morse_indices(3.0), "n must be an integer of at least 2, got 3.0"),
+        (lambda: forced_morse_indices(True), "n must be an integer of at least 2, got True"),
+        (lambda: canonical_ball_building(2.0, "1/10"), "n must be at least 2"),
+    ])
+    def test_solver_orders_are_ints(self, call, message):
+        # True was taken as 1, and a float failed deep inside with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("areas", ["123", {"1/2": 0, "1/2 ": 0, "1/10": 0}, 7])
+    def test_partition_areas_are_a_list_or_tuple(self, areas):
+        # "123" was read as the three areas 1, 2 and 3
+        with pytest.raises(TypeError, match="^partition areas must be a list or tuple, got "):
+            energy_partition_check(2, "1/10", areas)
+
     def test_ints_still_give_ints(self):
         assert cz_from_morse(3) == 3
         assert punctured_sphere_index(3, (1, 2), 1) == -3
@@ -1155,6 +1175,12 @@ class TestContainers:
         for nodes in ((1, 2), [CurveNode("a", 0, "top", 0, 1, ())], "ab", (canonical_ball_building(2, "1/10"),)):
             with pytest.raises(ValueError, match="^building nodes must be a tuple of CurveNode values$"):
                 Building(nodes)
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"ab"', "str"), ("7", "int"), ("null", "NoneType")])
+    def test_a_building_file_is_an_object(self, text, kind):
+        # "[1, 2]" raised a bare TypeError, "list indices must be integers or slices, not str"
+        with pytest.raises(ValueError, match=f"^building JSON must be an object, not {kind}$"):
+            building_from_json(text)
 
     def test_a_node_holds_a_tuple_of_punctures(self):
         for punctures, name in (("ab", "str"), ([Puncture(1, 1, "positive")], "list"), ({}, "dict"), (None, "NoneType")):
